@@ -12,7 +12,7 @@ vet:
 
 # Checkpoint-equivalence smoke under the race detector: periodic
 # snapshots must not perturb a run, a resumed run must continue
-# bit-identically for every kernel, and parking/restarting the worker
+# bit-identically under either kernel and any shard count, and parking/restarting the worker
 # pool around a save must be race-free.
 checkresume:
 	go test -race -count=1 -run 'TestCheckpointResumeEquivalence|TestCheckpointCrossKernelResume|TestRunCheckpointed' ./internal/network .
@@ -25,32 +25,26 @@ test:
 doccheck:
 	sh scripts/doccheck.sh
 
-# Kernel benchmarks (gated vs reference, three router kinds, three
-# loads), shard-scaling benchmarks (RoCo, three mesh sizes, 1-8 shards),
-# the telemetry-overhead benchmarks (epoch sampling off vs on), the
-# data-layout benchmarks (gated vs struct-of-arrays kernel on big
-# meshes), the allocation-stage benchmarks (three router kinds at
-# and beyond saturation), and the chiplet-topology benchmarks (flat die
-# vs chiplet seams); writes BENCH_kernel.json, BENCH_shard.json,
-# BENCH_telemetry.json, BENCH_layout.json, BENCH_alloc.json and
-# BENCH_chiplet.json, with raw output under bench/out/.
+# The end-to-end benchmark (cmd/rocoperf, see its README.md): every
+# workload of BENCHMARK.json once at seed 1, 20 s each, each printing its
+# metrics and a final JSON line.
 bench:
-	sh scripts/bench.sh kernel
-	sh scripts/bench.sh shard
-	sh scripts/bench.sh telemetry
-	sh scripts/bench.sh layout
-	sh scripts/bench.sh alloc
-	sh scripts/bench.sh chiplet
+	for w in paper8x8 mesh64_sat mesh128_sparse campaign; do \
+		bash cmd/rocoperf/run.sh --workload $$w --seed 1 || exit 1; \
+	done
 
-# CPU profile of the saturated 64x64 step (gated kernel, RoCo router) —
-# the allocation-stage hot path DESIGN.md 4i targets. Writes the profile
-# and the bench binary under bench/out/ (git-ignored); inspect with
-# `go tool pprof bench/out/profile.test bench/out/cpu.pprof`.
+# CPU profile of a saturated 64x64 RoCo run (uniform XY traffic at 0.1
+# flits/node/cycle, about 160% of the bisection bound, two shards): the
+# configuration of rocoperf's mesh64_sat workload. Writes the profile and
+# the rocosim binary under .bench_build/profile/ (git-ignored); inspect with
+# `go tool pprof .bench_build/profile/rocosim .bench_build/profile/cpu.pprof`.
+PROFILE_DIR = .bench_build/profile
 profile:
-	mkdir -p bench/out
-	go test -run '^$$' -bench 'BenchmarkLayout/64x64/sat/gated' -benchtime 200x \
-		-cpuprofile bench/out/cpu.pprof -o bench/out/profile.test ./bench/
-	go tool pprof -top -nodecount 15 bench/out/profile.test bench/out/cpu.pprof
+	mkdir -p $(PROFILE_DIR)
+	go build -o $(PROFILE_DIR)/rocosim ./cmd/rocosim
+	$(PROFILE_DIR)/rocosim -width 64 -height 64 -router roco -routing xy -traffic uniform \
+		-rate 0.1 -shards 2 -warmup 2000 -measure 20000 -cpuprofile $(PROFILE_DIR)/cpu.pprof >/dev/null
+	go tool pprof -top -nodecount 15 $(PROFILE_DIR)/rocosim $(PROFILE_DIR)/cpu.pprof
 
 # The paper-table benchmarks at the repository root.
 bench-paper:

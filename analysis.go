@@ -47,8 +47,8 @@ func buildNetwork(cfg Config, traceEvery uint64) (*network.Network, power.Profil
 		Topo:       topo,
 		D2DLatency: d2dLat,
 		D2DGap:     d2dGap,
-		Algorithm: cfg.Algorithm.internal(),
-		Build:     build,
+		Algorithm:  cfg.Algorithm.internal(),
+		Build:      build,
 		Traffic: traffic.Config{
 			Pattern:         cfg.Traffic.internal(),
 			Rate:            cfg.InjectionRate,
@@ -66,7 +66,6 @@ func buildNetwork(cfg Config, traceEvery uint64) (*network.Network, power.Profil
 		Seed:              cfg.Seed,
 		TraceEvery:        traceEvery,
 		ReferenceKernel:   cfg.ReferenceKernel,
-		SoAKernel:         cfg.SoAKernel,
 		Shards:            cfg.Shards,
 		Workers:           cfg.Workers,
 		TelemetryEvery:    cfg.TelemetryEvery,

@@ -10,12 +10,6 @@ import (
 // per regeneration. cmd/rocobench prints the same rows/series at full
 // harness scale; EXPERIMENTS.md records the shipped numbers.
 
-func benchOptions() Options {
-	o := QuickOptions()
-	o.Parallel = true
-	return o
-}
-
 // BenchmarkTable1VCConfig regenerates the paper's Table 1 (RoCo VC buffer
 // configurations per routing algorithm).
 func BenchmarkTable1VCConfig(b *testing.B) {
@@ -45,7 +39,7 @@ func BenchmarkTable3FaultClassification(b *testing.B) {
 // BenchmarkFig3Contention regenerates Figure 3 (contention probabilities
 // versus injection rate for the three routers).
 func BenchmarkFig3Contention(b *testing.B) {
-	opts := benchOptions()
+	opts := QuickOptions()
 	for i := 0; i < b.N; i++ {
 		panels := Figure3(opts)
 		if len(panels) != 3 {
@@ -57,7 +51,7 @@ func BenchmarkFig3Contention(b *testing.B) {
 // BenchmarkFig8UniformLatency regenerates Figure 8 (latency vs load,
 // uniform traffic, three routing algorithms).
 func BenchmarkFig8UniformLatency(b *testing.B) {
-	opts := benchOptions()
+	opts := QuickOptions()
 	for i := 0; i < b.N; i++ {
 		if len(Figure8(opts)) != 3 {
 			b.Fatal("figure 8 should have three panels")
@@ -68,7 +62,7 @@ func BenchmarkFig8UniformLatency(b *testing.B) {
 // BenchmarkFig9SelfSimilarLatency regenerates Figure 9 (self-similar web
 // traffic).
 func BenchmarkFig9SelfSimilarLatency(b *testing.B) {
-	opts := benchOptions()
+	opts := QuickOptions()
 	for i := 0; i < b.N; i++ {
 		if len(Figure9(opts)) != 3 {
 			b.Fatal("figure 9 should have three panels")
@@ -78,7 +72,7 @@ func BenchmarkFig9SelfSimilarLatency(b *testing.B) {
 
 // BenchmarkFig10TransposeLatency regenerates Figure 10 (transpose traffic).
 func BenchmarkFig10TransposeLatency(b *testing.B) {
-	opts := benchOptions()
+	opts := QuickOptions()
 	for i := 0; i < b.N; i++ {
 		if len(Figure10(opts)) != 3 {
 			b.Fatal("figure 10 should have three panels")
@@ -89,7 +83,7 @@ func BenchmarkFig10TransposeLatency(b *testing.B) {
 // BenchmarkFig11CriticalFaults regenerates Figure 11 (completion under
 // router-centric faults).
 func BenchmarkFig11CriticalFaults(b *testing.B) {
-	opts := benchOptions()
+	opts := QuickOptions()
 	for i := 0; i < b.N; i++ {
 		if len(Figure11(opts)) != 3 {
 			b.Fatal("figure 11 should have three panels")
@@ -100,7 +94,7 @@ func BenchmarkFig11CriticalFaults(b *testing.B) {
 // BenchmarkFig12NonCriticalFaults regenerates Figure 12 (completion under
 // message-centric faults).
 func BenchmarkFig12NonCriticalFaults(b *testing.B) {
-	opts := benchOptions()
+	opts := QuickOptions()
 	for i := 0; i < b.N; i++ {
 		if len(Figure12(opts)) != 3 {
 			b.Fatal("figure 12 should have three panels")
@@ -111,7 +105,7 @@ func BenchmarkFig12NonCriticalFaults(b *testing.B) {
 // BenchmarkFig13EnergyPerPacket regenerates Figure 13 (energy per packet
 // across traffic patterns).
 func BenchmarkFig13EnergyPerPacket(b *testing.B) {
-	opts := benchOptions()
+	opts := QuickOptions()
 	for i := 0; i < b.N; i++ {
 		res := Figure13(opts)
 		if len(res.EnergyNJ[RoCo]) != 3 {
@@ -123,7 +117,7 @@ func BenchmarkFig13EnergyPerPacket(b *testing.B) {
 // BenchmarkFig14PEF regenerates Figure 14 (PEF under critical and
 // non-critical faults).
 func BenchmarkFig14PEF(b *testing.B) {
-	opts := benchOptions()
+	opts := QuickOptions()
 	for i := 0; i < b.N; i++ {
 		if len(Figure14(opts)) != 2 {
 			b.Fatal("figure 14 should have two panels")

@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"github.com/rocosim/roco/internal/network"
 	"github.com/rocosim/roco/internal/power"
@@ -201,9 +202,8 @@ func (s *Sim) RunCheckpointed(opts CheckpointOptions) (Result, bool, error) {
 
 // Resume restores a simulation from one snapshot frame. cfg must be the
 // configuration that wrote the snapshot — checked by fingerprint before
-// any state is decoded — except for ReferenceKernel, SoAKernel, Shards
-// and Workers, which select execution strategy, not simulation
-// semantics.
+// any state is decoded — except for ReferenceKernel, Shards and Workers,
+// which select execution strategy, not simulation semantics.
 // Returns ErrConfigMismatch, ErrCorruptSnapshot or ErrSnapshotVersion
 // as appropriate.
 func Resume(r io.Reader, cfg Config) (*Sim, error) {
@@ -263,10 +263,17 @@ func ResumeLatest(dir string, cfg Config) (*Sim, error) {
 func fingerprint(cfg Config) uint64 {
 	norm := cfg
 	norm.ReferenceKernel = false
-	norm.SoAKernel = false
 	norm.Shards = 0
 	norm.Workers = 0
+	// Config once had a kernel-selection field right after
+	// ReferenceKernel, always normalized to false here. Re-inserting its
+	// text keeps every fingerprint byte-identical to the ones older
+	// snapshots and job directories were written under.
+	text := strings.Replace(fmt.Sprintf("%#v", norm), "ReferenceKernel:false, ", legacyKernelField, 1)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v", norm)
+	io.WriteString(h, text)
 	return h.Sum64()
 }
+
+// legacyKernelField is the removed field's text as %#v printed it.
+const legacyKernelField = "ReferenceKernel:false, SoAKernel:false, "

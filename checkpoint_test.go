@@ -227,9 +227,38 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if _, err := Resume(bytes.NewReader(frame.Bytes()), kernels); err != nil {
 		t.Fatalf("sharded resume of a gated snapshot: %v", err)
 	}
-	kernels = cfg
-	kernels.SoAKernel = true
-	if _, err := Resume(bytes.NewReader(frame.Bytes()), kernels); err != nil {
-		t.Fatalf("SoA resume of a gated snapshot: %v", err)
+}
+
+// TestFingerprintPinned pins the configuration fingerprint to the values
+// snapshots and rocoserve job directories were written under, for a
+// default, a reliable chiplet and a faulted adaptive configuration, with
+// and without the execution-strategy fields set. A change here makes every
+// existing checkpoint unresumable (ErrConfigMismatch).
+func TestFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"default", Config{}, 0x5f230de02d3ed0bc},
+		{"reliable-chiplet", Config{
+			ChipsX: 2, ChipsY: 2, ChipW: 4, ChipH: 4, D2DClass: D2DSerial,
+			Router: RoCo, Algorithm: XY, Traffic: Uniform, InjectionRate: 0.1,
+			Reliable: true, AuditEvery: 64, Seed: 3,
+		}, 0x427360f72f0b0986},
+		{"faulted-adaptive", Config{
+			Router: RoCo, Algorithm: Adaptive, Traffic: Transpose, InjectionRate: 0.2,
+			Seed: 42, Faults: RandomFaults(CriticalFaults, 2, 8, 8, 7),
+			FaultSchedule: PoissonFaultSchedule(NonCriticalFaults, 400, 2000, 8, 8, 9),
+		}, 0xd84819a60de48e82},
+	} {
+		cfg := c.cfg.withDefaults()
+		if got := fingerprint(cfg); got != c.want {
+			t.Errorf("%s: fingerprint %016x, want %016x", c.name, got, c.want)
+		}
+		cfg.ReferenceKernel, cfg.Shards, cfg.Workers = true, 4, 2
+		if got := fingerprint(cfg); got != c.want {
+			t.Errorf("%s with kernel fields set: fingerprint %016x, want %016x", c.name, got, c.want)
+		}
 	}
 }

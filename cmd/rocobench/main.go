@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -46,12 +45,11 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		width    = flag.Int("width", 8, "mesh width")
 		height   = flag.Int("height", 8, "mesh height")
-		serial   = flag.Bool("serial", false, "disable parallel simulation (deprecated: use -workers 1)")
-		workers  = flag.Int("workers", 0, "total simulation concurrency, shared between parallel configurations and per-run shards (0 = GOMAXPROCS, or serial with -serial)")
+		workers  = flag.Int("workers", 0, "total simulation concurrency, shared between parallel configurations and per-run shards (0 = GOMAXPROCS, 1 = serial)")
 		shards   = flag.Int("shards", 1, "split every simulation across this many mesh shards (bit-identical results for any value)")
 		mcSample = flag.Int("mc", 1_000_000, "Monte-Carlo samples for table 2")
 		jsonOut  = flag.String("json", "", "also write machine-readable results to this file")
-		kernel   = flag.String("kernel", "gated", "simulation kernel: gated (activity-gated, default), soa (struct-of-arrays) or reference (tick everything)")
+		kernel   = flag.String("kernel", "gated", "simulation kernel: gated (activity-gated, default) or reference (tick everything)")
 		reliable = flag.Bool("reliable", false, "arm end-to-end reliable delivery in the fault-injecting experiments (degradation)")
 		chips    = flag.String("chips", "", "run on a multichip mesh: chiplet grid as CXxCY (needs -chip-size; the degradation experiment then strikes a whole die-to-die interface)")
 		chipSize = flag.String("chip-size", "", "nodes per chiplet as WxH (needs -chips)")
@@ -61,37 +59,24 @@ func main() {
 	)
 	flag.Parse()
 
-	reference, soa := false, false
+	reference := false
 	switch strings.ToLower(*kernel) {
 	case "gated":
-	case "soa":
-		soa = true
 	case "reference":
 		reference = true
 	default:
-		fmt.Fprintf(os.Stderr, "unknown kernel %q (want gated, soa, reference)\n", *kernel)
+		fmt.Fprintf(os.Stderr, "unknown kernel %q (want gated, reference)\n", *kernel)
 		os.Exit(1)
 	}
 
-	// Resolve -serial into the Workers budget up front instead of going
-	// through the deprecated Options.Parallel flag.
-	budget := *workers
-	if budget == 0 {
-		if *serial {
-			budget = 1
-		} else {
-			budget = runtime.GOMAXPROCS(0)
-		}
-	}
 	opts := roco.Options{
 		Width: *width, Height: *height,
 		Warmup: *warmup, Measure: *measure,
 		FaultTrials:     *trials,
 		Seed:            *seed,
-		Workers:         budget,
+		Workers:         *workers,
 		Shards:          *shards,
 		ReferenceKernel: reference,
-		SoAKernel:       soa,
 		Reliable:        *reliable,
 	}
 	if (*chips == "") != (*chipSize == "") {

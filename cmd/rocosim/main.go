@@ -78,7 +78,7 @@ func main() {
 		tracePkts   = flag.Int("trace", 0, "sample and print this many packet journeys")
 		teleEvery   = flag.Int64("telemetry-every", 0, "cycles between telemetry epochs (0 disables; the series lands in the -json result and on the -serve endpoint)")
 		serveAddr   = flag.String("serve", "", "serve live telemetry over HTTP at this address while the run executes (/metrics Prometheus text, /healthz, /debug/vars, /debug/pprof); keeps serving final values until interrupted")
-		kernel      = flag.String("kernel", "gated", "simulation kernel: gated (activity-gated, default), soa (struct-of-arrays) or reference (tick everything)")
+		kernel      = flag.String("kernel", "gated", "simulation kernel: gated (activity-gated, default) or reference (tick everything)")
 		shards      = flag.Int("shards", 1, "split the run across this many mesh shards ticking in parallel (bit-identical results for any value)")
 		workers     = flag.Int("workers", 0, "goroutines executing shard ticks (0 = one per shard up to GOMAXPROCS)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -138,12 +138,10 @@ func main() {
 
 	switch strings.ToLower(*kernel) {
 	case "gated":
-	case "soa":
-		cfg.SoAKernel = true
 	case "reference":
 		cfg.ReferenceKernel = true
 	default:
-		fatalf("unknown kernel %q (want gated, soa, reference)", *kernel)
+		fatalf("unknown kernel %q (want gated, reference)", *kernel)
 	}
 
 	multichip := false

@@ -31,14 +31,8 @@ type Options struct {
 	// Workers caps the total simulation concurrency: how many CPUs the
 	// drivers may occupy at once, shared between running independent
 	// configurations in parallel and sharding individual runs (Shards).
-	// 0 consults the deprecated Parallel flag (GOMAXPROCS when set, else
-	// serial); 1 forces fully serial execution.
+	// 0 means GOMAXPROCS; 1 forces fully serial execution.
 	Workers int
-	// Parallel is the deprecated boolean predecessor of Workers, honored
-	// only when Workers is 0: true means GOMAXPROCS workers, false means
-	// serial. DefaultOptions sets it so zero-Workers callers keep their
-	// old parallel behavior.
-	Parallel bool
 	// Shards applies intra-run sharding (Config.Shards) to every
 	// simulation the drivers launch. Results are bit-identical for any
 	// value; use it to speed up large-mesh experiments. The worker budget
@@ -48,9 +42,6 @@ type Options struct {
 	// ReferenceKernel runs every simulation on the ungated cycle loop
 	// instead of the activity-gated kernel (see Config.ReferenceKernel).
 	ReferenceKernel bool
-	// SoAKernel runs every simulation on the struct-of-arrays kernel
-	// (see Config.SoAKernel). Bit-identical results, lower footprint.
-	SoAKernel bool
 	// Reliable arms the end-to-end reliable-delivery protocol in the
 	// experiments that inject faults into live traffic (currently the
 	// degradation experiment), surfacing goodput and recovery counters.
@@ -67,14 +58,13 @@ type Options struct {
 }
 
 // DefaultOptions returns the harness defaults (8x8 mesh, 2k+30k packets,
-// 3 fault trials, parallel).
+// 3 fault trials, GOMAXPROCS workers).
 func DefaultOptions() Options {
 	return Options{
 		Width: 8, Height: 8,
 		Warmup: 2000, Measure: 30000,
 		FaultTrials: 3,
 		Seed:        1,
-		Parallel:    true,
 	}
 }
 
@@ -96,17 +86,13 @@ func (o Options) dims() (w, h int) {
 	return o.Width, o.Height
 }
 
-// effectiveWorkers resolves the Options concurrency budget: Workers wins
-// when set, otherwise the deprecated Parallel flag picks GOMAXPROCS or
-// serial.
+// effectiveWorkers resolves the Options concurrency budget: Workers when
+// set, GOMAXPROCS otherwise.
 func (o Options) effectiveWorkers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
-	if o.Parallel {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }
 
 // runAll executes the given configs and returns results in input order.
@@ -183,7 +169,6 @@ func (o Options) baseConfig(k RouterKind, alg Algorithm, tp TrafficPattern, rate
 		MeasurePackets:  o.Measure,
 		Seed:            o.Seed,
 		ReferenceKernel: o.ReferenceKernel,
-		SoAKernel:       o.SoAKernel,
 		Shards:          o.Shards,
 	}
 	if o.ChipsX > 0 {

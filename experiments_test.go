@@ -28,7 +28,7 @@ func TestRunAllOrderWithWorkers(t *testing.T) {
 	serial := Options{Workers: 1}
 	want := runAll(serial, mkCfgs())
 	for _, workers := range []int{2, 4, 0} {
-		opts := Options{Workers: workers, Parallel: true}
+		opts := Options{Workers: workers}
 		got := runAll(opts, mkCfgs())
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {

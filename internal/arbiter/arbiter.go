@@ -7,9 +7,9 @@ package arbiter
 
 import "math/bits"
 
-// maskWidth is the widest request set the bitmap fast path serves; wider
-// arbiters fall back to the slice scan. Every arbiter in the simulator is
-// far narrower (the widest is the generic router's 15-input VA arbiter).
+// maskWidth is the widest request set a bitmap grant serves. Every arbiter
+// in the simulator is far narrower (the widest is the generic router's
+// 15-input VA arbiter).
 const maskWidth = 64
 
 // RoundRobin is an n-input round-robin arbiter. The input granted most
@@ -91,56 +91,6 @@ func (a *RoundRobin) peekMask(req uint64) int {
 		idx -= a.n
 	}
 	return idx
-}
-
-// Grant returns the index of the winning request, or -1 if no line is
-// asserted. The priority pointer advances past the winner. It is a
-// compatibility shim over GrantMask; wide (> 64 line) arbiters keep the
-// slice scan.
-func (a *RoundRobin) Grant(requests []bool) int {
-	if len(requests) != a.n {
-		panic("arbiter: request vector size mismatch")
-	}
-	if a.n <= maskWidth {
-		return a.GrantMask(packRequests(requests))
-	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.next + i) % a.n
-		if requests[idx] {
-			a.next = (idx + 1) % a.n
-			return idx
-		}
-	}
-	return -1
-}
-
-// Peek returns the index that would win without advancing the priority
-// pointer, or -1 if no line is asserted. Shim over PeekMask, like Grant.
-func (a *RoundRobin) Peek(requests []bool) int {
-	if len(requests) != a.n {
-		panic("arbiter: request vector size mismatch")
-	}
-	if a.n <= maskWidth {
-		return a.PeekMask(packRequests(requests))
-	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.next + i) % a.n
-		if requests[idx] {
-			return idx
-		}
-	}
-	return -1
-}
-
-// packRequests folds a request slice (length <= 64) into a bitmap.
-func packRequests(requests []bool) uint64 {
-	var req uint64
-	for i, r := range requests {
-		if r {
-			req |= 1 << uint(i)
-		}
-	}
-	return req
 }
 
 // Reset restores the priority pointer to input 0.

@@ -7,9 +7,9 @@ import (
 
 func TestRoundRobinGrantsAssertedLine(t *testing.T) {
 	a := NewRoundRobin(4)
-	reqs := []bool{false, true, false, true}
+	const reqs = 0b1010 // lines 1 and 3
 	for i := 0; i < 16; i++ {
-		w := a.Grant(reqs)
+		w := a.GrantMask(reqs)
 		if w != 1 && w != 3 {
 			t.Fatalf("granted unasserted line %d", w)
 		}
@@ -18,17 +18,16 @@ func TestRoundRobinGrantsAssertedLine(t *testing.T) {
 
 func TestRoundRobinNoRequest(t *testing.T) {
 	a := NewRoundRobin(3)
-	if w := a.Grant([]bool{false, false, false}); w != -1 {
+	if w := a.GrantMask(0); w != -1 {
 		t.Fatalf("empty request vector granted %d", w)
 	}
 }
 
 func TestRoundRobinFairness(t *testing.T) {
 	a := NewRoundRobin(4)
-	all := []bool{true, true, true, true}
 	counts := make([]int, 4)
 	for i := 0; i < 400; i++ {
-		counts[a.Grant(all)]++
+		counts[a.GrantMask(0b1111)]++
 	}
 	for i, c := range counts {
 		if c != 100 {
@@ -44,12 +43,8 @@ func TestRoundRobinNoStarvation(t *testing.T) {
 		a := NewRoundRobin(5)
 		waiting := 0
 		for i := 0; i < len(pattern); i++ {
-			reqs := make([]bool, 5)
-			reqs[4] = true // our line
-			for j := 0; j < 4; j++ {
-				reqs[j] = pattern[i]&(1<<j) != 0
-			}
-			if a.Grant(reqs) == 4 {
+			reqs := uint64(pattern[i]&0b1111) | 1<<4 // line 4 is ours
+			if a.GrantMask(reqs) == 4 {
 				waiting = 0
 			} else {
 				waiting++
@@ -67,21 +62,21 @@ func TestRoundRobinNoStarvation(t *testing.T) {
 
 func TestRoundRobinPeekDoesNotAdvance(t *testing.T) {
 	a := NewRoundRobin(3)
-	reqs := []bool{true, true, true}
-	p := a.Peek(reqs)
-	if g := a.Grant(reqs); g != p {
-		t.Errorf("Peek %d then Grant %d", p, g)
+	p := a.PeekMask(0b111)
+	if g := a.GrantMask(0b111); g != p {
+		t.Errorf("PeekMask %d then GrantMask %d", p, g)
 	}
 }
 
 func TestRoundRobinSizeMismatchPanics(t *testing.T) {
-	a := NewRoundRobin(3)
+	// A bitmap grant cannot address more than 64 lines.
+	a := NewRoundRobin(maskWidth + 1)
 	defer func() {
 		if recover() == nil {
-			t.Error("size mismatch should panic")
+			t.Error("bitmap grant on a 65-line arbiter should panic")
 		}
 	}()
-	a.Grant([]bool{true})
+	a.GrantMask(1)
 }
 
 // allPatterns enumerates every 2x2 request matrix.

@@ -2,9 +2,9 @@ package arbiter
 
 import "testing"
 
-// refRoundRobin is the pre-bitmap reference implementation: a linear scan
-// from the priority pointer. GrantMask/PeekMask must agree with it on every
-// width, request pattern, and pointer state — it is the spec the rotate +
+// refRoundRobin is the legacy []bool arbiter: a linear scan from the
+// priority pointer. GrantMask/PeekMask must agree with it on every width,
+// request pattern, and pointer state — it is the spec the rotate +
 // trailing-zeros fast path is checked against.
 type refRoundRobin struct {
 	n    int
@@ -39,9 +39,9 @@ func unpack(req uint64, n int) []bool {
 }
 
 // FuzzGrantMask differentially checks the bitmap arbiter against the
-// reference scan: same winners from GrantMask/PeekMask and from the Grant/
-// Peek shims, across random widths (1..64), request patterns, and pointer
-// states reached by running many rounds. Run `go test -fuzz=FuzzGrantMask
+// reference scan: same winners and priority pointers from GrantMask/PeekMask,
+// across random widths (1..64), request patterns, and pointer states reached
+// by running many rounds. Run `go test -fuzz=FuzzGrantMask
 // ./internal/arbiter` to explore beyond the seed corpus; the seed corpus
 // itself runs in `make check` under the race detector.
 func FuzzGrantMask(f *testing.F) {
@@ -79,17 +79,7 @@ func FuzzGrantMask(f *testing.F) {
 			if got, want := fast.PeekMask(req), ref.peek(slice); got != want {
 				t.Fatalf("n=%d round=%d req=%#x next=%d: PeekMask=%d ref.peek=%d", n, round, req, ref.next, got, want)
 			}
-			if got, want := fast.Peek(slice), ref.peek(slice); got != want {
-				t.Fatalf("n=%d round=%d req=%#x next=%d: Peek=%d ref.peek=%d", n, round, req, ref.next, got, want)
-			}
-			wantG := ref.grant(slice)
-			var gotG int
-			if round%2 == 0 {
-				gotG = fast.GrantMask(req)
-			} else {
-				gotG = fast.Grant(slice)
-			}
-			if gotG != wantG {
+			if gotG, wantG := fast.GrantMask(req), ref.grant(slice); gotG != wantG {
 				t.Fatalf("n=%d round=%d req=%#x: grant fast=%d ref=%d", n, round, req, gotG, wantG)
 			}
 			if fast.next != ref.next {

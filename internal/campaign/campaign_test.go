@@ -98,7 +98,7 @@ func craftKilledJob(t *testing.T, dir, id string, cfg roco.Config) {
 }
 
 // TestKillRestartEquivalence is the acceptance contract: for every
-// kernel (gated, reference, SoA) with Reliable both off and on, a job
+// kernel (gated, reference) with Reliable both off and on, a job
 // whose process was killed mid-run — manifest stuck at "running", torn
 // temp file in the snapshot directory — is recovered by Open, resumed
 // from its latest valid snapshot, and finishes with result bytes
@@ -110,7 +110,6 @@ func TestKillRestartEquivalence(t *testing.T) {
 	}{
 		{"gated", func(*roco.Config) {}},
 		{"reference", func(c *roco.Config) { c.ReferenceKernel = true }},
-		{"soa", func(c *roco.Config) { c.SoAKernel = true }},
 	}
 	dir := t.TempDir()
 	type expect struct {

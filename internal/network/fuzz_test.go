@@ -105,13 +105,14 @@ func TestRandomizedConfigurations(t *testing.T) {
 // Odd rel bytes run with the reliable-delivery protocol on, under a
 // rel-derived base timeout, checking its invariants too: no duplicate
 // deliveries, and residual loss exactly the give-up count when drained.
-// The shard count (1-4) is fuzzed alongside, as is the kernel choice
-// (bit 1 of ckpt selects the struct-of-arrays kernel); every multi-shard
-// run is additionally replayed at Shards=1 and must match it bit for
-// bit. Odd ckpt bytes additionally replay the run with a snapshot taken mid-run
-// and a resume from it: both the snapshotting run and the resumed run
-// must reproduce the uninterrupted Result exactly, whatever fault
-// schedule the fuzzer strikes the network with.
+// The shard count (1-4) is fuzzed alongside; every multi-shard run is
+// additionally replayed at Shards=1 and must match it bit for bit. (Bit 1
+// of ckpt once chose between two gated kernels and is now unused, so the
+// committed corpus keeps its meaning.) Odd ckpt bytes additionally replay
+// the run with a snapshot taken mid-run and a resume from it: both the
+// snapshotting run and the resumed run must reproduce the uninterrupted
+// Result exactly, whatever fault schedule the fuzzer strikes the network
+// with.
 func FuzzDynamicFaults(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(300), uint8(27), uint8(3), uint8(0), uint8(0), uint8(1))
 	f.Add(uint64(7), uint8(2), uint16(50), uint8(5), uint8(0), uint8(1), uint8(1), uint8(0))
@@ -170,7 +171,6 @@ func FuzzDynamicFaults(f *testing.F) {
 		}
 		cfg.Shards = 1 + int(shards)%4
 		cfg.Workers = cfg.Shards
-		cfg.SoAKernel = ckpt&2 != 0
 		res := New(cfg).Run()
 
 		if cfg.Shards > 1 {

@@ -30,114 +30,235 @@ func kernelConfig(build func(int, *router.RouteEngine) router.Router, seed uint6
 	}
 }
 
-// TestGatedKernelMatchesReference is the correctness contract of the
-// activity-gated kernel: for every router kind and seed, the gated run and
-// the tick-everything reference run must produce bit-identical Results —
-// same latency histogram, same per-router activity counters, same fault
-// log. Any divergence means a router was left asleep through a cycle that
-// would have done work (under-waking) or SkipCycles mis-replayed an idle
-// tick.
-func TestGatedKernelMatchesReference(t *testing.T) {
-	builders := []struct {
-		name  string
-		build func(int, *router.RouteEngine) router.Router
-	}{
-		{"generic", genericBuilder},
-		{"pathsensitive", psBuilder},
-		{"roco", rocoBuilder},
-		{"pdr", pdrBuilder},
-	}
-	for _, b := range builders {
-		b := b
-		for _, seed := range []uint64{1, 42, 99} {
-			seed := seed
-			t.Run(b.name, func(t *testing.T) {
-				t.Parallel()
-				ref := kernelConfig(b.build, seed)
-				ref.ReferenceKernel = true
-				gated := kernelConfig(b.build, seed)
+// kernelBuilders are the router kinds of the equivalence table.
+var kernelBuilders = []struct {
+	name  string
+	build func(int, *router.RouteEngine) router.Router
+}{
+	{"generic", genericBuilder},
+	{"pathsensitive", psBuilder},
+	{"roco", rocoBuilder},
+	{"pdr", pdrBuilder},
+}
 
-				want := New(ref).Run()
-				got := New(gated).Run()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: gated kernel diverged from reference\n gated: %+v\n   ref: %+v",
-						seed, got.Summary, want.Summary)
-				}
-			})
-		}
+// equivalenceCase is one row of the kernel equivalence table: the gated
+// run of a configuration against the tick-everything reference run of the
+// same configuration.
+type equivalenceCase struct {
+	test  string // top-level test that runs the row
+	name  string // subtest name
+	build func(int, *router.RouteEngine) router.Router
+	seed  uint64
+	// tweak adjusts both runs' configuration (algorithm, faults, Reliable);
+	// shards and workers apply to the gated run only.
+	tweak           func(*Config)
+	shards, workers int
+	faulted         bool // the run must install at least one fault
+}
+
+// poissonFaults strikes the 8x8 mesh with a non-critical Poisson schedule.
+func poissonFaults(seed uint64, mean float64, horizon int64) func(*Config) {
+	return func(c *Config) {
+		c.Schedule = fault.PoissonSchedule(fault.NonCritical, mean, horizon, 64, core.NumVCs, stats.NewRNG(seed^0xfa17))
 	}
 }
 
-// TestGatedKernelMatchesReferenceUnderFaults repeats the bit-identity
-// check with a Poisson runtime-fault schedule striking mid-run, so the
-// settle-before-ApplyFault path and the fault wake rules are on the hook
-// too.
-func TestGatedKernelMatchesReferenceUnderFaults(t *testing.T) {
-	builders := []struct {
-		name  string
-		build func(int, *router.RouteEngine) router.Router
-	}{
-		{"generic", genericBuilder},
-		{"pathsensitive", psBuilder},
-		{"roco", rocoBuilder},
-	}
-	for _, b := range builders {
-		b := b
-		for _, seed := range []uint64{7, 1234} {
-			seed := seed
-			t.Run(b.name, func(t *testing.T) {
-				t.Parallel()
-				sched := fault.PoissonSchedule(fault.NonCritical, 120, 600, 64, core.NumVCs, stats.NewRNG(seed^0xfa17))
-
-				ref := kernelConfig(b.build, seed)
-				ref.Schedule = sched
-				ref.ReferenceKernel = true
-				gated := kernelConfig(b.build, seed)
-				gated.Schedule = sched
-
-				want := New(ref).Run()
-				got := New(gated).Run()
-				if len(want.FaultLog) == 0 {
-					t.Fatalf("seed %d: fault schedule installed no faults; test is vacuous", seed)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: gated kernel diverged from reference under faults\n gated: %+v\n   ref: %+v",
-						seed, got.Summary, want.Summary)
-				}
-			})
+// equivalenceTable is the correctness contract of the activity-gated
+// kernel: for every row the gated run and the reference run must produce
+// bit-identical Results — same latency histogram, same per-router activity
+// counters, same fault log. A divergence means a router was left asleep
+// through a cycle that would have done work, SkipCycles mis-replayed an
+// idle tick, the hot-state mirror drifted from the routers' own state (a
+// missed syncHot path), or the bitset sweep ticked a different set or
+// order than the canonical schedule.
+//
+// The rows cover 4 router kinds × 3 seeds, Poisson runtime faults, the
+// XY-YX and adaptive algorithms (whose cost scan and mode flip read
+// neighbor state mid-tick), the reliability protocol's wake path, and the
+// sharded bitset sweep. The top-level test names are stable IDs kept from
+// when the bitset kernel was an opt-in variant; the TestSoAKernel* rows
+// run the one gated kernel sharded (Shards=4, Workers=2).
+func equivalenceTable() []equivalenceCase {
+	var rows []equivalenceCase
+	for _, sharded := range []bool{false, true} {
+		plain, faults := "TestGatedKernelMatchesReference", "TestGatedKernelMatchesReferenceUnderFaults"
+		shards, workers := 0, 0
+		if sharded {
+			plain, faults = "TestSoAKernelMatchesReference", "TestSoAKernelMatchesReferenceUnderFaults"
+			shards, workers = 4, 2
 		}
+		for _, b := range kernelBuilders {
+			for _, seed := range []uint64{1, 42, 99} {
+				rows = append(rows, equivalenceCase{test: plain, name: b.name, build: b.build, seed: seed, shards: shards, workers: workers})
+			}
+		}
+		for _, b := range kernelBuilders[:3] {
+			for _, seed := range []uint64{7, 1234} {
+				rows = append(rows, equivalenceCase{test: faults, name: b.name, build: b.build, seed: seed,
+					tweak: poissonFaults(seed, 120, 600), shards: shards, workers: workers, faulted: true})
+			}
+		}
+	}
+	for _, alg := range []routing.Algorithm{routing.XYYX, routing.Adaptive} {
+		for _, b := range []int{0, 2} { // generic, roco
+			alg := alg
+			rows = append(rows, equivalenceCase{test: "TestSoAKernelMatchesReferenceAlgorithms",
+				name: kernelBuilders[b].name + "/" + alg.String(), build: kernelBuilders[b].build, seed: 5,
+				tweak: func(c *Config) { c.Algorithm = alg }})
+		}
+	}
+	rows = append(rows,
+		equivalenceCase{test: "TestSoAKernelMatchesReferenceReliable", name: "roco", build: rocoBuilder, seed: 21,
+			tweak: func(c *Config) { poissonFaults(21, 100, 500)(c); c.Reliable = true }, faulted: true},
+		equivalenceCase{test: "TestSoAKernelSharded", name: "roco", build: rocoBuilder, seed: 11, shards: 4, workers: 2},
+	)
+	return rows
+}
+
+// runEquivalence runs the equivalence-table rows that belong to the
+// calling top-level test.
+func runEquivalence(t *testing.T) {
+	ran := false
+	for _, c := range equivalenceTable() {
+		if c.test != t.Name() {
+			continue
+		}
+		ran = true
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			ref := kernelConfig(c.build, c.seed)
+			if c.tweak != nil {
+				c.tweak(&ref)
+			}
+			gated := ref
+			ref.ReferenceKernel = true
+			gated.Shards, gated.Workers = c.shards, c.workers
+
+			want := New(ref).Run()
+			got := New(gated).Run()
+			if c.faulted && len(want.FaultLog) == 0 {
+				t.Fatalf("seed %d: fault schedule installed no faults; test is vacuous", c.seed)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d shards %d: gated kernel diverged from reference\n gated: %+v\n   ref: %+v",
+					c.seed, c.shards, got.Summary, want.Summary)
+			}
+		})
+	}
+	if !ran {
+		t.Fatalf("no equivalence rows for %s", t.Name())
 	}
 }
 
-// TestStepZeroAllocsWhenIdle pins the clock-gating payoff: once a network
-// has nothing to generate, inject, tick, or advance, Step must not touch
-// the heap at all.
-func TestStepZeroAllocsWhenIdle(t *testing.T) {
+func TestGatedKernelMatchesReference(t *testing.T)            { runEquivalence(t) }
+func TestGatedKernelMatchesReferenceUnderFaults(t *testing.T) { runEquivalence(t) }
+func TestSoAKernelMatchesReference(t *testing.T)              { runEquivalence(t) }
+func TestSoAKernelMatchesReferenceUnderFaults(t *testing.T)   { runEquivalence(t) }
+func TestSoAKernelMatchesReferenceAlgorithms(t *testing.T)    { runEquivalence(t) }
+func TestSoAKernelMatchesReferenceReliable(t *testing.T)      { runEquivalence(t) }
+func TestSoAKernelSharded(t *testing.T)                       { runEquivalence(t) }
+
+// TestSoAHotStateMirrorsRouters is the transition-invariant probe behind
+// the packed hot state: at every cycle boundary of a faulty mid-load run,
+// it must agree with the routers' own virtual answers — RouterBusy(id) ==
+// !Idle(id) (dormant→active on injection or fault strike, active→dormant
+// on drain, with no missed edge in either direction) and BufferedFlits
+// from the occupancy array equal to the router's channel sweep.
+func TestSoAHotStateMirrorsRouters(t *testing.T) {
+	cfg := kernelConfig(rocoBuilder, 13)
+	cfg.Schedule = fault.NewSchedule([]fault.Event{
+		{Cycle: 120, Fault: fault.Fault{Node: 27, Component: fault.Crossbar, Module: fault.RowModule}},
+		{Cycle: 240, Fault: fault.Fault{Node: 36, Component: fault.Buffer, Module: fault.ColumnModule, VC: 1}},
+	})
+	n := New(cfg)
+	hs := n.HotState()
+	if hs == nil {
+		t.Fatal("gated network has no hot state")
+	}
+	nodes := cfg.Topo.Nodes()
+	sawBusy, sawDrained := false, false
+	for step := 0; step < 600; step++ {
+		n.Step()
+		for id := 0; id < nodes; id++ {
+			busy := hs.RouterBusy(id)
+			if idle := n.Router(id).Idle(); busy == idle {
+				t.Fatalf("cycle %d: hot state says router %d busy=%v but Idle()=%v", n.Cycle(), id, busy, idle)
+			}
+			if got, want := hs.BufferedFlits(id), n.Router(id).BufferedFlits(); got != want {
+				t.Fatalf("cycle %d: hot occupancy of router %d is %d, router says %d", n.Cycle(), id, got, want)
+			}
+			if busy {
+				sawBusy = true
+			} else if sawBusy {
+				sawDrained = true
+			}
+		}
+	}
+	if !sawBusy || !sawDrained {
+		t.Fatalf("probe saw no dormant→active→dormant transition (busy=%v drained=%v); workload too idle", sawBusy, sawDrained)
+	}
+}
+
+// stepAllocs warms a network for warm cycles, then returns the heap
+// objects one Step allocates on average.
+func stepAllocs(cfg Config, warm, runs int) float64 {
+	n := New(cfg)
+	for i := 0; i < warm; i++ {
+		n.Step()
+	}
+	defer n.stopWorkers()
+	return testing.AllocsPerRun(runs, func() { n.Step() })
+}
+
+// idleAllocConfig is an 8x8 network with nothing to generate, inject,
+// tick, or advance.
+func idleAllocConfig() Config {
 	cfg := smokeConfig(routing.XY, traffic.Uniform, 0, 5)
 	cfg.Traffic.Rate = 0
-	n := New(cfg)
-	for i := 0; i < 8; i++ {
-		n.Step()
-	}
-	allocs := testing.AllocsPerRun(200, func() { n.Step() })
-	if allocs != 0 {
-		t.Fatalf("idle Step allocates %v objects per cycle, want 0", allocs)
+	return cfg
+}
+
+// loadedAllocConfig is a loaded network that never stops generating
+// during the probe.
+func loadedAllocConfig() Config {
+	cfg := kernelConfig(genericBuilder, 3)
+	cfg.MeasurePackets = 1_000_000
+	return cfg
+}
+
+// The four Step allocation guards pin the clock-gating payoff. Idle, the
+// bitset sweeps over an empty active set must not touch the heap at all.
+// Loaded, after warm-up has faulted in every lazy channel buffer and
+// filled the flit pools and worklists, flits recycle through the pools and
+// the hot-state updates are pure array writes, so Step allocates nothing
+// either. The Step* names guard the sequential kernel, the SoAStep* names
+// the sharded one (Shards=4, Workers=2).
+
+func TestStepZeroAllocsWhenIdle(t *testing.T) {
+	if a := stepAllocs(idleAllocConfig(), 8, 200); a != 0 {
+		t.Fatalf("idle Step allocates %v objects per cycle, want 0", a)
 	}
 }
 
-// TestStepBoundedAllocsUnderLoad asserts the steady-state Step of a
-// loaded network stays (amortised) allocation-free: flits come from the
-// pool, arbitration scratch lives on the router structs, and the
-// worklists are reused. A small budget absorbs rare slice regrowth.
-func TestStepBoundedAllocsUnderLoad(t *testing.T) {
-	cfg := kernelConfig(genericBuilder, 3)
-	cfg.MeasurePackets = 1_000_000 // never stop generating during the probe
-	n := New(cfg)
-	for i := 0; i < 2000; i++ { // warm pools and worklists to steady state
-		n.Step()
+func TestSoAStepZeroAllocsWhenIdle(t *testing.T) {
+	cfg := idleAllocConfig()
+	cfg.Shards, cfg.Workers = 4, 2
+	if a := stepAllocs(cfg, 8, 200); a != 0 {
+		t.Fatalf("idle sharded Step allocates %v objects per cycle, want 0", a)
 	}
-	allocs := testing.AllocsPerRun(500, func() { n.Step() })
-	if allocs > 1 {
-		t.Fatalf("loaded Step allocates %v objects per cycle, want <= 1 amortised", allocs)
+}
+
+func TestStepBoundedAllocsUnderLoad(t *testing.T) {
+	if a := stepAllocs(loadedAllocConfig(), 2000, 500); a != 0 {
+		t.Fatalf("loaded Step allocates %v objects per cycle, want 0", a)
+	}
+}
+
+func TestSoAStepZeroAllocsUnderLoad(t *testing.T) {
+	cfg := loadedAllocConfig()
+	cfg.Shards, cfg.Workers = 4, 2
+	if a := stepAllocs(cfg, 2000, 500); a != 0 {
+		t.Fatalf("loaded sharded Step allocates %v objects per cycle, want 0", a)
 	}
 }

@@ -70,19 +70,9 @@ type Config struct {
 	// ReferenceKernel selects the ungated cycle loop: every router ticked
 	// and every pipe advanced every cycle, flits freshly allocated. It is
 	// the determinism oracle and benchmark baseline for the activity-gated
-	// kernel (the default); results are bit-identical either way.
+	// kernel (the default, see gated.go); results are bit-identical either
+	// way.
 	ReferenceKernel bool
-	// SoAKernel selects the struct-of-arrays variant of the activity-gated
-	// loop: per-channel hot state (occupancy, path-set class, dormancy) is
-	// mirrored into packed parallel arrays indexed by a dense (router,
-	// port, vc) slot, the active/dormant and broken sets become uint64
-	// bitsets, channels are slab-allocated with lazy buffer backing, and
-	// the per-color tick scan walks words of activeBits∧colorMask instead
-	// of testing a bool per router. Results are bit-identical to the
-	// reference and gated kernels for every router kind, algorithm, fault
-	// schedule, and Reliable mode; snapshots remain kernel-canonical.
-	// Ignored when ReferenceKernel is set. See DESIGN.md "SoA kernel".
-	SoAKernel bool
 	// Shards partitions the mesh into spatially contiguous shards (by
 	// ascending node id) that tick in parallel inside each color phase of
 	// the canonical schedule (see DESIGN.md "Parallel kernel"). The shard
@@ -337,46 +327,38 @@ type Network struct {
 	nextTelemetry int64
 	tele          *telemetry.Collector
 
-	// Activity-gated kernel state (see DESIGN.md "Simulation kernel").
-	// Unused in ReferenceKernel mode; pools stays nil there so flits are
-	// freshly allocated exactly as the pre-gating kernel did.
-	pools       []*flit.Pool // per-shard flit free lists
-	graveyard   []*flit.Flit // flits that died this cycle, recycled at end of Step
-	active      []bool       // routers ticking this cycle
-	nextActive  []bool       // wakes accumulated for next cycle
-	lastRun     []int64      // last cycle each router ticked; -1 = never
-	shardTicked [][]int      // scratch: routers ticked this Step, per shard
-	adjConns    [][]int      // conn indexes touching each node (gated bool kernel)
-	advance     []int        // scratch: conns with staged traffic this Step
-	connMark    []int64      // last cycle each conn was marked for advance
+	// Activity-gated kernel state (see gated.go and DESIGN.md "Simulation
+	// kernel"). Unused in ReferenceKernel mode; pools stays nil there so
+	// flits are freshly allocated exactly as the pre-gating kernel did.
+	// hot is the packed mirror of every channel's occupancy and dormancy;
+	// activeBits/nextActiveBits are the routers ticking this cycle and the
+	// wakes accumulated for the next; colorMask and shardLo turn the
+	// canonical schedule into word-wise bitset sweeps; adjOff/adjList is
+	// the CSR list of conn indexes touching each node.
+	pools          []*flit.Pool // per-shard flit free lists
+	graveyard      []*flit.Flit // flits that died this cycle, recycled at end of Step
+	lastRun        []int64      // last cycle each router ticked; -1 = never
+	shardTicked    [][]int      // scratch: routers ticked this Step, per shard
+	advance        []int        // scratch: conns with staged traffic this Step
+	connMark       []int64      // last cycle each conn was marked for advance
+	hot            *router.HotState
+	activeBits     router.Bitset
+	nextActiveBits router.Bitset
+	colorMask      []router.Bitset
+	shardLo        []int
+	adjOff         []int32
+	adjList        []int32
 
 	// Multi-cycle die-to-die link state (chiplet topologies with
 	// D2DLatency/D2DGap > 1; nil otherwise). A long conn cannot use the
 	// one-shot advance above — its in-transit flits need an Advance every
 	// cycle until delivery — so staged traffic moves it onto longActive,
 	// where it advances each cycle (waking the reader the cycle traffic
-	// lands) until quiescent. Shared by both gated kernels; the reference
-	// kernel advances every conn anyway.
+	// lands) until quiescent. The reference kernel advances every conn
+	// anyway.
 	isLong     []bool
 	longOn     []bool
 	longActive []int
-
-	// SoA kernel state (Config.SoAKernel; see soa.go and DESIGN.md "SoA
-	// kernel"). The bool-array fields above (active, nextActive, adjConns)
-	// stay nil in this mode; everything else gated is shared. hot is the
-	// struct-of-arrays mirror of every channel's occupancy and dormancy;
-	// activeBits/nextActiveBits replace the bool active sets; brokenBits
-	// marks routers with at least one installed fault; colorMask and
-	// shardLo turn the canonical schedule into word-wise bitset sweeps;
-	// adjOff/adjList is the CSR form of adjConns.
-	hot            *router.HotState
-	activeBits     router.Bitset
-	nextActiveBits router.Bitset
-	brokenBits     router.Bitset
-	colorMask      []router.Bitset
-	shardLo        []int
-	adjOff         []int32
-	adjList        []int32
 
 	// Canonical tick schedule and sharding state (see DESIGN.md "Parallel
 	// kernel"). Both kernels tick through sched — colors ascending, router
@@ -410,12 +392,6 @@ func New(cfg Config) *Network {
 	if cfg.InactivityLimit == 0 {
 		cfg.InactivityLimit = 8192
 	}
-	if cfg.ReferenceKernel {
-		// The reference kernel is the ungated oracle; a simultaneous SoA
-		// request is normalized away (mirroring how it forces Shards=1).
-		cfg.SoAKernel = false
-	}
-
 	n := &Network{
 		cfg:      cfg,
 		topo:     cfg.Topo,
@@ -442,7 +418,7 @@ func New(cfg Config) *Network {
 	nodes := cfg.Topo.Nodes()
 	n.routers = make([]router.Router, nodes)
 	n.engine = router.NewRouteEngine(cfg.Topo, cfg.Algorithm, func(id int) router.Router { return n.routers[id] })
-	if cfg.SoAKernel {
+	if !cfg.ReferenceKernel {
 		// Must precede the builders: every router allocates its channels
 		// through the engine, and the arena makes them slab-resident with
 		// lazy buffer backing (the memory diet).
@@ -626,30 +602,7 @@ func New(cfg Config) *Network {
 			r.DisableTickFastPath()
 		}
 	} else {
-		n.pools = make([]*flit.Pool, shards)
-		for i := range n.pools {
-			n.pools[i] = &flit.Pool{}
-		}
-		n.shardTicked = make([][]int, shards)
-		n.lastRun = make([]int64, nodes)
-		for id := range n.lastRun {
-			n.lastRun[id] = -1
-		}
-		n.connMark = make([]int64, len(n.conns))
-		for i := range n.connMark {
-			n.connMark[i] = -1
-		}
-		if cfg.SoAKernel {
-			n.initSoA(nodes)
-		} else {
-			n.active = make([]bool, nodes)
-			n.nextActive = make([]bool, nodes)
-			n.adjConns = make([][]int, nodes)
-			for i, l := range n.links {
-				n.adjConns[l.up] = append(n.adjConns[l.up], i)
-				n.adjConns[l.down] = append(n.adjConns[l.down], i)
-			}
-		}
+		n.initGated(nodes)
 	}
 	return n
 }
@@ -941,13 +894,10 @@ func (n *Network) retransmitDue() {
 
 // Step advances the simulation one cycle.
 func (n *Network) Step() {
-	switch {
-	case n.cfg.ReferenceKernel:
+	if n.cfg.ReferenceKernel {
 		n.stepReference()
-	case n.activeBits != nil:
-		n.stepSoA()
-	default:
-		n.stepGated()
+	} else {
+		n.stepActive()
 	}
 }
 
@@ -964,122 +914,6 @@ func (n *Network) stepReference() {
 		c.Advance()
 	}
 	n.finishCycle()
-}
-
-// stepGated is the activity-gated cycle loop — the software analog of the
-// paper's clock gating. Only routers in the active set tick; a ticked
-// router that ends the cycle idle falls out of the set, and sleepers are
-// woken by staged link/credit traffic, accepted injections, and fault
-// installation. Skipped ticks are pure no-ops except for the effects
-// Router.SkipCycles replays at wake-up, so gated and reference executions
-// produce bit-identical results. Only pipes with staged traffic advance.
-func (n *Network) stepGated() {
-	n.installDueFaults()
-	n.generate()
-	n.retransmitDue()
-	t := n.cycle
-
-	n.tickColors(t)
-
-	n.inject()
-
-	// All pipe staging happens inside router ticks, so only conns touching
-	// a ticked router can carry traffic: advance exactly those, and wake
-	// each half-channel's reader so the staged content is consumed next
-	// cycle (a flit wakes the downstream node, credits the upstream one).
-	// The scan runs shard-major over the per-shard ticked lists; its order
-	// is immaterial (bools, connMark dedup, independent pipe advances) but
-	// kept deterministic anyway.
-	for s := range n.shardTicked {
-		ticked := n.shardTicked[s]
-		for _, id := range ticked {
-			if !n.routers[id].Idle() {
-				n.nextActive[id] = true
-			}
-			for _, c := range n.adjConns[id] {
-				if n.connMark[c] == t {
-					continue
-				}
-				conn := n.conns[c]
-				if n.isLong != nil && n.isLong[c] {
-					// Multi-cycle D2D pipe: staged traffic moves it onto the
-					// persistent advance list instead of the one-shot path;
-					// the long pass below wakes the readers when traffic
-					// actually lands.
-					n.connMark[c] = t
-					if !n.longOn[c] && !conn.Quiescent() {
-						n.longOn[c] = true
-						n.longActive = append(n.longActive, c)
-					}
-					continue
-				}
-				busy, pending := conn.Flit.Busy(), conn.Credit.Pending()
-				if !busy && !pending {
-					continue
-				}
-				n.connMark[c] = t
-				n.advance = append(n.advance, c)
-				if busy {
-					n.nextActive[n.links[c].down] = true
-				}
-				if pending {
-					n.nextActive[n.links[c].up] = true
-				}
-			}
-		}
-		n.shardTicked[s] = ticked[:0]
-	}
-	for _, c := range n.advance {
-		n.conns[c].Advance()
-	}
-	n.advance = n.advance[:0]
-	n.advanceLongConns(func(id int) { n.nextActive[id] = true })
-
-	for id := range n.active {
-		n.active[id] = n.nextActive[id]
-		n.nextActive[id] = false
-	}
-
-	// Recycle the flits that died this cycle into their source shard's
-	// pool. Deferred to here because delivery and drop sinks run mid-cycle
-	// while callers still hold (and in places read) the pointers.
-	for i, f := range n.graveyard {
-		n.pools[n.shardOf[f.Src]].Put(f)
-		n.graveyard[i] = nil
-	}
-	n.graveyard = n.graveyard[:0]
-
-	n.finishCycle()
-}
-
-// advanceLongConns steps every multi-cycle D2D pipe with traffic in
-// transit, waking the reader halves (through wake, which marks a router
-// active for the next cycle) whenever a flit or credit lands. A pipe
-// leaves the list only when quiescent, so gap-recovering serializers and
-// mid-transit flits keep advancing even while both endpoint routers
-// sleep. No-op on single-die topologies.
-func (n *Network) advanceLongConns(wake func(id int)) {
-	if len(n.longActive) == 0 {
-		return
-	}
-	w := 0
-	for _, c := range n.longActive {
-		conn := n.conns[c]
-		conn.Advance()
-		if conn.Flit.Readable() {
-			wake(n.links[c].down)
-		}
-		if conn.Credit.Readable() {
-			wake(n.links[c].up)
-		}
-		if conn.Quiescent() {
-			n.longOn[c] = false
-		} else {
-			n.longActive[w] = c
-			w++
-		}
-	}
-	n.longActive = n.longActive[:w]
 }
 
 // finishCycle advances the clock, runs the conservation auditor when its
@@ -1117,16 +951,6 @@ func (n *Network) telemetryCounters() telemetry.NetSample {
 // Telemetry exposes the live collector (nil unless Config.TelemetryEvery
 // is set); the HTTP metrics endpoint serves from it while a run executes.
 func (n *Network) Telemetry() *telemetry.Collector { return n.tele }
-
-// settleTo replays router id's skipped idle cycles through upTo, so its
-// activity counters and tick-invariant arbitration state match a router
-// that was ticked every cycle.
-func (n *Network) settleTo(id int, upTo int64) {
-	if gap := upTo - n.lastRun[id]; gap > 0 {
-		n.routers[id].SkipCycles(gap)
-		n.lastRun[id] = upTo
-	}
-}
 
 // validateFault panics on a structurally impossible fault: a nonexistent
 // node, or a die-to-die interface fault on a topology without chiplet
@@ -1207,9 +1031,6 @@ func (n *Network) installInterfaceFault(ev fault.Event) {
 	}
 	n.broken.MarkFaulty()
 	for _, u := range n.severInterface(ev.Fault) {
-		if n.brokenBits != nil {
-			n.brokenBits.Set(u)
-		}
 		n.propagateHandshake(u)
 	}
 	n.faultLog = append(n.faultLog, ev)
@@ -1245,9 +1066,6 @@ func (n *Network) installDueFaults() {
 					n.wakeNow(l.up)
 				}
 			}
-		}
-		if n.brokenBits != nil {
-			n.brokenBits.Set(node)
 		}
 		n.broken.MarkFaulty()
 		n.routers[node].ApplyFault(ev.Fault)

@@ -17,8 +17,8 @@
 //
 // The schedule makes that executable: a deterministic greedy coloring of
 // the distance-<=2 conflict graph partitions the routers into color
-// classes of pairwise distance >= 3, and every kernel (reference, gated
-// sequential, gated sharded) ticks colors in ascending order with router
+// classes of pairwise distance >= 3, and both kernels (reference, and gated
+// at any shard count) tick colors in ascending order with router
 // ids ascending within a color. Delivery and drop sinks are the one piece
 // of genuinely global state a tick touches (latency accumulators, delivery
 // buckets, the broken-packet registry, the reliability tracker), so during
@@ -152,32 +152,16 @@ func (n *Network) tickColors(t int64) {
 }
 
 // tickShardColor ticks one shard's routers of one color, in ascending id
-// order. In the gated kernel only active routers tick (settling their
-// skipped cycles first) and the ticked ids are logged for the wake scan;
+// order. The gated kernel ticks only the active ones (tickShardActive);
 // the reference kernel ticks everything.
 func (n *Network) tickShardColor(c, s int, t int64) {
-	ids := n.sched[c][s]
-	if n.cfg.ReferenceKernel {
-		for _, id := range ids {
-			n.routers[id].Tick(t)
-		}
+	if !n.cfg.ReferenceKernel {
+		n.tickShardActive(c, s, t)
 		return
 	}
-	if n.activeBits != nil {
-		n.tickShardColorSoA(c, s, t)
-		return
-	}
-	ticked := n.shardTicked[s]
-	for _, id := range ids {
-		if !n.active[id] {
-			continue
-		}
-		n.settleTo(id, t-1)
+	for _, id := range n.sched[c][s] {
 		n.routers[id].Tick(t)
-		n.lastRun[id] = t
-		ticked = append(ticked, id)
 	}
-	n.shardTicked[s] = ticked
 }
 
 // replayStaged applies the staged delivery/drop events accumulated during

@@ -283,42 +283,25 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 	// everything once; idle routers fall back out of the active set
 	// immediately, re-converging to the original run's set with identical
 	// state (an idle tick and a skipped-then-settled cycle are equivalent).
-	// The SoA kernel does the same through its bitsets, then rebuilds the
-	// derived hot-state mirror, which the routers' LoadState bypassed.
+	// Then rebuild the derived hot-state mirror, which the routers'
+	// LoadState bypassed.
 	if n.gatedKernel() {
-		if n.active != nil {
-			for id := range n.active {
-				n.active[id] = true
-				n.nextActive[id] = false
-			}
-		} else {
-			n.activeBits.SetFirst(len(n.routers))
-			n.nextActiveBits.ClearAll()
-		}
+		n.activeBits.SetFirst(len(n.routers))
+		n.nextActiveBits.ClearAll()
 		for id := range n.lastRun {
 			n.lastRun[id] = n.cycle - 1
 		}
 		for i := range n.connMark {
 			n.connMark[i] = -1
 		}
-		if n.hot != nil {
-			n.hot.Resync()
-		}
-		if n.brokenBits != nil {
-			// Re-derive the fault mask from the restored runtime fault log
-			// (construction covered only the pre-installed Config.Faults).
-			for _, ev := range n.faultLog {
-				n.brokenBits.Set(ev.Fault.Node)
-			}
-			n.markSeveredBroken()
-		}
+		n.hot.Resync()
 	}
 }
 
 // Restore builds a network from cfg and loads a snapshot into it,
 // returning the decoder's final verdict (including trailing-byte
 // detection). cfg must describe the run that produced the snapshot;
-// kernel-selection fields (ReferenceKernel, SoAKernel, Shards, Workers)
+// kernel-selection fields (ReferenceKernel, Shards, Workers)
 // are free to differ — the snapshot is kernel-canonical.
 func Restore(cfg Config, d *snapshot.Decoder) (*Network, error) {
 	n := New(cfg)

@@ -83,11 +83,14 @@ func resume(t *testing.T, cfg Config, frame []byte) (Result, []*trace.Record) {
 }
 
 // TestCheckpointResumeEquivalence is the bit-identity contract of
-// checkpoint/resume: for every kernel and both Reliable modes, a run that
-// snapshots mid-flight must (a) finish identically to one that never
-// snapshots, and (b) a network restored from that snapshot must finish
-// identically too — Result, fault log, telemetry series, and packet
-// traces all bit-equal.
+// checkpoint/resume: for both kernels, several shard/worker shapes, and
+// both Reliable modes, a run that snapshots mid-flight must (a) finish
+// identically to one that never snapshots, and (b) a network restored
+// from that snapshot must finish identically too — Result, fault log,
+// telemetry series, and packet traces all bit-equal. The "soa" rows keep
+// their names from when the bitset kernel was opt-in; they now run the
+// gated kernel with shards ticked inline on the coordinator, and with
+// uneven shards on fewer workers than shards.
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	kernels := []struct {
 		name  string
@@ -96,8 +99,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		{"reference", func(c *Config) { c.ReferenceKernel = true }},
 		{"gated", func(c *Config) { c.Shards = 1 }},
 		{"sharded", func(c *Config) { c.Shards = 4; c.Workers = 4 }},
-		{"soa", func(c *Config) { c.SoAKernel = true }},
-		{"soa-sharded", func(c *Config) { c.SoAKernel = true; c.Shards = 4; c.Workers = 4 }},
+		{"soa", func(c *Config) { c.Shards = 2; c.Workers = 1 }},
+		{"soa-sharded", func(c *Config) { c.Shards = 3; c.Workers = 2 }},
 	}
 	for _, reliable := range []bool{false, true} {
 		for _, k := range kernels {
@@ -161,7 +164,6 @@ func TestCheckpointCrossKernelResume(t *testing.T) {
 	}{
 		{"gated", func(c *Config) { c.ReferenceKernel = false; c.Shards = 1 }},
 		{"sharded", func(c *Config) { c.ReferenceKernel = false; c.Shards = 4; c.Workers = 4 }},
-		{"soa", func(c *Config) { c.ReferenceKernel = false; c.SoAKernel = true }},
 	} {
 		cfg := ckptConfig(rocoBuilder, seed, true)
 		k.apply(&cfg)
@@ -183,15 +185,13 @@ func TestCheckpointCrossKernelResume(t *testing.T) {
 			resumed.Summary, want.Summary)
 	}
 
-	// SoA snapshot, reference resume: the settle-before-save plus the
-	// derived (never serialized) hot state keep the byte stream identical
-	// to the other kernels'.
-	so := ckptConfig(rocoBuilder, seed, true)
-	so.SoAKernel = true
-	_, _, frame = runCheckpointed(t, so)
+	// Sequential gated snapshot, reference resume: the settle-before-save
+	// plus the derived (never serialized) hot state keep the byte stream
+	// identical to the reference kernel's.
+	_, _, frame = runCheckpointed(t, ckptConfig(rocoBuilder, seed, true))
 	resumed, _ = resume(t, ref, frame)
 	if !reflect.DeepEqual(resumed, want) {
-		t.Fatalf("reference resume of an SoA snapshot diverged\n resumed: %+v\n    want: %+v",
+		t.Fatalf("reference resume of a gated snapshot diverged\n resumed: %+v\n    want: %+v",
 			resumed.Summary, want.Summary)
 	}
 }

@@ -3,9 +3,9 @@ package router
 import "math/bits"
 
 // Bitset is a packed set of small non-negative integers, one bit each, in
-// 64-bit words. The SoA kernel keeps its per-router activity, dormancy and
-// broken masks in Bitsets so membership scans run word-wise: testing 64
-// routers costs one load, and iterating the members of a range costs one
+// 64-bit words. The gated kernel keeps its per-router activity and
+// schedule-color masks in Bitsets so membership scans run word-wise:
+// testing 64 routers costs one load, and iterating the members of a range costs one
 // trailing-zeros loop per set bit instead of a branch per router. The
 // zero value of a word is "no members", so a freshly made Bitset is empty.
 type Bitset []uint64

@@ -22,9 +22,9 @@ import (
 // occ[slot] equal to the channel's buffered-flit count and busyVCs[id]
 // equal to the router's number of non-dormant channels. Since every
 // router kind defines Idle as "all channels dormant", RouterBusy is an
-// exact mirror of !Idle() — the SoA kernel's sleep decisions match the
-// gated kernel's bit for bit. Snapshot loads bypass the incremental hooks
-// and call Resync instead.
+// exact mirror of !Idle() — the gated kernel's sleep decisions match a
+// per-router Idle() scan bit for bit. Snapshot loads bypass the
+// incremental hooks and call Resync instead.
 //
 // Concurrency: during a parallel color phase only a channel's owning
 // router mutates it, so slot entries and busyVCs[id] are written by at

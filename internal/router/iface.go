@@ -142,10 +142,10 @@ type Router interface {
 	BufferedFlits() int
 	// BindHot mirrors the router's channels into the network-wide
 	// struct-of-arrays hot-state table (occupancy, class, dormancy). The
-	// SoA kernel calls it once per router, in ascending id order, after
-	// construction; kernels that never bind pay nothing. Implemented by
-	// the embedded Recovery, which already holds the canonical flat
-	// channel list in grantee-index order.
+	// gated kernel calls it once per router, in ascending id order, after
+	// construction; the reference kernel never binds and pays nothing.
+	// Implemented by the embedded Recovery, which already holds the
+	// canonical flat channel list in grantee-index order.
 	BindHot(hs *HotState)
 
 	// Activity exposes the per-component event counters for the energy

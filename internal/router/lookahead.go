@@ -20,7 +20,7 @@ type RouteEngine struct {
 	// that adaptive routing consults.
 	routerAt func(id int) Router
 	// arena, when enabled, slab-allocates the channels of every router
-	// built against this engine (the SoA kernel's memory diet). The
+	// built against this engine (the gated kernel's memory diet). The
 	// engine carries it because it is the one object the network hands
 	// every router builder before construction.
 	arena *VCArena
@@ -34,8 +34,8 @@ func NewRouteEngine(topo topology.Topology, alg routing.Algorithm, routerAt func
 }
 
 // EnableVCArena makes NewVC slab-allocate lazy channels; the network
-// enables it before running the router builders when the SoA kernel is
-// selected.
+// enables it before running the router builders unless the reference
+// kernel is selected.
 func (e *RouteEngine) EnableVCArena() { e.arena = &VCArena{} }
 
 // NewVC builds one virtual channel for a router under construction:

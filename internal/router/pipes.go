@@ -73,7 +73,7 @@ func (p *FlitPipe) Read() *flit.Flit {
 func (p *FlitPipe) Busy() bool { return p.next != nil }
 
 // Readable reports whether a flit is deliverable this cycle (Read would
-// return non-nil). The gated kernels use it to wake the downstream router
+// return non-nil). The gated kernel uses it to wake the downstream router
 // exactly when a multi-cycle pipe completes a transfer.
 func (p *FlitPipe) Readable() bool { return p.cur != nil }
 
@@ -278,12 +278,12 @@ func (c *Conn) SetD2D(latency, gap int) {
 }
 
 // Long reports whether the link is a multi-cycle D2D pipe. Long conns are
-// excluded from the gated kernels' one-shot advance path and instead stay
+// excluded from the gated kernel's one-shot advance path and instead stay
 // on a persistent advance list until Quiescent.
 func (c *Conn) Long() bool { return c.Flit.long || c.Credit.long }
 
 // Quiescent reports that advancing the conn is a pure no-op: both pipes
-// empty and all timers expired. The gated kernels retire a long conn from
+// empty and all timers expired. The gated kernel retires a long conn from
 // the advance list only when it is quiescent, so pipes in every non-trivial
 // state advance exactly once per cycle — the same as under the reference
 // kernel.

@@ -37,9 +37,10 @@ func TestMultichipOneChipEqualsFlat(t *testing.T) {
 	}
 }
 
-// TestMultichipKernelIdentity: all four kernels produce bit-identical
-// results on a chiplet topology with multi-cycle serialized boundary
-// links and a runtime die-to-die interface fault under Reliable.
+// TestMultichipKernelIdentity: the gated kernel, sequential and sharded,
+// produces results bit-identical to the reference kernel on a chiplet
+// topology with multi-cycle serialized boundary links and a runtime
+// die-to-die interface fault under Reliable.
 func TestMultichipKernelIdentity(t *testing.T) {
 	base := multichipConfig(RoCo, XY, 0.2)
 	base.Reliable = true
@@ -59,10 +60,9 @@ func TestMultichipKernelIdentity(t *testing.T) {
 	}
 
 	variants := map[string]func(*Config){
-		"gated":       func(*Config) {},
-		"soa":         func(c *Config) { c.SoAKernel = true },
-		"sharded":     func(c *Config) { c.Shards = 4 },
-		"soa-sharded": func(c *Config) { c.SoAKernel = true; c.Shards = 3 },
+		"gated":     func(*Config) {},
+		"sharded":   func(c *Config) { c.Shards = 4 },
+		"sharded-3": func(c *Config) { c.Shards = 3 },
 	}
 	for name, tweak := range variants {
 		cfg := base
@@ -199,7 +199,6 @@ func TestMultichipSnapshotRoundTrip(t *testing.T) {
 		tweak func(*Config)
 	}{
 		{"reference", func(c *Config) { c.ReferenceKernel = true }},
-		{"soa", func(c *Config) { c.SoAKernel = true }},
 		{"sharded", func(c *Config) { c.Shards = 4 }},
 	} {
 		rcfg := cfg
@@ -236,19 +235,18 @@ func TestMultichipBigGridKernels(t *testing.T) {
 		t.Fatal("no boundary traffic on the big grid")
 	}
 
-	soa := cfg
-	soa.SoAKernel = true
-	soa.Shards = 8
-	if got := Run(soa); !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded SoA kernel diverged on the 4096-node grid\n got: %v\nwant: %v", got, want)
+	sharded := cfg
+	sharded.Shards = 8
+	if got := Run(sharded); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded gated kernel diverged on the 4096-node grid\n got: %v\nwant: %v", got, want)
 	}
 
-	// Checkpoint under the gated kernel, resume under sharded SoA.
+	// Checkpoint under the sequential gated kernel, resume sharded.
 	dir := t.TempDir()
 	if _, _, err := NewSim(cfg).RunCheckpointed(CheckpointOptions{Every: 150, Dir: dir}); err != nil {
 		t.Fatalf("RunCheckpointed: %v", err)
 	}
-	sim, err := ResumeLatest(dir, soa)
+	sim, err := ResumeLatest(dir, sharded)
 	if err != nil {
 		t.Fatalf("ResumeLatest: %v", err)
 	}

@@ -398,14 +398,6 @@ type Config struct {
 	// are bit-identical either way; the reference exists as the
 	// determinism oracle and benchmark baseline.
 	ReferenceKernel bool
-	// SoAKernel selects the struct-of-arrays variant of the activity-gated
-	// kernel: per-channel hot state lives in packed parallel arrays, the
-	// active/dormant and broken sets are uint64 bitsets swept word-wise,
-	// and channel buffers are slab-allocated with lazy backing arrays (the
-	// big-mesh memory diet). Results are bit-identical to the default and
-	// reference kernels; this is purely a speed/footprint knob. Ignored
-	// when ReferenceKernel is set. See DESIGN.md "SoA kernel".
-	SoAKernel bool
 	// Shards splits the single run across CPU cores: the mesh is
 	// partitioned into Shards contiguous node ranges that tick in
 	// parallel inside each phase of the kernel's color schedule (see

@@ -27,10 +27,9 @@ go test -race ./internal/network ./internal/router/... ./internal/core
 # on every seed (extended exploration is manual:
 # `go test -fuzz=FuzzGrantMask ./internal/arbiter`).
 go test -race -run '^FuzzGrantMask$' ./internal/arbiter
-# Smoke every benchmark (kernel, shard, telemetry, layout, the
-# allocation-stage grid and the chiplet seam grid): one iteration each,
-# just to prove they run.
-go test -run '^$' -bench=. -benchtime=1x ./bench/...
+# Smoke the end-to-end benchmark (its own module, so ./... skips it):
+# statistics tests plus every workload at smoke scale, traced and untraced.
+(cd cmd/rocoperf && go test .)
 # Smoke the CLI's JSON output: a tiny reliable run under a fault must emit
 # parseable JSON with the reliability counters present.
 go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 200 -measure 2000 \
@@ -54,38 +53,38 @@ trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2"' EXIT
 go run ./cmd/rocosim -json -width 4 -height 4 -rate 0.2 -warmup 100 -measure 800 -audit 32 -telemetry-every 128 -shards 1 >"$SHARD1"
 go run ./cmd/rocosim -json -width 4 -height 4 -rate 0.2 -warmup 100 -measure 800 -audit 32 -telemetry-every 128 -shards 2 >"$SHARD2"
 cmp "$SHARD1" "$SHARD2"
-# Kernel-equivalence smoke: the struct-of-arrays kernel must emit
+# Kernel-equivalence smoke: the activity-gated kernel must emit
 # byte-identical JSON to the reference kernel on the same faulted,
-# telemetry-sampled run (DESIGN.md 4g).
+# telemetry-sampled run (DESIGN.md 4b).
 KERNREF="$(mktemp)"
-KERNSOA="$(mktemp)"
-trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNSOA"' EXIT
+KERNGATED="$(mktemp)"
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED"' EXIT
 go run ./cmd/rocosim -json -width 4 -height 4 -rate 0.2 -warmup 100 -measure 800 -audit 32 -telemetry-every 128 \
 	-faults-at 150 -faultclass noncritical -kernel reference >"$KERNREF"
 go run ./cmd/rocosim -json -width 4 -height 4 -rate 0.2 -warmup 100 -measure 800 -audit 32 -telemetry-every 128 \
-	-faults-at 150 -faultclass noncritical -kernel soa >"$KERNSOA"
-cmp "$KERNREF" "$KERNSOA"
+	-faults-at 150 -faultclass noncritical -kernel gated >"$KERNGATED"
+cmp "$KERNREF" "$KERNGATED"
 # Chiplet smoke: a multichip run with a runtime D2D-interface fault must
-# emit parseable JSON with the boundary-link counters, and its SoA-kernel
+# emit parseable JSON with the boundary-link counters, and its gated-kernel
 # twin must be byte-identical (the D2D pipes are part of the
 # kernel-independence contract).
 CHIPREF="$(mktemp)"
-CHIPSOA="$(mktemp)"
-trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNSOA" "$CHIPREF" "$CHIPSOA"' EXIT
+CHIPGATED="$(mktemp)"
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"' EXIT
 go run ./cmd/rocosim -json -topology multichipmesh -chips 2x2 -chip-size 4x4 \
 	-d2d-class serial -reliable -rate 0.15 -warmup 100 -measure 1500 -audit 32 \
 	-d2d-fault 0:east@800 -kernel reference >"$CHIPREF"
 go run ./scripts/jsoncheck D2DFlits D2DEnergyNJ GiveUps FaultEvents <"$CHIPREF"
 go run ./cmd/rocosim -json -topology multichipmesh -chips 2x2 -chip-size 4x4 \
 	-d2d-class serial -reliable -rate 0.15 -warmup 100 -measure 1500 -audit 32 \
-	-d2d-fault 0:east@800 -kernel soa >"$CHIPSOA"
-cmp "$CHIPREF" "$CHIPSOA"
+	-d2d-fault 0:east@800 -kernel gated >"$CHIPGATED"
+cmp "$CHIPREF" "$CHIPGATED"
 # Checkpoint/resume round-trip: the same reliable faulted run straight
 # through, with periodic snapshots, and interrupted-then-resumed must all
 # emit byte-identical JSON — snapshots never perturb a run, and a resumed
 # run is indistinguishable from one that never stopped.
 CKPTDIR="$(mktemp -d)"
-trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNSOA" "$CHIPREF" "$CHIPSOA"; rm -rf "$CKPTDIR"' EXIT
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$CKPTDIR"' EXIT
 go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
 	-faults-at 150 -faultclass noncritical >"$CKPTDIR/full.json"
 go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
@@ -102,7 +101,7 @@ cmp "$CKPTDIR/full.json" "$CKPTDIR/resumed.json"
 # a server nobody killed. servesmoke orchestrates the processes and owns
 # its own temp dirs.
 SERVEBIN="$(mktemp -d)"
-trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNSOA" "$CHIPREF" "$CHIPSOA"; rm -rf "$CKPTDIR" "$SERVEBIN"' EXIT
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$CKPTDIR" "$SERVEBIN"' EXIT
 go build -o "$SERVEBIN/rocoserve" ./cmd/rocoserve
 go run ./scripts/servesmoke -bin "$SERVEBIN/rocoserve"
 # The examples are built and vetted by the ./... sweeps above; run the
