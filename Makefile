@@ -1,4 +1,4 @@
-.PHONY: check vet test doccheck bench bench-paper fuzz soak checkresume profile
+.PHONY: check vet test doccheck bench bench-paper fuzz soak checkresume profile loc
 
 # The pre-merge gate: vet + build + tests + race detector + doc gate +
 # the checkpoint-equivalence and rocoserve crash-recovery smokes.
@@ -59,3 +59,23 @@ fuzz:
 soak:
 	go test -race -run 'TestReliable' -count=1 ./internal/network
 	go test -race -run 'TestSoakReliableFaultStorm' -count=1 .
+
+# Lines added, removed and net since BASE, split into non-test Go, test Go
+# and everything else, from `git diff --numstat` over the tracked and
+# staged files (`git add` new files first; binary files count zero).
+# PATHS narrows the count, e.g.
+#   make loc BASE=<parent> PATHS='internal/router internal/core'
+BASE ?= HEAD
+PATHS ?=
+loc:
+	@git diff --numstat $(BASE) -- $(PATHS) | awk -F '\t' '\
+		$$1 == "-" { next } \
+		{ k = "other" } \
+		$$3 ~ /\.go$$/ { k = "non-test Go" } \
+		$$3 ~ /_test\.go$$/ { k = "test Go" } \
+		{ add[k] += $$1; del[k] += $$2 } \
+		END { \
+			n = split("non-test Go,test Go,other", ks, ","); \
+			for (i = 1; i <= n; i++) \
+				printf "%-12s +%-6d -%-6d net %+d\n", ks[i], add[ks[i]], del[ks[i]], add[ks[i]] - del[ks[i]]; \
+		}'

@@ -4,88 +4,27 @@ import (
 	"testing"
 
 	"github.com/rocosim/roco/internal/flit"
-	"github.com/rocosim/roco/internal/router"
+	"github.com/rocosim/roco/internal/router/routertest"
 	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/topology"
 )
 
-// harness wires a full mesh of RoCo routers with real pipes but drives
-// cycles manually, for microarchitecture-level assertions that the
-// network-level tests cannot see.
+// harness is the shared router test mesh over RoCo routers, plus the
+// RoCo-specific probes below.
 type harness struct {
-	topo    *topology.Mesh
-	engine  *router.RouteEngine
-	routers []*Router
-	conns   []*router.Conn
-	sunk    []*flit.Flit
-	cycle   int64
+	*routertest.Harness[*Router]
 }
 
-func newHarness(t *testing.T, w, h int, alg routing.Algorithm) *harness {
+func newHarness(t *testing.T, w, h int, alg routing.Algorithm) harness {
 	t.Helper()
-	hn := &harness{topo: topology.NewMesh(w, h)}
-	hn.routers = make([]*Router, hn.topo.Nodes())
-	hn.engine = router.NewRouteEngine(hn.topo, alg, func(id int) router.Router { return hn.routers[id] })
-	for id := range hn.routers {
-		hn.routers[id] = New(id, hn.engine)
-	}
-	for id := range hn.routers {
-		for _, d := range topology.CardinalDirections {
-			nb, ok := hn.topo.Neighbor(id, d)
-			if !ok {
-				continue
-			}
-			conn := &router.Conn{}
-			hn.conns = append(hn.conns, conn)
-			down := hn.routers[nb]
-			depths := make([]int, down.NumInputVCs(d.Opposite()))
-			for vc := range depths {
-				depths[vc] = down.InputVCDepth(d.Opposite(), vc)
-			}
-			hn.routers[id].AttachOutput(d, conn, depths)
-			hn.routers[id].SetNeighbor(d, down)
-			down.AttachInput(d.Opposite(), conn)
-		}
-		hn.routers[id].SetSink(func(f *flit.Flit, cycle int64) { hn.sunk = append(hn.sunk, f) })
-	}
-	return hn
-}
-
-func (h *harness) step() {
-	for _, r := range h.routers {
-		r.Tick(h.cycle)
-	}
-	for _, c := range h.conns {
-		c.Advance()
-	}
-	h.cycle++
-}
-
-// inject pushes a whole packet into src's router over successive cycles.
-func (h *harness) inject(t *testing.T, src, dst int, flits int) {
-	t.Helper()
-	pkt := flit.Packet{ID: uint64(src*1000 + dst), Src: src, Dst: dst, Flits: flits}
-	for _, f := range pkt.Segment() {
-		if f.Type.IsHead() {
-			f.OutPort = h.engine.FirstHop(src, f)
-		}
-		for try := 0; ; try++ {
-			if h.routers[src].TryInject(f, h.cycle) {
-				break
-			}
-			if try > 50 {
-				t.Fatal("injection starved")
-			}
-			h.step()
-		}
-	}
+	return harness{routertest.New(t, w, h, alg, New)}
 }
 
 // classAt returns the class of the channel currently holding pkt's head at
 // router node, or "" when absent.
-func (h *harness) classAt(node int, pktID uint64) string {
-	r := h.routers[node]
-	for _, vc := range r.vcs {
+func (h harness) classAt(node int, pktID uint64) string {
+	r := h.Routers[node]
+	for _, vc := range r.VCs {
 		if f := vc.Front(); f != nil && f.PacketID == pktID && f.Type.IsHead() {
 			return vc.Class.String()
 		}
@@ -94,13 +33,13 @@ func (h *harness) classAt(node int, pktID uint64) string {
 }
 
 // runUntilSunk steps until n flits have been delivered (or fails).
-func (h *harness) runUntilSunk(t *testing.T, n int) {
+func (h harness) runUntilSunk(t *testing.T, n int) {
 	t.Helper()
-	for i := 0; i < 500 && len(h.sunk) < n; i++ {
-		h.step()
+	for i := 0; i < 500 && len(h.Sunk) < n; i++ {
+		h.Step()
 	}
-	if len(h.sunk) < n {
-		t.Fatalf("only %d/%d flits delivered", len(h.sunk), n)
+	if len(h.Sunk) < n {
+		t.Fatalf("only %d/%d flits delivered", len(h.Sunk), n)
 	}
 }
 
@@ -109,15 +48,15 @@ func TestGuidedQueuingPlacesByClass(t *testing.T) {
 	// ejects. At intermediate routers its head must sit in dx channels; at
 	// the turn corner (3,1) in a txy channel.
 	h := newHarness(t, 4, 4, routing.XY)
-	src := h.topo.ID(topology.Coord{X: 0, Y: 1})
-	dst := h.topo.ID(topology.Coord{X: 3, Y: 2})
-	corner := h.topo.ID(topology.Coord{X: 3, Y: 1})
-	mid := h.topo.ID(topology.Coord{X: 1, Y: 1})
+	src := h.Topo.ID(topology.Coord{X: 0, Y: 1})
+	dst := h.Topo.ID(topology.Coord{X: 3, Y: 2})
+	corner := h.Topo.ID(topology.Coord{X: 3, Y: 1})
+	mid := h.Topo.ID(topology.Coord{X: 1, Y: 1})
 	pktID := uint64(src*1000 + dst)
 
-	h.inject(t, src, dst, 4)
+	h.Inject(t, src, dst, 4)
 	sawDx, sawTxy := false, false
-	for i := 0; i < 200 && len(h.sunk) < 4; i++ {
+	for i := 0; i < 200 && len(h.Sunk) < 4; i++ {
 		if h.classAt(mid, pktID) == "dx" {
 			sawDx = true
 		}
@@ -127,7 +66,7 @@ func TestGuidedQueuingPlacesByClass(t *testing.T) {
 			}
 			sawTxy = true
 		}
-		h.step()
+		h.Step()
 	}
 	if !sawDx {
 		t.Error("head never observed in a dx channel mid-row")
@@ -140,17 +79,17 @@ func TestGuidedQueuingPlacesByClass(t *testing.T) {
 
 func TestGuidedQueuingInjectionClasses(t *testing.T) {
 	h := newHarness(t, 4, 4, routing.XY)
-	src := h.topo.ID(topology.Coord{X: 1, Y: 1})
+	src := h.Topo.ID(topology.Coord{X: 1, Y: 1})
 
 	// X-bound packet starts in an Injxy channel.
-	dstX := h.topo.ID(topology.Coord{X: 3, Y: 1})
-	h.inject(t, src, dstX, 1)
+	dstX := h.Topo.ID(topology.Coord{X: 3, Y: 1})
+	h.Inject(t, src, dstX, 1)
 	if cl := h.classAt(src, uint64(src*1000+dstX)); cl != "Injxy" {
 		t.Errorf("X-bound injection sits in %q, want Injxy", cl)
 	}
 	// Y-bound packet starts in the Injyx channel.
-	dstY := h.topo.ID(topology.Coord{X: 1, Y: 3})
-	h.inject(t, src, dstY, 1)
+	dstY := h.Topo.ID(topology.Coord{X: 1, Y: 3})
+	h.Inject(t, src, dstY, 1)
 	if cl := h.classAt(src, uint64(src*1000+dstY)); cl != "Injyx" {
 		t.Errorf("Y-bound injection sits in %q, want Injyx", cl)
 	}
@@ -159,12 +98,12 @@ func TestGuidedQueuingInjectionClasses(t *testing.T) {
 
 func TestEarlyEjectionNeverTouchesCrossbar(t *testing.T) {
 	h := newHarness(t, 4, 4, routing.XY)
-	src := h.topo.ID(topology.Coord{X: 0, Y: 0})
-	dst := h.topo.ID(topology.Coord{X: 2, Y: 0})
-	h.inject(t, src, dst, 4)
+	src := h.Topo.ID(topology.Coord{X: 0, Y: 0})
+	dst := h.Topo.ID(topology.Coord{X: 2, Y: 0})
+	h.Inject(t, src, dst, 4)
 	h.runUntilSunk(t, 4)
 
-	dstRouter := h.routers[dst]
+	dstRouter := h.Routers[dst]
 	if dstRouter.Activity().CrossbarTraversals != 0 {
 		t.Errorf("destination router's crossbar fired %d times; early ejection should bypass it",
 			dstRouter.Activity().CrossbarTraversals)
@@ -178,31 +117,21 @@ func TestYFirstPacketRidesTyx(t *testing.T) {
 	// Under XY-YX, a Y-first packet's X leg must occupy tyx-class channels
 	// (the deadlock discipline of DESIGN.md 3a).
 	h := newHarness(t, 4, 4, routing.XYYX)
-	src := h.topo.ID(topology.Coord{X: 0, Y: 0})
-	dst := h.topo.ID(topology.Coord{X: 3, Y: 2})
-	mid := h.topo.ID(topology.Coord{X: 1, Y: 2}) // on the X leg after the Y leg
+	src := h.Topo.ID(topology.Coord{X: 0, Y: 0})
+	dst := h.Topo.ID(topology.Coord{X: 3, Y: 2})
+	mid := h.Topo.ID(topology.Coord{X: 1, Y: 2}) // on the X leg after the Y leg
 	pkt := flit.Packet{ID: 42, Src: src, Dst: dst, Flits: 4, Mode: flit.YFirst}
 
-	for _, f := range pkt.Segment() {
-		if f.Type.IsHead() {
-			f.OutPort = h.engine.FirstHop(src, f)
-		}
-		for try := 0; !h.routers[src].TryInject(f, h.cycle); try++ {
-			if try > 50 {
-				t.Fatal("injection starved")
-			}
-			h.step()
-		}
-	}
+	h.InjectPacket(t, pkt)
 	sawTyx := false
-	for i := 0; i < 300 && len(h.sunk) < 4; i++ {
+	for i := 0; i < 300 && len(h.Sunk) < 4; i++ {
 		if cl := h.classAt(mid, 42); cl != "" {
 			if cl != "tyx" {
 				t.Fatalf("Y-first packet's X leg sits in %q, want tyx", cl)
 			}
 			sawTyx = true
 		}
-		h.step()
+		h.Step()
 	}
 	if !sawTyx {
 		t.Error("Y-first packet never observed in a tyx channel on its X leg")
@@ -215,17 +144,17 @@ func TestMirrorModulesIndependent(t *testing.T) {
 	// both be in flight concurrently: the modules do not serialize each
 	// other.
 	h := newHarness(t, 4, 4, routing.XY)
-	center := h.topo.ID(topology.Coord{X: 1, Y: 1})
-	westOf := h.topo.ID(topology.Coord{X: 0, Y: 1})
-	eastOf := h.topo.ID(topology.Coord{X: 3, Y: 1})
-	southOf := h.topo.ID(topology.Coord{X: 1, Y: 0})
-	northOf := h.topo.ID(topology.Coord{X: 1, Y: 3})
+	center := h.Topo.ID(topology.Coord{X: 1, Y: 1})
+	westOf := h.Topo.ID(topology.Coord{X: 0, Y: 1})
+	eastOf := h.Topo.ID(topology.Coord{X: 3, Y: 1})
+	southOf := h.Topo.ID(topology.Coord{X: 1, Y: 0})
+	northOf := h.Topo.ID(topology.Coord{X: 1, Y: 3})
 
-	h.inject(t, westOf, eastOf, 4)   // X traffic through center
-	h.inject(t, southOf, northOf, 4) // Y traffic through center
+	h.Inject(t, westOf, eastOf, 4)   // X traffic through center
+	h.Inject(t, southOf, northOf, 4) // Y traffic through center
 	h.runUntilSunk(t, 8)
 
-	act := h.routers[center].Activity()
+	act := h.Routers[center].Activity()
 	if act.CrossbarTraversals < 8 {
 		t.Errorf("center router switched %d flits, want >= 8", act.CrossbarTraversals)
 	}

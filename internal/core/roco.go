@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"github.com/rocosim/roco/internal/arbiter"
@@ -10,27 +9,16 @@ import (
 	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/topology"
-	"github.com/rocosim/roco/internal/trace"
 )
 
-// Router is the RoCo decoupled router.
+// Router is the RoCo decoupled router: the shared chassis plus the Table 1
+// channel classes, the two modules' VC and Mirroring-Effect switch
+// allocators, and the Hardware Recycling fault state. A blocked module's
+// channels are the chassis's offline set; the router never dies whole.
 type Router struct {
-	router.Recovery
+	router.Chassis
 
-	id     int
-	engine *router.RouteEngine
-	cfg    VCConfig
-	sink   router.Sink
-
-	in        [5]*router.Conn
-	out       [5]*router.Conn
-	books     [5]*router.OutVCBook
-	neighbors [5]router.Router
-
-	vcs [NumVCs]*router.VC
-
-	// Per-module allocation hardware.
-	vaArb [5][]arbiter.RoundRobin // per (output dir, downstream vc id); value slab, not boxed
+	cfg VCConfig
 
 	saArb  [2][2][2]*arbiter.RoundRobin
 	mirror [2]*arbiter.Mirror
@@ -41,30 +29,11 @@ type Router struct {
 	// separable output stage (one 2:1 arbiter per output, no mirrored
 	// global decision). Ablation only: quantifies what the mirror buys.
 	disableMirror bool
-	// noFastPath disables Tick's dormant-router early return (reference
-	// kernel mode).
-	noFastPath bool
-
-	injVC int
 
 	// Fault state (Hardware Recycling, paper Section 4).
-	blocked  [2]bool // module isolated (VA/crossbar/MUX-DEMUX failure)
 	saShared [2]bool // SA offloaded onto the module's VA arbiters
 	rcFault  bool    // routing unit failed: neighbors double-route
 	vaBusy   [2]bool // VA handled a header this cycle (gates shared SA)
-
-	act  router.Activity
-	cont router.Contention
-
-	// Per-cycle request scratch as bitmaps over the router-wide VC ids:
-	// vaFailed marks failed VA requesters (speculative SA), targReq[out][c]
-	// collects the requesters of downstream channel c through output out,
-	// targUsed[out] marks the c with requesters, and vaNext records each
-	// requester's look-ahead route.
-	vaFailed uint64
-	targReq  [5][NumVCs]uint64
-	targUsed [5]uint16
-	vaNext   [NumVCs]topology.Direction
 }
 
 // Module bit masks over the router-wide VC id namespace: ids 0-5 are the
@@ -86,14 +55,14 @@ func moduleVCMask(m Module) uint64 {
 // New returns a RoCo router for the given node, configured per Table 1 for
 // the engine's routing algorithm.
 func New(id int, engine *router.RouteEngine) *Router {
-	r := &Router{id: id, engine: engine, cfg: ConfigFor(engine.Algorithm()), injVC: -1}
-	for v := 0; v < NumVCs; v++ {
-		vc := engine.NewVC(v, BufferDepth)
-		vc.Class = r.cfg.Class[v]
-		r.vcs[v] = vc
+	r := &Router{cfg: ConfigFor(engine.Algorithm())}
+	vcs := make([]*router.VC, NumVCs)
+	for v := range vcs {
+		vcs[v] = engine.NewVC(v, BufferDepth)
+		vcs[v].Class = r.cfg.Class[v]
 	}
 	for _, d := range topology.CardinalDirections {
-		r.vaArb[d] = arbiter.NewRoundRobinSlice(NumVCs, NumVCs)
+		r.VAArb[d] = arbiter.NewRoundRobinSlice(NumVCs, NumVCs)
 	}
 	for m := 0; m < 2; m++ {
 		for p := 0; p < 2; p++ {
@@ -105,28 +74,13 @@ func New(id int, engine *router.RouteEngine) *Router {
 		}
 		r.mirror[m] = arbiter.NewMirror()
 	}
-	r.InitRecovery(id, r.vcs[:], r.grantTarget, r.abortCleanup)
-	r.SetFeederProbe(func(d topology.Direction, pkt uint64) bool {
-		return d.IsCardinal() && r.in[d] != nil && r.in[d].Flit.Carries(pkt)
-	})
+	r.InitChassis(id, engine, vcs, BufferDepth)
+	r.EarlyEject = true
+	// Guided flit queuing: a flit lands in the module of its output.
+	for _, d := range topology.CardinalDirections {
+		r.GuideQueue(d, moduleVCMask(ModuleOf(d)))
+	}
 	return r
-}
-
-// grantTarget resolves a VC index to its front packet's grant target.
-func (r *Router) grantTarget(i int) (router.GrantRef, bool) {
-	out := r.vcs[i].OutPort()
-	if !out.IsCardinal() {
-		return router.GrantRef{}, false
-	}
-	return router.GrantRef{Book: r.books[out], Claimant: r.neighbors[out], Side: out.Opposite()}, true
-}
-
-// abortCleanup releases the injection channel if the aborted packet was
-// the one being injected.
-func (r *Router) abortCleanup(i int) {
-	if r.injVC == i {
-		r.injVC = -1
-	}
 }
 
 // DisableMirror switches the router's switch allocation to a plain
@@ -136,36 +90,6 @@ func (r *Router) DisableMirror() { r.disableMirror = true }
 // Config exposes the router's Table 1 VC configuration (tests and the
 // Table 1 experiment read it).
 func (r *Router) Config() VCConfig { return r.cfg }
-
-// ID returns the node this router serves.
-func (r *Router) ID() int { return r.id }
-
-// AttachInput wires an arriving link.
-func (r *Router) AttachInput(d topology.Direction, c *router.Conn) { r.in[d] = c }
-
-// AttachOutput wires a departing link and sizes its credit book from the
-// downstream per-VC depths.
-func (r *Router) AttachOutput(d topology.Direction, c *router.Conn, depths []int) {
-	r.out[d] = c
-	r.books[d] = router.NewOutVCBook(len(depths), BufferDepth)
-	for vc, depth := range depths {
-		if depth != BufferDepth {
-			r.books[d].SetDepth(vc, depth)
-		}
-	}
-}
-
-// SetNeighbor records the router reached through output d.
-func (r *Router) SetNeighbor(d topology.Direction, n router.Router) { r.neighbors[d] = n }
-
-// SetSink installs the PE delivery callback.
-func (r *Router) SetSink(s router.Sink) { r.sink = s }
-
-// Activity returns the per-component event counters.
-func (r *Router) Activity() *router.Activity { return &r.act }
-
-// Contention returns the switch-conflict tallies.
-func (r *Router) Contention() *router.Contention { return &r.cont }
 
 // ApplyFault reacts to a permanent fault per the Hardware Recycling table:
 // RC failures are absorbed by downstream double routing, buffer failures by
@@ -179,8 +103,7 @@ func (r *Router) ApplyFault(flt fault.Fault) {
 	case fault.RC:
 		r.rcFault = true
 	case fault.Buffer:
-		id := flt.VC % NumVCs
-		vc := r.vcs[id]
+		vc := r.VCs[flt.VC%NumVCs]
 		vc.Faulty = true
 		vc.FaultPenalty = 2 // round-trip of the virtual-queuing handshake
 		// Installed live, the failed buffer's contents are lost; virtual
@@ -189,32 +112,15 @@ func (r *Router) ApplyFault(flt fault.Fault) {
 	case fault.SA:
 		r.saShared[m] = true
 	case fault.VA, fault.Crossbar, fault.MuxDemux:
-		r.blocked[m] = true
 		// Traffic resident in the isolated module can never traverse its
-		// crossbar again; condemn it so the wormholes drain as drops.
-		for id, vc := range r.vcs {
-			if ModuleOfVC(id) == m {
-				vc.Condemn()
-			}
-		}
+		// crossbar again; taking it offline condemns it so the wormholes
+		// drain as drops.
+		r.TakeOffline(moduleVCMask(m))
 	}
 }
 
-// RefreshOutput re-propagates the downstream input-VC depths into output
-// d's credit book after a runtime fault changed them (the credit half of
-// the paper's fault-handshake signals).
-func (r *Router) RefreshOutput(d topology.Direction, depths []int) {
-	b := r.books[d]
-	if b == nil {
-		return
-	}
-	for vc, depth := range depths {
-		b.SetDepth(vc, depth)
-	}
-}
-
-// Blocked reports whether module m is isolated (tests use it).
-func (r *Router) Blocked(m Module) bool { return r.blocked[m] }
+// Blocked reports whether module m is isolated.
+func (r *Router) Blocked(m Module) bool { return r.Offline&moduleVCMask(m) != 0 }
 
 // CanServe reports whether a flit entering on side from and leaving
 // through out can be served. Early ejection (out == Local) survives module
@@ -230,15 +136,15 @@ func (r *Router) CanServe(from, out topology.Direction) bool {
 	case topology.Invalid:
 		// "Any service at all": at least one module still operates (the
 		// decoupled design's graceful degradation) or ejection suffices.
-		return !r.blocked[Row] || !r.blocked[Col]
+		return !r.Blocked(Row) || !r.Blocked(Col)
 	}
-	if r.blocked[ModuleOf(out)] {
+	if r.Blocked(ModuleOf(out)) {
 		return false
 	}
 	turn := routing.TurnOf(from, out)
 	for _, mode := range []flit.RouteMode{flit.XFirst, flit.YFirst} {
 		for id := range r.cfg.Class {
-			if r.cfg.Admits(id, turn, mode, out) && !r.blocked[ModuleOfVC(id)] {
+			if r.cfg.Admits(id, turn, mode, out) && r.Offline&(1<<uint(id)) == 0 {
 				return true
 			}
 		}
@@ -249,114 +155,29 @@ func (r *Router) CanServe(from, out topology.Direction) bool {
 // CongestionCost estimates pressure on output out from the credit
 // occupancy of its book; a blocked module is infinitely expensive.
 func (r *Router) CongestionCost(out topology.Direction) float64 {
-	if out.IsCardinal() && r.blocked[ModuleOf(out)] {
+	if out.IsCardinal() && r.Blocked(ModuleOf(out)) {
 		return 1e9
 	}
-	b := r.books[out]
-	if b == nil {
-		return 0
-	}
-	capacity := b.Size() * BufferDepth
-	return float64(capacity-b.FreeSlots()) / float64(capacity)
+	return r.Chassis.CongestionCost(out)
 }
-
-// NumInputVCs returns the router-wide VC namespace size.
-func (r *Router) NumInputVCs(topology.Direction) int { return NumVCs }
-
-// InputVCDepth returns the usable depth of VC vc (1 under virtual queuing,
-// 0 inside a blocked module).
-func (r *Router) InputVCDepth(from topology.Direction, vc int) int {
-	if r.blocked[ModuleOfVC(vc)] || r.Severed(from) {
-		return 0
-	}
-	return r.vcs[vc].Capacity()
-}
-
-// InputVCClaimable reports whether VC vc can take a new packet arriving
-// over link from.
-func (r *Router) InputVCClaimable(from topology.Direction, vc int) bool {
-	return !r.blocked[ModuleOfVC(vc)] && !r.Severed(from) && r.vcs[vc].Claimable(from)
-}
-
-// ClaimableMask returns every claimable VC as a bitmap over the
-// router-wide id namespace, with blocked modules' channels masked out.
-func (r *Router) ClaimableMask(from topology.Direction) uint64 {
-	if r.Severed(from) {
-		return 0
-	}
-	mask := r.Alloc().Claimable(from)
-	if r.blocked[Row] {
-		mask &^= rowVCMask
-	}
-	if r.blocked[Col] {
-		mask &^= colVCMask
-	}
-	return mask
-}
-
-// ClaimInputVC reserves VC vc for an inbound packet.
-func (r *Router) ClaimInputVC(from topology.Direction, vc int) bool {
-	if !r.InputVCClaimable(from, vc) {
-		return false
-	}
-	r.vcs[vc].Claim(from)
-	return true
-}
-
-// ReleaseInputVC returns a claim whose packet will never arrive.
-func (r *Router) ReleaseInputVC(from topology.Direction, vc int) {
-	if r.Severed(from) {
-		// SeverPort already purged unbacked claims on the dead interface;
-		// honoring the upstream's withdrawal would double-release.
-		return
-	}
-	r.vcs[vc].ReleaseClaim()
-}
-
-// Quiescent reports whether no flit is buffered anywhere in the router.
-func (r *Router) Quiescent() bool {
-	for _, vc := range r.vcs {
-		if vc.Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Idle reports whether a tick with empty input pipes would leave the
-// router bit-identical to SkipCycles replaying it: every VC is dormant —
-// no flits buffered, no packet state resident — so sweeping, draining,
-// reaping, VA and SA all have nothing to do. Bare upstream claims do not
-// block idleness (no tick phase acts on a claim alone, and the dead-grant
-// hunt only reads channels with resident packet state). The only state an
-// idle tick moves — the cycle counter and each live module's mirror
-// primary toggle — is what SkipCycles replays.
-func (r *Router) Idle() bool {
-	for _, vc := range r.vcs {
-		if !vc.Dormant() {
-			return false
-		}
-	}
-	return true
-}
-
-// DisableTickFastPath makes Tick run every phase even when the router is
-// Idle; the reference kernel sets it so the ungated baseline executes the
-// full tick-everything cost.
-func (r *Router) DisableTickFastPath() { r.noFastPath = true }
 
 // SkipCycles replays n idle ticks in O(1). An idle RoCo tick always counts
-// a cycle (blocked modules do not stop the clock), clears the vaBusy
-// latches, and runs each unblocked module's Mirror allocation round with
-// no requests — which still toggles the primary port. (With saShared the
-// module also reaches Allocate on idle ticks, because vaBusy is false; the
-// disableMirror fallback uses round-robin arbiters, which hold still.)
+// a cycle (blocked modules do not stop the clock) and runs idleRounds.
 func (r *Router) SkipCycles(n int64) {
-	r.act.Cycles += n
+	r.Act.Cycles += n
+	r.idleRounds(n)
+}
+
+// idleRounds replays what n idle ticks do to the allocators: the vaBusy
+// latches clear, and each unblocked module's Mirror allocation round runs
+// with no requests — which still toggles the primary port. (With saShared
+// the module also reaches Allocate on idle ticks, because vaBusy is false;
+// the disableMirror fallback uses round-robin arbiters, which hold still.)
+func (r *Router) idleRounds(n int64) {
 	r.vaBusy[Row], r.vaBusy[Col] = false, false
 	if !r.disableMirror {
 		for m := Module(0); m < numModules; m++ {
-			if !r.blocked[m] {
+			if !r.Blocked(m) {
 				r.mirror[m].SkipRounds(n)
 			}
 		}
@@ -364,144 +185,43 @@ func (r *Router) SkipCycles(n int64) {
 }
 
 // TryInject offers the next flit of the PE's current packet. Self-addressed
-// packets are delivered straight back to the PE.
+// packets are delivered straight back to the PE; a new packet starts in
+// the first free injection channel of its first dimension's class.
 func (r *Router) TryInject(f *flit.Flit, cycle int64) bool {
-	if f.Type.IsHead() && f.OutPort == topology.Local {
-		// Loopback: the packet never enters the network fabric.
-		r.sink(f, cycle)
-		if !f.Type.IsTail() {
-			r.injVC = -2 // sentinel: loopback packet in progress
-		}
+	if r.Loopback(f, cycle) {
 		return true
 	}
-	if r.injVC == -2 {
-		r.sink(f, cycle)
-		if f.Type.IsTail() {
-			r.injVC = -1
-		}
-		return true
+	if !f.Type.IsHead() {
+		return r.InjectBody(f, cycle)
 	}
-	if f.Type.IsHead() {
-		if r.injVC >= 0 {
-			return false
-		}
-		class := routing.InjectX
-		if f.OutPort.IsY() {
-			class = routing.InjectY
-		}
-		for id, cl := range r.cfg.Class {
-			if cl != class || r.blocked[ModuleOfVC(id)] {
-				continue
-			}
-			vc := r.vcs[id]
-			if vc.Claimable(topology.Local) && vc.HasRoom() {
-				f.ReadyAt = cycle + 1
-				vc.Claim(topology.Local)
-				vc.PushFrom(f, topology.Local)
-				r.act.BufferWrites++
-				if !f.Type.IsTail() {
-					r.injVC = id
-				}
-				return true
-			}
-		}
+	if r.InjVC >= 0 {
 		return false
 	}
-	if r.injVC < 0 {
-		return false
+	class := routing.InjectX
+	if f.OutPort.IsY() {
+		class = routing.InjectY
 	}
-	vc := r.vcs[r.injVC]
-	if !vc.HasRoom() {
-		return false
+	for id, cl := range r.cfg.Class {
+		if cl == class && r.Offline&(1<<uint(id)) == 0 && r.InjectInto(f, id, cycle) {
+			return true
+		}
 	}
-	f.ReadyAt = cycle + 1
-	vc.PushFrom(f, topology.Local)
-	r.act.BufferWrites++
-	if f.Type.IsTail() {
-		r.injVC = -1
-	}
-	return true
+	return false
 }
 
-// Tick advances the router one cycle.
+// Tick advances the router one cycle. Unlike the baselines it always
+// counts the cycle and runs its idle allocator rounds, and its recovery
+// sweep hunts grants whose downstream channel died (the RoCo
+// fault-handshake hardware reacting to the re-propagated credit state).
 func (r *Router) Tick(cycle int64) {
-	r.act.Cycles++
-
-	// Credits from downstream.
-	for _, d := range topology.CardinalDirections {
-		if r.out[d] == nil {
-			continue
-		}
-		for _, vc := range r.out[d].Credit.Read() {
-			r.books[d].ReturnCredit(vc)
-		}
-	}
-
-	// Arrivals: early-eject or guided-queue into the upstream-allocated VC.
-	for _, d := range topology.CardinalDirections {
-		if r.in[d] == nil {
-			continue
-		}
-		f := r.in[d].Flit.Read()
-		if f == nil {
-			continue
-		}
-		if r.Severed(d) {
-			// The boundary link was cut with this flit in flight; it never
-			// reaches the decoders and its wormhole breaks (no credit either
-			// — the interface is dead in both directions).
-			r.act.DroppedFlits++
-			r.DropFlit(f, cycle, trace.DropInFlight)
-			continue
-		}
-		f.Hops++
-		if f.OutPort == topology.Local {
-			// Early Ejection: delivered straight off the input decoder,
-			// skipping SA and switch traversal entirely.
-			r.act.EarlyEjections++
-			r.sink(f, cycle)
-			continue
-		}
-		if ModuleOfVC(f.VC) != ModuleOf(f.OutPort) {
-			panic(fmt.Sprintf("core: guided queuing violation: %v into vc %d", f, f.VC))
-		}
-		f.ReadyAt = cycle + 1 + f.Penalty
-		if f.Penalty > 0 {
-			// Double routing on behalf of a neighbor with a failed RC unit.
-			r.act.RouteComputations++
-			f.Penalty = 0
-		}
-		if f.Rec != nil {
-			f.Rec.Visit(r.id, cycle, trace.Arrived)
-		}
-		r.vcs[f.VC].PushFrom(f, d)
-		r.act.BufferWrites++
-	}
-
-	// Fast path: with every channel dormant the recovery and allocation
-	// phases below reduce to the idle tick that SkipCycles replays —
-	// clear the vaBusy latches and toggle each unblocked module's mirror
-	// primary (the cycle counter already moved above).
-	if !r.noFastPath && r.Idle() {
-		r.vaBusy[Row], r.vaBusy[Col] = false, false
-		if !r.disableMirror {
-			for m := Module(0); m < numModules; m++ {
-				if !r.blocked[m] {
-					r.mirror[m].SkipRounds(1)
-				}
-			}
-		}
+	r.Act.Cycles++
+	r.ReturnCredits()
+	r.Arrive(cycle)
+	if r.FastIdle() {
+		r.idleRounds(1)
 		return
 	}
-
-	// Fault recovery: react to broken packets and dead grants (the RoCo
-	// fault-handshake hardware), drain condemned wormholes, retire orphaned
-	// fragments.
-	if r.noFastPath || !r.RecoveryQuiet() {
-		r.SweepBroken(cycle, true)
-		r.drainDoomed(cycle)
-		r.ReapOrphans(cycle)
-	}
+	r.Recover(cycle, true)
 	r.vaBusy[Row], r.vaBusy[Col] = false, false
 	r.allocateVCs(cycle)
 	for m := Module(0); m < numModules; m++ {
@@ -509,153 +229,39 @@ func (r *Router) Tick(cycle int64) {
 	}
 }
 
-// drainDoomed discards flits of packets whose route is permanently
-// fault-blocked, returning their credits upstream so the rest of the
-// network keeps flowing.
-func (r *Router) drainDoomed(cycle int64) {
-	for _, vc := range r.vcs {
-		for {
-			feeder := vc.Feeder()
-			f := vc.DrainDoomed()
-			if f == nil {
-				break
-			}
-			r.NoteStragglerDrain(vc)
-			r.act.DroppedFlits++
-			r.DropFlit(f, cycle, trace.DropInFlight)
-			if feeder.IsCardinal() && r.in[feeder] != nil {
-				r.in[feeder].Credit.Write(vc.Index)
-			}
-			if f.Type.IsTail() {
-				break
-			}
-		}
-	}
-}
-
 // allocateVCs runs the two modules' separable VC allocators (they are
 // physically independent; one pass covers both since requests never cross
 // modules). Requesters come off the needVA bitmap with blocked modules
 // masked out; candidate selection intersects the configuration's admit
-// mask with the cached downstream alive-and-claimable mask.
+// mask with the downstream alive-and-claimable mask.
 func (r *Router) allocateVCs(cycle int64) {
-	r.vaFailed = 0
-	need := r.Alloc().NeedVA()
-	if r.blocked[Row] {
-		need &^= rowVCMask
-	}
-	if r.blocked[Col] {
-		need &^= colVCMask
-	}
+	need := r.BeginVA() &^ r.Offline
 	if need == 0 {
 		return
 	}
-	// Each output's downstream claimable set is fetched once per cycle;
-	// nothing claims during request building, so the cached mask is exact,
-	// and the grant phase still re-checks through ClaimInputVC.
-	var nbrClaim [5]uint64
-	var nbrClaimOK [5]bool
-
 	for mm := need; mm != 0; mm &= mm - 1 {
 		id := bits.TrailingZeros64(mm)
-		vc := r.vcs[id]
+		vc := r.VCs[id]
 		if !vc.FrontReady(cycle) {
 			continue
 		}
 		r.vaBusy[ModuleOfVC(id)] = true
-		r.act.VAOps++
-		if DebugCollect != nil {
-			DebugCollect.Ops[vc.Class]++
-		}
-		if vc.NextOut() == topology.Invalid {
-			r.act.RouteComputations++
-		}
-		c, nextOut, ok := r.selectDownstreamVC(vc, vc.Front(), &nbrClaim, &nbrClaimOK)
-		if !ok {
-			// A head flit bound for downstream early ejection needs no
-			// channel at all; anything else failed allocation this cycle.
-			if !vc.EjectNext() {
-				r.vaFailed |= 1 << uint(id)
-			}
-			continue
-		}
+		r.ChargeVA(vc)
 		out := vc.OutPort()
-		r.targReq[out][c] |= 1 << uint(id)
-		r.targUsed[out] |= 1 << uint(c)
-		r.vaNext[id] = nextOut
-	}
-
-	for _, out := range topology.CardinalDirections {
-		used := r.targUsed[out]
-		if used == 0 {
-			continue
-		}
-		r.targUsed[out] = 0
-		for uc := used; uc != 0; uc &= uc - 1 {
-			c := bits.TrailingZeros16(uc)
-			reqs := r.targReq[out][c]
-			r.targReq[out][c] = 0
-			w := r.vaArb[out][c].GrantMask(reqs)
-			r.vaFailed |= reqs &^ (1 << uint(w))
-			nbr := r.neighbors[out]
-			if nbr == nil || !nbr.ClaimInputVC(out.Opposite(), c) {
-				r.vaFailed |= 1 << uint(w)
+		if nextOut, avail, ok := r.Lookahead(vc, out); ok {
+			turn := routing.TurnOf(out.Opposite(), nextOut)
+			if c, ok := r.pickCandidate(avail, r.Books[out], turn, nextOut, vc.Front()); ok {
+				r.Request(int(out), c, id, nextOut)
 				continue
 			}
-			vc := r.vcs[w]
-			r.books[out].EnqueueGrant(c, w)
-			vc.GrantRoute(c, r.vaNext[w])
-			r.act.VAGrants++
-			if DebugCollect != nil {
-				DebugCollect.Grants[vc.Class]++
-			}
+		}
+		// A head bound for downstream early ejection needs no channel at
+		// all; anything else failed allocation this cycle.
+		if !vc.EjectNext() {
+			r.VAFailed |= 1 << uint(id)
 		}
 	}
-}
-
-// selectDownstreamVC computes the look-ahead route and picks one candidate
-// downstream channel for a head flit (the input stage of the separable VA).
-// claim/claimOK lazily cache each output's downstream claimable mask for
-// the cycle.
-func (r *Router) selectDownstreamVC(vc *router.VC, head *flit.Flit, claim *[5]uint64, claimOK *[5]bool) (int, topology.Direction, bool) {
-	out := vc.OutPort()
-	nbr := r.neighbors[out]
-	book := r.books[out]
-	if nbr == nil || book == nil {
-		return 0, topology.Invalid, false
-	}
-	downstream, ok := r.engine.Topology().Neighbor(r.id, out)
-	if !ok {
-		return 0, topology.Invalid, false
-	}
-	from := out.Opposite() // the side the flit enters the downstream router on
-	nextOut := r.engine.RouteAt(downstream, from, head)
-	vc.SetNextOut(nextOut)
-
-	if nextOut == topology.Local {
-		if !nbr.CanServe(from, topology.Local) {
-			vc.Doom()
-			return 0, topology.Invalid, false
-		}
-		// Early ejection downstream: no channel needed.
-		vc.GrantEject()
-		return 0, topology.Invalid, false // no arbitration required; not a failure
-	}
-	if !nbr.CanServe(from, nextOut) {
-		// A permanent fault blocks the packet's only route; static fault
-		// handling discards it rather than letting the stranded wormhole
-		// assert backpressure forever.
-		vc.Doom()
-		return 0, topology.Invalid, false
-	}
-
-	if !claimOK[out] {
-		claimOK[out] = true
-		claim[out] = nbr.ClaimableMask(from)
-	}
-	turn := routing.TurnOf(from, nextOut)
-	c, ok := r.pickCandidate(book.AliveMask()&claim[out], book, turn, nextOut, head)
-	return c, nextOut, ok
+	r.GrantVA()
 }
 
 // pickCandidate returns the least-loaded downstream channel among avail
@@ -679,7 +285,7 @@ func (r *Router) pickCandidate(avail uint64, book *router.OutVCBook, turn routin
 // allocateSwitch runs one module's Mirroring-Effect switch allocation and
 // forwards the winners through its 2x2 crossbar.
 func (r *Router) allocateSwitch(m Module, cycle int64) {
-	if r.blocked[m] {
+	if r.Blocked(m) {
 		return
 	}
 	if r.saShared[m] && r.vaBusy[m] {
@@ -692,51 +298,23 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 	var has [2][2]bool
 	var winner [2][2]int
 	base := int(m) * 2 * VCsPerSet
+	mask := moduleVCMask(m)
 
-	// Figure 3 contention: a crossbar input port requests a direction when
-	// it holds a switch-ready flit for it; the request is contended when
-	// the module's other port wants the same direction this cycle. The
-	// candidate set comes off the saReady bitmap; readyByDir (switch-ready
-	// with credits, split per output direction, module-local bits) is
-	// computed once and reused by the nomination stage below, which used
-	// to evaluate the same predicates a second time.
-	var desire [2][2]bool
-	var readyByDir [2]uint64
-	for mm := (r.Alloc().SAReady() >> uint(base)) & modVCMask; mm != 0; mm &= mm - 1 {
-		i := bits.TrailingZeros64(mm)
-		vc := r.vcs[base+i]
-		if !vc.FrontReady(cycle) {
-			continue
-		}
-		if !r.creditOK(vc) {
-			r.act.CreditStalls++
-			continue
-		}
-		d := DirSlot(vc.OutPort())
-		readyByDir[d] |= 1 << uint(i)
-		desire[i/VCsPerSet][d] = true
+	// Switch-ready channels with credits, split per output direction into
+	// module-local bits. Failed speculation: the parallel SA requests were
+	// issued and arbitrated (energy), but a speculative grant has lower
+	// priority than any real request and never displaces one (Peh-Dally
+	// speculation), so they cannot affect the matching — they are charged
+	// as SAOps only.
+	var readyByDir, specByDir [2]uint64
+	for mm := r.SwitchRequests(r.Alloc().SAReady()&mask, cycle, VCsPerSet, false); mm != 0; mm &= mm - 1 {
+		id := bits.TrailingZeros64(mm)
+		readyByDir[DirSlot(r.VCs[id].OutPort())] |= 1 << uint(id-base)
 	}
-	for d := 0; d < 2; d++ {
-		n := 0
-		for p := 0; p < 2; p++ {
-			if desire[p][d] {
-				n++
-			}
-		}
-		if n > 0 {
-			r.countContention(outsOf(m)[d], n, n > 1)
-		}
-	}
-
-	// Failed speculation: the parallel SA requests were issued and
-	// arbitrated (energy), but a speculative grant has lower priority than
-	// any real request and never displaces one (Peh-Dally speculation), so
-	// they cannot affect the matching — they are charged as SAOps only.
-	var specByDir [2]uint64
-	for mm := (r.vaFailed >> uint(base)) & modVCMask; mm != 0; mm &= mm - 1 {
-		i := bits.TrailingZeros64(mm)
-		if op := r.vcs[base+i].OutPort(); op.IsCardinal() {
-			specByDir[DirSlot(op)] |= 1 << uint(i)
+	for mm := r.VAFailed & mask; mm != 0; mm &= mm - 1 {
+		id := bits.TrailingZeros64(mm)
+		if op := r.VCs[id].OutPort(); op.IsCardinal() {
+			specByDir[DirSlot(op)] |= 1 << uint(id-base)
 		}
 	}
 
@@ -745,7 +323,7 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 			winner[p][d] = -1
 			reqs := (readyByDir[d] >> uint(p*VCsPerSet)) & (1<<VCsPerSet - 1)
 			spec := (specByDir[d] >> uint(p*VCsPerSet)) & (1<<VCsPerSet - 1)
-			r.act.SAOps += int64(bits.OnesCount64(reqs) + bits.OnesCount64(spec))
+			r.Act.SAOps += int64(bits.OnesCount64(reqs) + bits.OnesCount64(spec))
 			w := r.saArb[m][p][d].GrantMask(reqs)
 			if w >= 0 {
 				winner[p][d] = base + p*VCsPerSet + w
@@ -788,72 +366,18 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 	} else {
 		dec = r.mirror[m].Allocate(has)
 	}
-	outs := outsOf(m)
 	for d := 0; d < 2; d++ {
 		p := dec.OutWinner[d]
 		if p < 0 {
 			continue
 		}
-		r.act.SAGrants++
-		r.traverse(outs[d], winner[p][d], cycle)
+		r.Act.SAGrants++
+		if f, out := r.Traverse(winner[p][d], cycle); f != nil {
+			if r.rcFault {
+				// The failed RC unit makes the next router double-route.
+				f.Penalty = 1
+			}
+			r.Drive(f, out)
+		}
 	}
-}
-
-// outsOf returns the module's output directions.
-func outsOf(m Module) [2]topology.Direction { return m.Outputs() }
-
-// creditOK reports whether the front flit may stream downstream: buffer
-// space exists and the channel's oldest grant belongs to this VC.
-func (r *Router) creditOK(vc *router.VC) bool {
-	if vc.EjectNext() {
-		return true
-	}
-	book := r.books[vc.OutPort()]
-	return book.Credits(vc.OutVC()) > 0 && book.MayStream(vc.OutVC(), vc.Index)
-}
-
-// countContention tallies n requests for output out, all of them contended
-// when contended is true (Figure 3).
-func (r *Router) countContention(out topology.Direction, n int, contended bool) {
-	c := 0
-	if contended {
-		c = n
-	}
-	switch {
-	case out.IsX():
-		r.cont.RowRequests += int64(n)
-		r.cont.RowFailures += int64(c)
-	case out.IsY():
-		r.cont.ColRequests += int64(n)
-		r.cont.ColFailures += int64(c)
-	}
-}
-
-// traverse moves a winning flit through its module's crossbar onto the
-// output link. RC-unit faults charge the double-routing penalty to the
-// departing flit here.
-func (r *Router) traverse(out topology.Direction, vcID int, cycle int64) {
-	vc := r.vcs[vcID]
-	outVC, nextOut, ejectNext, feeder := vc.OutVC(), vc.NextOut(), vc.EjectNext(), vc.Feeder()
-	vc.MarkStreamed()
-	f := vc.Pop()
-	r.act.BufferReads++
-	r.act.CrossbarTraversals++
-	if feeder.IsCardinal() && r.in[feeder] != nil {
-		r.in[feeder].Credit.Write(vcID)
-	}
-	f.OutPort = nextOut
-	if ejectNext {
-		f.VC = -1
-	} else {
-		f.VC = outVC
-		r.books[out].Send(outVC, f.Type.IsTail())
-	}
-	f.ReadyAt = 0
-	if r.rcFault {
-		f.Penalty = 1
-	}
-	r.act.LinkFlits++
-	r.act.LinkFlitsByDir[out]++
-	r.out[out].Flit.Write(f)
 }

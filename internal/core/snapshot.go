@@ -5,24 +5,14 @@ import (
 	"github.com/rocosim/roco/internal/snapshot"
 )
 
-// SaveState serializes the router's mutable state. Structure (VC shapes,
-// arbiter sizes, which outputs exist) is rebuilt from configuration on
-// resume; the per-tick scratch arrays (vaFailed, reqVec, setVec, byTarget)
-// are reset at the start of every allocation pass and carry nothing across
-// cycle boundaries, so they are not state.
+// SaveState serializes the router's mutable state inside the chassis
+// framing: the arbiters and mirrors, then the Hardware Recycling fault
+// state. Structure (VC shapes, arbiter sizes, which outputs exist) is
+// rebuilt from configuration on resume, and the per-tick scratch carries
+// nothing across cycle boundaries.
 func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
-	for _, vc := range r.vcs {
-		vc.SaveState(e, c)
-	}
-	for d := 0; d < 5; d++ {
-		if r.books[d] == nil {
-			e.Bool(false)
-			continue
-		}
-		e.Bool(true)
-		r.books[d].SaveState(e)
-	}
-	for _, arbs := range r.vaArb {
+	r.SaveChannels(e, c)
+	for _, arbs := range r.VAArb {
 		for i := range arbs {
 			arbs[i].SaveState(e)
 		}
@@ -37,42 +27,24 @@ func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
 		}
 		r.mirror[m].SaveState(e)
 	}
-	e.Int(r.injVC)
-	e.Bool(r.blocked[0])
-	e.Bool(r.blocked[1])
+	r.SaveInjection(e)
+	e.Bool(r.Blocked(Row))
+	e.Bool(r.Blocked(Col))
 	e.Bool(r.saShared[0])
 	e.Bool(r.saShared[1])
 	e.Bool(r.rcFault)
 	e.Bool(r.vaBusy[0])
 	e.Bool(r.vaBusy[1])
-	r.act.SaveState(e)
-	r.cont.SaveState(e)
-	r.SaveRecoveryState(e)
+	r.SaveCounters(e)
 }
 
 // LoadState restores state written by SaveState into a freshly built
 // router of the same configuration.
 func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
-	for _, vc := range r.vcs {
-		vc.LoadState(d, c)
-		if d.Err() != nil {
-			return
-		}
+	if r.LoadChannels(d, c); d.Err() != nil {
+		return
 	}
-	for dir := 0; dir < 5; dir++ {
-		present := d.Bool()
-		if d.Err() != nil {
-			return
-		}
-		if present != (r.books[dir] != nil) {
-			d.Corruptf("core router %d: output book %d presence mismatch", r.id, dir)
-			return
-		}
-		if present {
-			r.books[dir].LoadState(d)
-		}
-	}
-	for _, arbs := range r.vaArb {
+	for _, arbs := range r.VAArb {
 		for i := range arbs {
 			arbs[i].LoadState(d)
 		}
@@ -87,18 +59,17 @@ func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 		}
 		r.mirror[m].LoadState(d)
 	}
-	r.injVC = d.Int()
-	r.blocked[0] = d.Bool()
-	r.blocked[1] = d.Bool()
+	r.LoadInjection(d)
+	r.Offline = 0
+	for m := Module(0); m < numModules; m++ {
+		if d.Bool() {
+			r.Offline |= moduleVCMask(m)
+		}
+	}
 	r.saShared[0] = d.Bool()
 	r.saShared[1] = d.Bool()
 	r.rcFault = d.Bool()
 	r.vaBusy[0] = d.Bool()
 	r.vaBusy[1] = d.Bool()
-	r.act.LoadState(d)
-	r.cont.LoadState(d)
-	r.LoadRecoveryState(d)
-	if d.Err() == nil && (r.injVC < -2 || r.injVC >= NumVCs) {
-		d.Corruptf("core router %d: injection vc %d out of range", r.id, r.injVC)
-	}
+	r.LoadCounters(d)
 }

@@ -12,8 +12,8 @@ import (
 // acquire (VA-blocked heads) or to drain (credit-blocked flits).
 func (r *Router) WaitEdges() []router.WaitEdge {
 	var out []router.WaitEdge
-	topo := r.engine.Topology()
-	for id, vc := range r.vcs {
+	topo := r.Engine.Topology()
+	for id, vc := range r.VCs {
 		if vc.Len() == 0 || vc.Doomed() {
 			continue
 		}
@@ -23,11 +23,11 @@ func (r *Router) WaitEdges() []router.WaitEdge {
 			if outPort == topology.Invalid || outPort == topology.Local {
 				continue
 			}
-			down, ok := topo.Neighbor(r.id, outPort)
+			down, ok := topo.Neighbor(r.Node, outPort)
 			if !ok {
 				continue
 			}
-			nbr := r.neighbors[outPort]
+			nbr := r.Neighbors[outPort]
 			from := outPort.Opposite()
 			nextOut := vc.NextOut()
 			if nextOut == topology.Invalid || nextOut == topology.Local {
@@ -44,7 +44,7 @@ func (r *Router) WaitEdges() []router.WaitEdge {
 					blockedAll = false
 					break
 				}
-				edges = append(edges, router.WaitEdge{FromNode: r.id, FromVC: id, ToNode: down, ToVC: cand})
+				edges = append(edges, router.WaitEdge{FromNode: r.Node, FromVC: id, ToNode: down, ToVC: cand})
 			}
 			if blockedAll {
 				out = append(out, edges...)
@@ -52,9 +52,9 @@ func (r *Router) WaitEdges() []router.WaitEdge {
 			continue
 		}
 		// Routed packet blocked on credits for its granted channel.
-		if vc.OutVC() >= 0 && !vc.EjectNext() && !r.creditOK(vc) {
-			if down, ok := topo.Neighbor(r.id, vc.OutPort()); ok {
-				out = append(out, router.WaitEdge{FromNode: r.id, FromVC: id, ToNode: down, ToVC: vc.OutVC()})
+		if vc.OutVC() >= 0 && !vc.EjectNext() && !r.CreditOK(vc, id) {
+			if down, ok := topo.Neighbor(r.Node, vc.OutPort()); ok {
+				out = append(out, router.WaitEdge{FromNode: r.Node, FromVC: id, ToNode: down, ToVC: vc.OutVC()})
 			}
 		}
 	}

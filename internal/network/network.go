@@ -1099,8 +1099,11 @@ func (n *Network) propagateHandshake(node int) {
 
 // audit asserts flit conservation: every generated flit is accounted for as
 // delivered, dropped, awaiting injection, buffered in a router, or in
-// flight on a link. A violation is a simulator bug (a flit was silently
-// lost or double-counted) and panics with the breakdown.
+// flight on a link. It then recomputes the incrementally maintained
+// derived state — each router's allocation bitmaps and, under the gated
+// kernel, the packed hot-state mirror — from the channels. A violation is
+// a simulator bug (a flit was silently lost or double-counted, or a
+// mutation skipped its mirror update) and panics with the breakdown.
 func (n *Network) audit() {
 	var buffered, inPipes int64
 	if n.hot != nil {
@@ -1120,6 +1123,16 @@ func (n *Network) audit() {
 		panic(fmt.Sprintf(
 			"network: flit conservation violated at cycle %d: generated %d != delivered %d + dropped %d + backlog %d + buffered %d + in-pipes %d (= %d)",
 			n.cycle, n.genFlits, n.delFlitsAll, n.dropFlitsAll, n.backlogFlits, buffered, inPipes, total))
+	}
+	for _, r := range n.routers {
+		if err := r.AuditAlloc(); err != nil {
+			panic(fmt.Sprintf("network: derived state violated at cycle %d: %v", n.cycle, err))
+		}
+	}
+	if n.hot != nil {
+		if err := n.hot.Audit(); err != nil {
+			panic(fmt.Sprintf("network: derived state violated at cycle %d: %v", n.cycle, err))
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // AllocState holds a router's allocation-stage request bitmaps: one bit
-// per channel, in the same flat grantee-index order as Recovery.vcs (and
+// per channel, in the same flat grantee-index order as Chassis.VCs (and
 // therefore the output books and hot-state slots). The masks are exact
 // incremental mirrors of the per-VC predicates the VA/SA loops used to
 // evaluate channel by channel — NeedsVA, the routed half of SwitchReady,
@@ -58,7 +58,7 @@ func (a *AllocState) Claimable(from topology.Direction) uint64 {
 }
 
 // bindAlloc wires the channel into the router's allocation bitmaps as bit
-// idx and seeds its bits from current state. Called by InitRecovery, which
+// idx and seeds its bits from current state. Called by InitChassis, which
 // owns the canonical flat channel order.
 func (v *VC) bindAlloc(a *AllocState, idx int) {
 	if idx >= 64 {

@@ -5,85 +5,44 @@ import (
 	"github.com/rocosim/roco/internal/snapshot"
 )
 
-// SaveState serializes the router's mutable state. The per-tick scratch
-// (vaFailed, saReq*, request vectors, byTarget) never carries across cycle
-// boundaries and is skipped; vaRotate does persist (the VA input stage's
-// rotating first-fit cursor) and is included.
+// SaveState serializes the router's mutable state inside the chassis
+// framing: the arbiters port by port, then the dead flag and the VA input
+// stage's rotating first-fit cursors. The per-tick scratch never carries
+// across cycle boundaries and is skipped.
 func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
-	for p := 0; p < numPorts; p++ {
-		for _, vc := range r.ports[p] {
-			vc.SaveState(e, c)
-		}
-	}
-	for d := 0; d < numPorts; d++ {
-		if r.books[d] == nil {
-			e.Bool(false)
-			continue
-		}
-		e.Bool(true)
-		r.books[d].SaveState(e)
-	}
+	r.SaveChannels(e, c)
 	for p := 0; p < numPorts; p++ {
 		r.inArb[p].SaveState(e)
 		r.outArb[p].SaveState(e)
-		for v := range r.vaArb[p] {
-			r.vaArb[p][v].SaveState(e)
+		for v := range r.VAArb[p] {
+			r.VAArb[p][v].SaveState(e)
 		}
 	}
-	e.Int(r.injVC)
-	e.Bool(r.dead)
-	for p := 0; p < numPorts; p++ {
-		for v := 0; v < VCsPerPort; v++ {
-			e.Int(r.vaRotate[p][v])
-		}
+	r.SaveInjection(e)
+	e.Bool(r.Dead)
+	for _, n := range r.vaRotate {
+		e.Int(n)
 	}
-	r.act.SaveState(e)
-	r.cont.SaveState(e)
-	r.SaveRecoveryState(e)
+	r.SaveCounters(e)
 }
 
 // LoadState restores state written by SaveState into a freshly built
 // router of the same configuration.
 func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
-	for p := 0; p < numPorts; p++ {
-		for _, vc := range r.ports[p] {
-			vc.LoadState(d, c)
-			if d.Err() != nil {
-				return
-			}
-		}
-	}
-	for dir := 0; dir < numPorts; dir++ {
-		present := d.Bool()
-		if d.Err() != nil {
-			return
-		}
-		if present != (r.books[dir] != nil) {
-			d.Corruptf("generic router %d: output book %d presence mismatch", r.id, dir)
-			return
-		}
-		if present {
-			r.books[dir].LoadState(d)
-		}
+	if r.LoadChannels(d, c); d.Err() != nil {
+		return
 	}
 	for p := 0; p < numPorts; p++ {
 		r.inArb[p].LoadState(d)
 		r.outArb[p].LoadState(d)
-		for v := range r.vaArb[p] {
-			r.vaArb[p][v].LoadState(d)
+		for v := range r.VAArb[p] {
+			r.VAArb[p][v].LoadState(d)
 		}
 	}
-	r.injVC = d.Int()
-	r.dead = d.Bool()
-	for p := 0; p < numPorts; p++ {
-		for v := 0; v < VCsPerPort; v++ {
-			r.vaRotate[p][v] = d.Int()
-		}
+	r.LoadInjection(d)
+	r.Dead = d.Bool()
+	for i := range r.vaRotate {
+		r.vaRotate[i] = d.Int()
 	}
-	r.act.LoadState(d)
-	r.cont.LoadState(d)
-	r.LoadRecoveryState(d)
-	if d.Err() == nil && (r.injVC < -1 || r.injVC >= VCsPerPort) {
-		d.Corruptf("generic router %d: injection vc %d out of range", r.id, r.injVC)
-	}
+	r.LoadCounters(d)
 }

@@ -9,42 +9,39 @@ import (
 // network's deadlock detector.
 func (r *Router) WaitEdges() []router.WaitEdge {
 	var out []router.WaitEdge
-	topo := r.engine.Topology()
-	for p := 0; p < numPorts; p++ {
-		for v, vc := range r.ports[p] {
-			if vc.Len() == 0 || vc.Doomed() {
+	topo := r.Engine.Topology()
+	for fromVC, vc := range r.VCs {
+		if vc.Len() == 0 || vc.Doomed() {
+			continue
+		}
+		if vc.NeedsVA() {
+			head := vc.Front()
+			outPort := vc.OutPort()
+			if !outPort.IsCardinal() {
 				continue
 			}
-			fromVC := p*VCsPerPort + v
-			if vc.NeedsVA() {
-				head := vc.Front()
-				outPort := vc.OutPort()
-				if !outPort.IsCardinal() {
-					continue
-				}
-				down, ok := topo.Neighbor(r.id, outPort)
-				if !ok {
-					continue
-				}
-				nbr := r.neighbors[outPort]
-				blockedAll := true
-				var edges []router.WaitEdge
-				for _, cand := range r.candidateVCs(head, outPort) {
-					if nbr != nil && nbr.InputVCClaimable(outPort.Opposite(), cand) {
-						blockedAll = false
-						break
-					}
-					edges = append(edges, router.WaitEdge{FromNode: r.id, FromVC: fromVC, ToNode: down, ToVC: cand})
-				}
-				if blockedAll {
-					out = append(out, edges...)
-				}
+			down, ok := topo.Neighbor(r.Node, outPort)
+			if !ok {
 				continue
 			}
-			if vc.OutVC() >= 0 && !vc.EjectNext() && vc.OutPort() != topology.Local && !r.creditOK(vc, fromVC) {
-				if down, ok := topo.Neighbor(r.id, vc.OutPort()); ok {
-					out = append(out, router.WaitEdge{FromNode: r.id, FromVC: fromVC, ToNode: down, ToVC: vc.OutVC()})
+			nbr := r.Neighbors[outPort]
+			blockedAll := true
+			var edges []router.WaitEdge
+			for _, cand := range r.candidateVCs(head, outPort) {
+				if nbr != nil && nbr.InputVCClaimable(outPort.Opposite(), cand) {
+					blockedAll = false
+					break
 				}
+				edges = append(edges, router.WaitEdge{FromNode: r.Node, FromVC: fromVC, ToNode: down, ToVC: cand})
+			}
+			if blockedAll {
+				out = append(out, edges...)
+			}
+			continue
+		}
+		if vc.OutVC() >= 0 && !vc.EjectNext() && vc.OutPort() != topology.Local && !r.CreditOK(vc, fromVC) {
+			if down, ok := topo.Neighbor(r.Node, vc.OutPort()); ok {
+				out = append(out, router.WaitEdge{FromNode: r.Node, FromVC: fromVC, ToNode: down, ToVC: vc.OutVC()})
 			}
 		}
 	}

@@ -110,6 +110,29 @@ func (hs *HotState) Resync() {
 	}
 }
 
+// Audit recomputes every mirrored entry from the bound channels and
+// reports the first disagreement: a channel mutation that bypassed
+// syncHot. It allocates nothing unless it fails.
+func (hs *HotState) Audit() error {
+	for id := 0; id < hs.Routers(); id++ {
+		busy := int32(0)
+		for s := hs.base[id]; s < hs.base[id+1]; s++ {
+			vc := hs.vcs[s]
+			if hs.occ[s] != int32(len(vc.queue)) || hs.class[s] != uint8(vc.Class) {
+				return fmt.Errorf("router %d: hot-state slot %d reads occupancy %d class %d, its channel holds %d flits of class %d",
+					id, s, hs.occ[s], hs.class[s], len(vc.queue), vc.Class)
+			}
+			if !vc.Dormant() {
+				busy++
+			}
+		}
+		if busy != hs.busyVCs[id] {
+			return fmt.Errorf("router %d: hot state counts %d busy channels, recount gives %d", id, hs.busyVCs[id], busy)
+		}
+	}
+	return nil
+}
+
 // BufferedFlits sums router id's buffered flits from the packed
 // occupancy array — equal, by maintenance invariant, to the router's own
 // BufferedFlits() sweep over its channel objects.

@@ -77,14 +77,14 @@ type Router interface {
 	// CanServe through it, and drops anything still arriving on it; the
 	// network severs both endpoints of every boundary link of the struck
 	// interface and then re-propagates the neighbor handshake. Implemented
-	// by the embedded Recovery.
+	// by the embedded Chassis.
 	SeverPort(d topology.Direction)
 	// Severed reports whether port d was cut by SeverPort.
 	Severed(d topology.Direction) bool
 	// SetReapHorizon stretches the orphan-reap age to cover links whose
 	// in-flight horizon exceeds the on-die single cycle (multi-cycle
 	// die-to-die pipes); maxLinkDelay is the slowest link's per-flit
-	// horizon. Implemented by the embedded Recovery.
+	// horizon. Implemented by the embedded Chassis.
 	SetReapHorizon(maxLinkDelay int64)
 	// RefreshOutput re-propagates the downstream input-VC depths into the
 	// credit book of output d after a runtime fault changed them (the
@@ -144,9 +144,15 @@ type Router interface {
 	// struct-of-arrays hot-state table (occupancy, class, dormancy). The
 	// gated kernel calls it once per router, in ascending id order, after
 	// construction; the reference kernel never binds and pays nothing.
-	// Implemented by the embedded Recovery, which already holds the
+	// Implemented by the embedded Chassis, which already holds the
 	// canonical flat channel list in grantee-index order.
 	BindHot(hs *HotState)
+	// AuditAlloc recomputes the allocation bitmaps from the channels and
+	// reports an error when the incrementally maintained copies disagree;
+	// the network's auditor panics on it, on its AuditEvery cadence. It
+	// allocates nothing unless it fails. Implemented by the embedded
+	// Chassis.
+	AuditAlloc() error
 
 	// Activity exposes the per-component event counters for the energy
 	// model.

@@ -3,85 +3,26 @@ package pathsensitive
 import (
 	"testing"
 
-	"github.com/rocosim/roco/internal/flit"
-	"github.com/rocosim/roco/internal/router"
+	"github.com/rocosim/roco/internal/router/routertest"
 	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/topology"
 )
 
-// harness wires a mesh of path-sensitive routers with real pipes, driven
-// manually for microarchitecture assertions.
+// harness is the shared router test mesh over path-sensitive routers,
+// plus the quadrant-set probe below.
 type harness struct {
-	topo    *topology.Mesh
-	engine  *router.RouteEngine
-	routers []*Router
-	conns   []*router.Conn
-	sunk    int
-	cycle   int64
+	*routertest.Harness[*Router]
 }
 
-func newHarness(t *testing.T, w, h int, alg routing.Algorithm) *harness {
+func newHarness(t *testing.T, w, h int, alg routing.Algorithm) harness {
 	t.Helper()
-	hn := &harness{topo: topology.NewMesh(w, h)}
-	hn.routers = make([]*Router, hn.topo.Nodes())
-	hn.engine = router.NewRouteEngine(hn.topo, alg, func(id int) router.Router { return hn.routers[id] })
-	for id := range hn.routers {
-		hn.routers[id] = New(id, hn.engine)
-	}
-	for id := range hn.routers {
-		for _, d := range topology.CardinalDirections {
-			nb, ok := hn.topo.Neighbor(id, d)
-			if !ok {
-				continue
-			}
-			conn := &router.Conn{}
-			hn.conns = append(hn.conns, conn)
-			down := hn.routers[nb]
-			depths := make([]int, down.NumInputVCs(d.Opposite()))
-			for vc := range depths {
-				depths[vc] = down.InputVCDepth(d.Opposite(), vc)
-			}
-			hn.routers[id].AttachOutput(d, conn, depths)
-			hn.routers[id].SetNeighbor(d, down)
-			down.AttachInput(d.Opposite(), conn)
-		}
-		hn.routers[id].SetSink(func(f *flit.Flit, cycle int64) { hn.sunk++ })
-	}
-	return hn
-}
-
-func (h *harness) step() {
-	for _, r := range h.routers {
-		r.Tick(h.cycle)
-	}
-	for _, c := range h.conns {
-		c.Advance()
-	}
-	h.cycle++
-}
-
-func (h *harness) inject(t *testing.T, src, dst, flits int) uint64 {
-	t.Helper()
-	id := uint64(src*1000 + dst)
-	pkt := flit.Packet{ID: id, Src: src, Dst: dst, Flits: flits}
-	for _, f := range pkt.Segment() {
-		if f.Type.IsHead() {
-			f.OutPort = h.engine.FirstHop(src, f)
-		}
-		for try := 0; !h.routers[src].TryInject(f, h.cycle); try++ {
-			if try > 50 {
-				t.Fatal("injection starved")
-			}
-			h.step()
-		}
-	}
-	return id
+	return harness{routertest.New(t, w, h, alg, New)}
 }
 
 // setHolding returns the quadrant set whose channels hold pkt's head at
 // node, or -1.
-func (h *harness) setHolding(node int, pktID uint64) routing.Quadrant {
-	for id, vc := range h.routers[node].vcs {
+func (h harness) setHolding(node int, pktID uint64) routing.Quadrant {
+	for id, vc := range h.Routers[node].VCs {
 		if f := vc.Front(); f != nil && f.PacketID == pktID && f.Type.IsHead() {
 			return setOfVC(id)
 		}
@@ -94,32 +35,32 @@ func TestPacketStaysInItsQuadrantSet(t *testing.T) {
 	// NE-set channels at every router on its path — the organizing
 	// invariant of the design (and its deadlock argument).
 	h := newHarness(t, 4, 4, routing.XY)
-	src := h.topo.ID(topology.Coord{X: 0, Y: 0})
-	dst := h.topo.ID(topology.Coord{X: 3, Y: 3})
-	pkt := h.inject(t, src, dst, 4)
+	src := h.Topo.ID(topology.Coord{X: 0, Y: 0})
+	dst := h.Topo.ID(topology.Coord{X: 3, Y: 3})
+	pkt := h.Inject(t, src, dst, 4)
 
-	for i := 0; i < 300 && h.sunk < 4; i++ {
-		for node := range h.routers {
+	for i := 0; i < 300 && len(h.Sunk) < 4; i++ {
+		for node := range h.Routers {
 			if q := h.setHolding(node, pkt); q != routing.Quadrant(255) && q != routing.NE {
 				t.Fatalf("NE packet observed in the %s set at node %d", q, node)
 			}
 		}
-		h.step()
+		h.Step()
 	}
-	if h.sunk < 4 {
+	if len(h.Sunk) < 4 {
 		t.Fatal("packet never delivered")
 	}
 }
 
 func TestEarlyEjectionOnPathSensitive(t *testing.T) {
 	h := newHarness(t, 4, 4, routing.XY)
-	src := h.topo.ID(topology.Coord{X: 0, Y: 2})
-	dst := h.topo.ID(topology.Coord{X: 2, Y: 2})
-	h.inject(t, src, dst, 4)
-	for i := 0; i < 300 && h.sunk < 4; i++ {
-		h.step()
+	src := h.Topo.ID(topology.Coord{X: 0, Y: 2})
+	dst := h.Topo.ID(topology.Coord{X: 2, Y: 2})
+	h.Inject(t, src, dst, 4)
+	for i := 0; i < 300 && len(h.Sunk) < 4; i++ {
+		h.Step()
 	}
-	dstRouter := h.routers[dst]
+	dstRouter := h.Routers[dst]
 	if dstRouter.Activity().CrossbarTraversals != 0 {
 		t.Errorf("destination crossbar fired %d times; path-sensitive routers early-eject", dstRouter.Activity().CrossbarTraversals)
 	}
@@ -132,23 +73,23 @@ func TestChainedAllocationOnePerSetPerCycle(t *testing.T) {
 	// The decomposed crossbar's defining restriction: a set moves at most
 	// one flit per cycle even when both its outputs have traffic.
 	h := newHarness(t, 4, 4, routing.XY)
-	src := h.topo.ID(topology.Coord{X: 0, Y: 0})
-	dstE := h.topo.ID(topology.Coord{X: 3, Y: 0}) // pure-east: NE or SE by parity
-	dstN := h.topo.ID(topology.Coord{X: 0, Y: 3}) // pure-north: NE or NW by parity
-	h.inject(t, src, dstE, 4)
-	h.inject(t, src, dstN, 4)
+	src := h.Topo.ID(topology.Coord{X: 0, Y: 0})
+	dstE := h.Topo.ID(topology.Coord{X: 3, Y: 0}) // pure-east: NE or SE by parity
+	dstN := h.Topo.ID(topology.Coord{X: 0, Y: 3}) // pure-north: NE or NW by parity
+	h.Inject(t, src, dstE, 4)
+	h.Inject(t, src, dstN, 4)
 
-	srcRouter := h.routers[src]
+	srcRouter := h.Routers[src]
 	prev := srcRouter.Activity().CrossbarTraversals
-	for i := 0; i < 300 && h.sunk < 8; i++ {
-		h.step()
+	for i := 0; i < 300 && len(h.Sunk) < 8; i++ {
+		h.Step()
 		cur := srcRouter.Activity().CrossbarTraversals
 		if cur-prev > 2 {
 			t.Fatalf("source router moved %d flits in one cycle; 4 sets allow at most 4 (2 active here)", cur-prev)
 		}
 		prev = cur
 	}
-	if h.sunk < 8 {
+	if len(h.Sunk) < 8 {
 		t.Fatal("packets never delivered")
 	}
 }

@@ -1,12 +1,14 @@
 package pathsensitive
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/rocosim/roco/internal/fault"
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/routing"
+	"github.com/rocosim/roco/internal/snapshot"
 	"github.com/rocosim/roco/internal/topology"
 )
 
@@ -59,7 +61,7 @@ func TestInjectionUsesDedicatedGroup(t *testing.T) {
 	}
 	// The flit must sit in the NE set's injection group (group 2).
 	id := int(routing.NE)*VCsPerSet + 2
-	if r.vcs[id].Len() != 1 {
+	if r.VCs[id].Len() != 1 {
 		t.Errorf("injected flit not in the NE injection group (vc %d)", id)
 	}
 }
@@ -77,6 +79,44 @@ func TestLoopbackInjection(t *testing.T) {
 	}
 	if n != 4 || !r.Quiescent() {
 		t.Fatalf("loopback delivered %d flits, quiescent=%v", n, r.Quiescent())
+	}
+}
+
+// TestLoopbackSnapshotResumes: a snapshot taken between the flits of a
+// loopback packet restores, and the restored router keeps delivering the
+// packet's remaining flits straight back to the PE.
+func TestLoopbackSnapshotResumes(t *testing.T) {
+	r := newTestRouter(routing.XY)
+	r.SetSink(func(*flit.Flit, int64) {})
+	fl := flit.Packet{ID: 1, Src: 9, Dst: 9, Flits: 4}.Segment()
+	fl[0].OutPort = topology.Local
+	if !r.TryInject(fl[0], 0) {
+		t.Fatal("loopback head rejected")
+	}
+	e := snapshot.NewEncoder()
+	r.SaveState(e, &flit.Codec{})
+	var frame bytes.Buffer
+	if _, err := e.WriteTo(&frame); err != nil {
+		t.Fatal(err)
+	}
+	d, err := snapshot.Read(&frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := newTestRouter(routing.XY)
+	resumed.LoadState(d, &flit.Codec{})
+	if d.Err() != nil {
+		t.Fatalf("mid-loopback snapshot refused: %v", d.Err())
+	}
+	n := 0
+	resumed.SetSink(func(*flit.Flit, int64) { n++ })
+	for _, f := range fl[1:] {
+		if !resumed.TryInject(f, 1) {
+			t.Fatal("resumed router rejected a loopback flit")
+		}
+	}
+	if n != 3 || !resumed.Quiescent() {
+		t.Fatalf("resumed loopback delivered %d of 3 flits, quiescent=%v", n, resumed.Quiescent())
 	}
 }
 

@@ -6,74 +6,41 @@ import (
 	"github.com/rocosim/roco/internal/topology"
 )
 
-// SaveState serializes the router's mutable state (the per-tick scratch —
-// vaFailed, request vectors, byTarget, set nominations — never crosses a
-// cycle boundary and is skipped).
+// SaveState serializes the router's mutable state inside the chassis
+// framing: the set and output arbiters, then the dead flag (the per-tick
+// scratch never crosses a cycle boundary and is skipped).
 func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
-	for _, vc := range r.vcs {
-		vc.SaveState(e, c)
-	}
-	for d := 0; d < 5; d++ {
-		if r.books[d] == nil {
-			e.Bool(false)
-			continue
-		}
-		e.Bool(true)
-		r.books[d].SaveState(e)
-	}
+	r.SaveChannels(e, c)
 	for s := 0; s < numSets; s++ {
 		r.setArb[s].SaveState(e)
 	}
 	for _, d := range topology.CardinalDirections {
 		r.outArb[d].SaveState(e)
-		for i := range r.vaArb[d] {
-			r.vaArb[d][i].SaveState(e)
+		for i := range r.VAArb[d] {
+			r.VAArb[d][i].SaveState(e)
 		}
 	}
-	e.Int(r.injVC)
-	e.Bool(r.dead)
-	r.act.SaveState(e)
-	r.cont.SaveState(e)
-	r.SaveRecoveryState(e)
+	r.SaveInjection(e)
+	e.Bool(r.Dead)
+	r.SaveCounters(e)
 }
 
 // LoadState restores state written by SaveState into a freshly built
 // router of the same configuration.
 func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
-	for _, vc := range r.vcs {
-		vc.LoadState(d, c)
-		if d.Err() != nil {
-			return
-		}
-	}
-	for dir := 0; dir < 5; dir++ {
-		present := d.Bool()
-		if d.Err() != nil {
-			return
-		}
-		if present != (r.books[dir] != nil) {
-			d.Corruptf("path-sensitive router %d: output book %d presence mismatch", r.id, dir)
-			return
-		}
-		if present {
-			r.books[dir].LoadState(d)
-		}
+	if r.LoadChannels(d, c); d.Err() != nil {
+		return
 	}
 	for s := 0; s < numSets; s++ {
 		r.setArb[s].LoadState(d)
 	}
 	for _, dir := range topology.CardinalDirections {
 		r.outArb[dir].LoadState(d)
-		for i := range r.vaArb[dir] {
-			r.vaArb[dir][i].LoadState(d)
+		for i := range r.VAArb[dir] {
+			r.VAArb[dir][i].LoadState(d)
 		}
 	}
-	r.injVC = d.Int()
-	r.dead = d.Bool()
-	r.act.LoadState(d)
-	r.cont.LoadState(d)
-	r.LoadRecoveryState(d)
-	if d.Err() == nil && (r.injVC < -1 || r.injVC >= NumVCs) {
-		d.Corruptf("path-sensitive router %d: injection vc %d out of range", r.id, r.injVC)
-	}
+	r.LoadInjection(d)
+	r.Dead = d.Bool()
+	r.LoadCounters(d)
 }

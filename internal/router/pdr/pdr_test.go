@@ -4,107 +4,44 @@ import (
 	"testing"
 
 	"github.com/rocosim/roco/internal/fault"
-	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/router"
+	"github.com/rocosim/roco/internal/router/routertest"
 	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/topology"
 )
 
-// harness wires a mesh of PDR routers with real pipes, driven manually.
-type harness struct {
-	topo    *topology.Mesh
-	engine  *router.RouteEngine
-	routers []*Router
-	conns   []*router.Conn
-	sunk    int
-	cycle   int64
-}
-
-func newHarness(t *testing.T, w, h int) *harness {
+func newHarness(t *testing.T, w, h int) *routertest.Harness[*Router] {
 	t.Helper()
-	hn := &harness{topo: topology.NewMesh(w, h)}
-	hn.routers = make([]*Router, hn.topo.Nodes())
-	hn.engine = router.NewRouteEngine(hn.topo, routing.XY, func(id int) router.Router { return hn.routers[id] })
-	for id := range hn.routers {
-		hn.routers[id] = New(id, hn.engine)
-	}
-	for id := range hn.routers {
-		for _, d := range topology.CardinalDirections {
-			nb, ok := hn.topo.Neighbor(id, d)
-			if !ok {
-				continue
-			}
-			conn := &router.Conn{}
-			hn.conns = append(hn.conns, conn)
-			down := hn.routers[nb]
-			depths := make([]int, down.NumInputVCs(d.Opposite()))
-			for vc := range depths {
-				depths[vc] = down.InputVCDepth(d.Opposite(), vc)
-			}
-			hn.routers[id].AttachOutput(d, conn, depths)
-			hn.routers[id].SetNeighbor(d, down)
-			down.AttachInput(d.Opposite(), conn)
-		}
-		hn.routers[id].SetSink(func(f *flit.Flit, cycle int64) { hn.sunk++ })
-	}
-	return hn
-}
-
-func (h *harness) step() {
-	for _, r := range h.routers {
-		r.Tick(h.cycle)
-	}
-	for _, c := range h.conns {
-		c.Advance()
-	}
-	h.cycle++
-}
-
-func (h *harness) inject(t *testing.T, src, dst, flits int) uint64 {
-	t.Helper()
-	id := uint64(src*1000 + dst)
-	pkt := flit.Packet{ID: id, Src: src, Dst: dst, Flits: flits}
-	for _, f := range pkt.Segment() {
-		if f.Type.IsHead() {
-			f.OutPort = h.engine.FirstHop(src, f)
-		}
-		for try := 0; !h.routers[src].TryInject(f, h.cycle); try++ {
-			if try > 50 {
-				t.Fatal("injection starved")
-			}
-			h.step()
-		}
-	}
-	return id
+	return routertest.New(t, w, h, routing.XY, New)
 }
 
 func TestPDRConcatenatedTransferObserved(t *testing.T) {
 	// A turning packet must be observed in a fromX (internal transfer)
 	// channel at its corner router — the concatenated traversal.
 	h := newHarness(t, 4, 4)
-	src := h.topo.ID(topology.Coord{X: 0, Y: 1})
-	dst := h.topo.ID(topology.Coord{X: 2, Y: 3})
-	corner := h.topo.ID(topology.Coord{X: 2, Y: 1})
-	pkt := h.inject(t, src, dst, 4)
+	src := h.Topo.ID(topology.Coord{X: 0, Y: 1})
+	dst := h.Topo.ID(topology.Coord{X: 2, Y: 3})
+	corner := h.Topo.ID(topology.Coord{X: 2, Y: 1})
+	pkt := h.Inject(t, src, dst, 4)
 
 	sawTransfer := false
-	for i := 0; i < 300 && h.sunk < 4; i++ {
-		for id, vc := range h.routers[corner].vcs {
+	for i := 0; i < 300 && len(h.Sunk) < 4; i++ {
+		for id, vc := range h.Routers[corner].VCs {
 			if f := vc.Front(); f != nil && f.PacketID == pkt && portOfVC(id) == portFromX {
 				sawTransfer = true
 			}
 		}
-		h.step()
+		h.Step()
 	}
 	if !sawTransfer {
 		t.Error("turning packet never observed in the internal transfer channel")
 	}
-	if h.sunk < 4 {
+	if len(h.Sunk) < 4 {
 		t.Fatal("packet never delivered")
 	}
 	// And the corner router's crossbars fired twice per flit: once in the
 	// X-module (into the transfer channel) and once in the Y-module.
-	if traversals := h.routers[corner].Activity().CrossbarTraversals; traversals < 8 {
+	if traversals := h.Routers[corner].Activity().CrossbarTraversals; traversals < 8 {
 		t.Errorf("corner router traversals = %d, want >= 8 (two per flit)", traversals)
 	}
 }
@@ -113,16 +50,16 @@ func TestPDREjectionGoesThroughYModule(t *testing.T) {
 	// Even a pure-X packet must transfer into the Y-module to eject: the
 	// destination router sees 2 traversals per flit.
 	h := newHarness(t, 4, 4)
-	src := h.topo.ID(topology.Coord{X: 0, Y: 1})
-	dst := h.topo.ID(topology.Coord{X: 2, Y: 1})
-	h.inject(t, src, dst, 4)
-	for i := 0; i < 300 && h.sunk < 4; i++ {
-		h.step()
+	src := h.Topo.ID(topology.Coord{X: 0, Y: 1})
+	dst := h.Topo.ID(topology.Coord{X: 2, Y: 1})
+	h.Inject(t, src, dst, 4)
+	for i := 0; i < 300 && len(h.Sunk) < 4; i++ {
+		h.Step()
 	}
-	if h.sunk < 4 {
+	if len(h.Sunk) < 4 {
 		t.Fatal("packet never delivered")
 	}
-	act := h.routers[dst].Activity()
+	act := h.Routers[dst].Activity()
 	if act.CrossbarTraversals != 8 {
 		t.Errorf("destination traversals = %d, want 8 (X-module + Y-module per flit)", act.CrossbarTraversals)
 	}

@@ -2,25 +2,16 @@ package pdr
 
 import (
 	"github.com/rocosim/roco/internal/flit"
+	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/snapshot"
 )
 
-// SaveState serializes the router's mutable state, including the internal
-// transfer book (the per-tick scratch — vaFailed, request vectors,
-// byTarget, nominations — never crosses a cycle boundary and is skipped).
+// SaveState serializes the router's mutable state inside the chassis
+// framing: the internal transfer book, the arbiters, then the dead flag
+// (the per-tick scratch never crosses a cycle boundary and is skipped).
 func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
-	for _, vc := range r.vcs {
-		vc.SaveState(e, c)
-	}
-	for d := 0; d < 5; d++ {
-		if r.books[d] == nil {
-			e.Bool(false)
-			continue
-		}
-		e.Bool(true)
-		r.books[d].SaveState(e)
-	}
-	r.transferBook.SaveState(e)
+	r.SaveChannels(e, c)
+	r.Books[router.TransferLeg].SaveState(e)
 	for p := 0; p < numPorts; p++ {
 		r.inArb[p].SaveState(e)
 	}
@@ -29,41 +20,23 @@ func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
 			r.outArb[m][o].SaveState(e)
 		}
 	}
-	for i := range r.vaArb {
-		for j := range r.vaArb[i] {
-			r.vaArb[i][j].SaveState(e)
+	for i := range r.VAArb {
+		for j := range r.VAArb[i] {
+			r.VAArb[i][j].SaveState(e)
 		}
 	}
-	e.Int(r.injVC)
-	e.Bool(r.dead)
-	r.act.SaveState(e)
-	r.cont.SaveState(e)
-	r.SaveRecoveryState(e)
+	r.SaveInjection(e)
+	e.Bool(r.Dead)
+	r.SaveCounters(e)
 }
 
 // LoadState restores state written by SaveState into a freshly built
 // router of the same configuration.
 func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
-	for _, vc := range r.vcs {
-		vc.LoadState(d, c)
-		if d.Err() != nil {
-			return
-		}
+	if r.LoadChannels(d, c); d.Err() != nil {
+		return
 	}
-	for dir := 0; dir < 5; dir++ {
-		present := d.Bool()
-		if d.Err() != nil {
-			return
-		}
-		if present != (r.books[dir] != nil) {
-			d.Corruptf("pdr router %d: output book %d presence mismatch", r.id, dir)
-			return
-		}
-		if present {
-			r.books[dir].LoadState(d)
-		}
-	}
-	r.transferBook.LoadState(d)
+	r.Books[router.TransferLeg].LoadState(d)
 	for p := 0; p < numPorts; p++ {
 		r.inArb[p].LoadState(d)
 	}
@@ -72,17 +45,12 @@ func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 			r.outArb[m][o].LoadState(d)
 		}
 	}
-	for i := range r.vaArb {
-		for j := range r.vaArb[i] {
-			r.vaArb[i][j].LoadState(d)
+	for i := range r.VAArb {
+		for j := range r.VAArb[i] {
+			r.VAArb[i][j].LoadState(d)
 		}
 	}
-	r.injVC = d.Int()
-	r.dead = d.Bool()
-	r.act.LoadState(d)
-	r.cont.LoadState(d)
-	r.LoadRecoveryState(d)
-	if d.Err() == nil && (r.injVC < -1 || r.injVC >= NumVCs) {
-		d.Corruptf("pdr router %d: injection vc %d out of range", r.id, r.injVC)
-	}
+	r.LoadInjection(d)
+	r.Dead = d.Bool()
+	r.LoadCounters(d)
 }

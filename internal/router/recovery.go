@@ -20,7 +20,8 @@ type BrokenSet struct {
 	ids map[uint64]int64 // packet ID -> cycle first broken
 	// faulty latches permanently once any fault is installed anywhere in
 	// the network; together with an empty registry it proves the recovery
-	// scans (SweepBroken, doomed drains, ReapOrphans) have nothing to do.
+	// scans (broken-packet sweep, doomed drains, orphan reaping) have
+	// nothing to do.
 	faulty bool
 }
 
@@ -76,16 +77,6 @@ type StallSource interface {
 	StallScan(cycle int64) []StuckFlit
 }
 
-// GrantRef locates the bookkeeping behind one VC's front-packet VA grant:
-// the credit book holding the grant queue, and the router (plus arrival
-// side) holding the downstream channel claim. For PDR's internal X-to-Y
-// transfers the claimant is the router itself with side Local.
-type GrantRef struct {
-	Book     *OutVCBook
-	Claimant Router
-	Side     topology.Direction
-}
-
 // orphanAge is how many cycles a doomed, broken front packet must sit with
 // no buffered flits before recovery force-retires its state. Flits of a
 // packet stop being forwarded anywhere the cycle after it enters the
@@ -93,112 +84,60 @@ type GrantRef struct {
 // cycles; four gives margin while keeping recovery prompt. Multi-cycle
 // die-to-die links stretch the straggler horizon — the network raises the
 // effective age through SetReapHorizon, and every drained straggler
-// restarts the clock (NoteStragglerDrain), so a state is only reaped once
+// restarts the clock (noteStragglerDrain), so a state is only reaped once
 // no flit of its packet can still be in transit.
 const orphanAge = 4
 
-// Recovery is the live-fault half of a router: shared bookkeeping for
-// dropping flits, sweeping broken packets, withdrawing dead grants, and
-// retiring orphaned packet states. Router implementations embed it and
-// call SweepBroken/ReapOrphans from Tick (between arrivals and
-// allocation). The vcs slice must list the router's channels in the index
-// order used as grantee IDs in its output books.
-type Recovery struct {
-	node       int
-	vcs        []*VC
-	grantRef   func(vcIndex int) (GrantRef, bool)
-	onAbort    func(vcIndex int)
-	dropSink   DropSink
-	broken     *BrokenSet
-	emptySince []int64
-	reapAge    int64
-	feederBusy func(topology.Direction, uint64) bool
-
-	// severed is a bitmask over the cardinal directions of ports cut by a
-	// die-to-die interface fault. A severed port carries nothing in either
-	// direction: arrivals on it are dropped, its depths read as zero to the
-	// upstream handshake, and CanServe denies any service through it.
-	severed uint8
-
-	// alloc holds the router's allocation bitmaps; bit i of every mask is
-	// vcs[i], so the mask index space IS the grantee index space.
-	alloc AllocState
-}
-
-// InitRecovery wires the embedded recovery state. grantRef resolves a VC
-// index to its front packet's grant target (ok=false when the front packet
-// holds no external grant); onAbort (optional) runs after a front state is
-// force-retired, letting the router clear references to the VC (e.g. its
-// injection channel).
-func (rc *Recovery) InitRecovery(node int, vcs []*VC, grantRef func(int) (GrantRef, bool), onAbort func(int)) {
-	rc.node = node
-	rc.vcs = vcs
-	rc.grantRef = grantRef
-	rc.onAbort = onAbort
-	rc.emptySince = make([]int64, len(vcs))
-	for i := range rc.emptySince {
-		rc.emptySince[i] = -1
-	}
-	rc.reapAge = orphanAge
-	for i, vc := range vcs {
-		vc.bindAlloc(&rc.alloc, i)
-	}
-}
-
-// Alloc exposes the router's allocation bitmaps; the VA/SA stages read
-// them instead of re-evaluating per-channel predicates each cycle.
-func (rc *Recovery) Alloc() *AllocState { return &rc.alloc }
-
 // SetDropSink installs the network's drop-accounting callback.
-func (rc *Recovery) SetDropSink(s DropSink) { rc.dropSink = s }
+func (c *Chassis) SetDropSink(s DropSink) { c.dropSink = s }
 
 // BindHot mirrors the router's channels into the shared struct-of-arrays
-// table. rc.vcs is exactly the router's grantee-index channel order, so
-// the slot layout matches the order every other per-VC structure uses.
-func (rc *Recovery) BindHot(hs *HotState) { hs.BindRouter(rc.node, rc.vcs) }
+// table. VCs is exactly the router's grantee-index channel order, so the
+// slot layout matches the order every other per-VC structure uses.
+func (c *Chassis) BindHot(hs *HotState) { hs.BindRouter(c.Node, c.VCs) }
 
 // SetBroken shares the network-wide broken-packet registry.
-func (rc *Recovery) SetBroken(b *BrokenSet) { rc.broken = b }
+func (c *Chassis) SetBroken(b *BrokenSet) { c.broken = b }
 
-// Broken reports whether the packet is registered as broken.
-func (rc *Recovery) Broken(id uint64) bool {
-	return rc.broken != nil && rc.broken.Contains(id)
+// isBroken reports whether the packet is registered as broken.
+func (c *Chassis) isBroken(id uint64) bool {
+	return c.broken != nil && c.broken.Contains(id)
 }
 
-// NoteFault latches the shared registry's faulty flag; router ApplyFault
-// implementations call it so the recovery scans arm even when a test
-// installs a fault directly instead of through the network.
-func (rc *Recovery) NoteFault() {
-	if rc.broken != nil {
-		rc.broken.MarkFaulty()
+// NoteFault latches the shared registry's faulty flag; every fault
+// reaction calls it so the recovery scans arm even when a test installs a
+// fault directly instead of through the network.
+func (c *Chassis) NoteFault() {
+	if c.broken != nil {
+		c.broken.MarkFaulty()
 	}
 }
 
-// RecoveryQuiet reports that the recovery scans can be skipped this tick:
-// no fault was ever installed and no packet ever broke, so SweepBroken,
-// the doomed drain, and ReapOrphans are all provably no-ops. Every path
-// that dooms or condemns a channel first either breaks a packet or
-// installs a fault (CanServe only denies service on a faulted node), so
-// a quiet network cannot hold recovery work. A router without the shared
-// registry (standalone unit tests) always runs the scans.
-func (rc *Recovery) RecoveryQuiet() bool {
-	return rc.broken != nil && rc.broken.Quiet()
+// quiet reports that the recovery scans can be skipped this tick: no fault
+// was ever installed and no packet ever broke, so sweeping, the doomed
+// drain and reaping are all provably no-ops. Every path that dooms or
+// condemns a channel first either breaks a packet or installs a fault
+// (CanServe only denies service on a faulted node), so a quiet network
+// cannot hold recovery work. A router without the shared registry
+// (standalone unit tests) always runs the scans.
+func (c *Chassis) quiet() bool {
+	return c.broken != nil && c.broken.Quiet()
 }
 
 // SeverPort cuts the router's port d permanently (a die-to-die interface
 // fault). Resident front packets already routed through d are doomed on
-// the spot; the next SweepBroken withdraws their grants and claims, and
-// the doomed drains discard their flits — the same recovery machinery a
-// node death uses. The router's own service checks (CanServe, depths,
-// claims, arrivals) consult Severed; the network re-propagates the
-// neighbor handshake after severing both endpoints.
-func (rc *Recovery) SeverPort(d topology.Direction) {
+// the spot; the next recovery sweep withdraws their grants and claims, and
+// the doomed drains discard their flits — the same machinery a node death
+// uses. The router's own service checks (CanServe, depths, claims,
+// arrivals) consult Severed; the network re-propagates the neighbor
+// handshake after severing both endpoints.
+func (c *Chassis) SeverPort(d topology.Direction) {
 	if !d.IsCardinal() {
 		panic(fmt.Sprintf("router: cannot sever non-cardinal port %v", d))
 	}
-	rc.NoteFault()
-	rc.severed |= 1 << uint(d)
-	for _, vc := range rc.vcs {
+	c.NoteFault()
+	c.severed |= 1 << uint(d)
+	for _, vc := range c.VCs {
 		if vc.OutPort() == d {
 			vc.Doom()
 		}
@@ -215,29 +154,26 @@ func (rc *Recovery) SeverPort(d topology.Direction) {
 // Severed reports whether port d was cut by a D2D interface fault.
 // Non-cardinal directions (Local ejection, Invalid probes) are never
 // severed.
-func (rc *Recovery) Severed(d topology.Direction) bool {
-	return d.IsCardinal() && rc.severed&(1<<uint(d)) != 0
+func (c *Chassis) Severed(d topology.Direction) bool {
+	return d.IsCardinal() && c.severed&(1<<uint(d)) != 0
 }
 
-// AnySevered reports whether any port of the router was cut.
-func (rc *Recovery) AnySevered() bool { return rc.severed != 0 }
-
-// DropFlit reports one discarded flit, with its cause, to the trace and the
-// network's drop sink (which registers the packet as broken and keeps the
-// conservation ledger).
-func (rc *Recovery) DropFlit(f *flit.Flit, cycle int64, reason trace.DropReason) {
+// dropFlit reports one discarded flit, with its cause, to the trace and
+// the network's drop sink (which registers the packet as broken and keeps
+// the conservation ledger).
+func (c *Chassis) dropFlit(f *flit.Flit, cycle int64, reason trace.DropReason) {
 	if f.Rec != nil && f.Type.IsHead() {
-		f.Rec.Drop(rc.node, cycle, reason)
+		f.Rec.Drop(c.Node, cycle, reason)
 	}
-	if rc.dropSink != nil {
-		rc.dropSink(f, cycle, reason)
+	if c.dropSink != nil {
+		c.dropSink(f, cycle, reason)
 	}
 }
 
 // BufferedFlits counts the flits buffered across all channels.
-func (rc *Recovery) BufferedFlits() int {
+func (c *Chassis) BufferedFlits() int {
 	n := 0
-	for _, vc := range rc.vcs {
+	for _, vc := range c.VCs {
 		n += vc.Len()
 	}
 	return n
@@ -245,12 +181,12 @@ func (rc *Recovery) BufferedFlits() int {
 
 // VCOccupancy adds each channel's buffered flit count into per, bucketed
 // by the channel's path-set class, and returns the total added. Channels
-// whose implementation never assigns a class (the baseline routers) all
-// land in the zero-value bucket (ContinueX). Read-only; the telemetry
-// collector samples it at epoch boundaries.
-func (rc *Recovery) VCOccupancy(per *[routing.NumClasses]int32) int {
+// whose router never assigns a class (the baselines) all land in the
+// zero-value bucket (ContinueX). Read-only; the telemetry collector
+// samples it at epoch boundaries.
+func (c *Chassis) VCOccupancy(per *[routing.NumClasses]int32) int {
 	total := 0
-	for _, vc := range rc.vcs {
+	for _, vc := range c.VCs {
 		n := vc.Len()
 		if n == 0 {
 			continue
@@ -261,7 +197,33 @@ func (rc *Recovery) VCOccupancy(per *[routing.NumClasses]int32) int {
 	return total
 }
 
-// SweepBroken dooms resident front packets that can no longer complete and
+// grantRef locates the bookkeeping behind channel i's front-packet VA
+// grant: the credit book holding the grant queue, and the side of the
+// claim at the router holding it — the neighbour across that side, or
+// this router itself for a transfer-leg claim (side Local). ok is false
+// when the front packet holds no grant through a book.
+func (c *Chassis) grantRef(i int) (book *OutVCBook, side topology.Direction, ok bool) {
+	out := c.VCs[i].OutPort()
+	if b := c.leg(i, out); b == TransferLeg {
+		return c.Books[b], topology.Local, true
+	}
+	if !out.IsCardinal() {
+		return nil, topology.Invalid, false
+	}
+	return c.Books[out], out.Opposite(), true
+}
+
+// releaseClaim withdraws a never-streamed grant's claim on channel vc
+// across side.
+func (c *Chassis) releaseClaim(side topology.Direction, vc int) {
+	if side == topology.Local {
+		c.ReleaseInputVC(side, vc)
+	} else if nbr := c.Neighbors[side.Opposite()]; nbr != nil {
+		nbr.ReleaseInputVC(side, vc)
+	}
+}
+
+// sweepBroken dooms resident front packets that can no longer complete and
 // withdraws their outstanding VA grants. Two triggers: the packet is in
 // the broken set (it lost a flit elsewhere), or — when huntDeadGrants is
 // set — its granted downstream channel died under it (a runtime fault
@@ -270,17 +232,17 @@ func (rc *Recovery) VCOccupancy(per *[routing.NumClasses]int32) int {
 // credit state; the baselines lack the mechanism, so a packet granted into
 // a node that dies before it streams wedges its channel (and every channel
 // queued behind it) until the watchdog reports it.
-func (rc *Recovery) SweepBroken(cycle int64, huntDeadGrants bool) {
-	for i, vc := range rc.vcs {
+func (c *Chassis) sweepBroken(huntDeadGrants bool) {
+	for i, vc := range c.VCs {
 		st, ok := vc.FrontState()
 		if !ok {
 			continue
 		}
 		if !st.Doomed {
-			broke := rc.Broken(st.PacketID)
+			broke := c.isBroken(st.PacketID)
 			deadGrant := false
 			if !broke && huntDeadGrants && st.OutVC >= 0 && !st.EjectNext {
-				if ref, refOK := rc.grantRef(i); refOK && ref.Book != nil && !ref.Book.Alive(st.OutVC) {
+				if book, _, refOK := c.grantRef(i); refOK && book != nil && !book.Alive(st.OutVC) {
 					deadGrant = true
 				}
 			}
@@ -295,12 +257,12 @@ func (rc *Recovery) SweepBroken(cycle int64, huntDeadGrants bool) {
 		// downstream claim only if nothing of the packet ever streamed
 		// (otherwise the downstream fragment retires the claim itself).
 		if st.OutVC >= 0 && !st.EjectNext && !st.Cancelled {
-			if ref, refOK := rc.grantRef(i); refOK {
-				if ref.Book != nil {
-					ref.Book.CancelGrant(st.OutVC, i)
+			if book, side, refOK := c.grantRef(i); refOK {
+				if book != nil {
+					book.CancelGrant(st.OutVC, i)
 				}
-				if !st.Streamed && ref.Claimant != nil {
-					ref.Claimant.ReleaseInputVC(ref.Side, st.OutVC)
+				if !st.Streamed {
+					c.releaseClaim(side, st.OutVC)
 				}
 			}
 			vc.CancelFrontGrant()
@@ -308,48 +270,47 @@ func (rc *Recovery) SweepBroken(cycle int64, huntDeadGrants bool) {
 	}
 }
 
-// ReapOrphans force-retires doomed front packet states whose remaining
+// reapOrphans force-retires doomed front packet states whose remaining
 // flits were dropped elsewhere and can never arrive: the packet is broken,
-// none of its flits are buffered here, and the situation has persisted
-// past the in-flight horizon. Without the reap, the fragment state would
-// hold its channel (and the packets queued behind it) forever.
-func (rc *Recovery) ReapOrphans(cycle int64) {
-	for i, vc := range rc.vcs {
+// none of its flits are buffered here or in transit on the feeding link,
+// and the situation has persisted past the in-flight horizon. Without the
+// reap, the fragment state would hold its channel (and the packets queued
+// behind it) forever.
+func (c *Chassis) reapOrphans(cycle int64) {
+	for i, vc := range c.VCs {
 		st, ok := vc.FrontState()
-		if !ok || !st.Doomed || !rc.Broken(st.PacketID) || vc.FrontPacketBuffered() ||
-			(rc.feederBusy != nil && rc.feederBusy(vc.Feeder(), st.PacketID)) {
-			rc.emptySince[i] = -1
+		if !ok || !st.Doomed || !c.isBroken(st.PacketID) || vc.FrontPacketBuffered() ||
+			c.feederBusy(vc.Feeder(), st.PacketID) {
+			c.emptySince[i] = -1
 			continue
 		}
-		if rc.emptySince[i] < 0 {
-			rc.emptySince[i] = cycle
+		if c.emptySince[i] < 0 {
+			c.emptySince[i] = cycle
 			continue
 		}
-		if cycle-rc.emptySince[i] < rc.reapAge {
+		if cycle-c.emptySince[i] < c.reapAge {
 			continue
 		}
 		vc.AbortFront()
-		rc.emptySince[i] = -1
-		if rc.onAbort != nil {
-			rc.onAbort(i)
+		c.emptySince[i] = -1
+		if c.InjVC == i {
+			c.InjVC = -1
 		}
 	}
 }
 
-// SetFeederProbe installs the router's view of its input links: busy(d,
-// pkt) reports whether a flit of packet pkt is still in transit toward the
-// router on side d. ReapOrphans holds the orphan clock while the link
-// feeding a doomed front state still carries its packet — the link FIFO
-// interleaves packets, so on a serialized die-to-die pipe a straggler of
-// the doomed packet can lawfully land many cycles after its predecessor,
-// queued behind other packets' flits. The probe is per-packet, not
-// per-link: a merely busy link (saturated steady-state traffic) must not
-// starve the reap, or the doomed state holds its channel forever and
-// wedges everything queued behind it. Once the pipe carries nothing of the
-// packet, no straggler can ever arrive (upstream fragments of a broken
-// packet drain instead of forwarding), and the clock runs.
-func (rc *Recovery) SetFeederProbe(busy func(topology.Direction, uint64) bool) {
-	rc.feederBusy = busy
+// feederBusy reports whether a flit of packet pkt is still in transit
+// toward the router on side d. The orphan clock holds while it is: the
+// link FIFO interleaves packets, so on a serialized die-to-die pipe a
+// straggler of the doomed packet can lawfully land many cycles after its
+// predecessor, queued behind other packets' flits. The probe is
+// per-packet, not per-link: a merely busy link (saturated steady-state
+// traffic) must not starve the reap, or the doomed state holds its channel
+// forever and wedges everything queued behind it. Once the pipe carries
+// nothing of the packet, no straggler can ever arrive (upstream fragments
+// of a broken packet drain instead of forwarding), and the clock runs.
+func (c *Chassis) feederBusy(d topology.Direction, pkt uint64) bool {
+	return d.IsCardinal() && c.in[d] != nil && c.in[d].Flit.Carries(pkt)
 }
 
 // SetReapHorizon stretches the orphan-reap age for networks whose links can
@@ -359,28 +320,28 @@ func (rc *Recovery) SetFeederProbe(busy func(topology.Direction, uint64) bool) {
 // still arrive would let a straggler land in an idle — or worse, a
 // reclaimed — channel, so the age must exceed the longest lawful quiet
 // interval between straggler deliveries.
-func (rc *Recovery) SetReapHorizon(maxLinkDelay int64) {
-	if age := orphanAge + maxLinkDelay; age > rc.reapAge {
-		rc.reapAge = age
+func (c *Chassis) SetReapHorizon(maxLinkDelay int64) {
+	if age := orphanAge + maxLinkDelay; age > c.reapAge {
+		c.reapAge = age
 	}
 }
 
-// NoteStragglerDrain restarts vc's orphan clock: a flit of its doomed front
-// packet just drained, so more may still be in flight behind it. Without
-// the reset, stragglers trickling over a serialized die-to-die link — each
-// drained the very cycle it lands, leaving the channel unbuffered at every
-// reap scan — would never hold the reap off.
-func (rc *Recovery) NoteStragglerDrain(vc *VC) {
-	if i := vc.granteeIndex(); i >= 0 && i < len(rc.emptySince) {
-		rc.emptySince[i] = -1
+// noteStragglerDrain restarts vc's orphan clock: a flit of its doomed
+// front packet just drained, so more may still be in flight behind it.
+// Without the reset, stragglers trickling over a serialized die-to-die
+// link — each drained the very cycle it lands, leaving the channel
+// unbuffered at every reap scan — would never hold the reap off.
+func (c *Chassis) noteStragglerDrain(vc *VC) {
+	if i := vc.granteeIndex(); i >= 0 && i < len(c.emptySince) {
+		c.emptySince[i] = -1
 	}
 }
 
 // StallScan reports every buffered front packet and how long its front
 // flit has been eligible to move, for the watchdog's diagnostic.
-func (rc *Recovery) StallScan(cycle int64) []StuckFlit {
+func (c *Chassis) StallScan(cycle int64) []StuckFlit {
 	var out []StuckFlit
-	for i, vc := range rc.vcs {
+	for i, vc := range c.VCs {
 		f := vc.Front()
 		if f == nil {
 			continue
@@ -390,7 +351,7 @@ func (rc *Recovery) StallScan(cycle int64) []StuckFlit {
 			age = 0
 		}
 		out = append(out, StuckFlit{
-			Node:     rc.node,
+			Node:     c.Node,
 			VC:       i,
 			PacketID: f.PacketID,
 			Src:      f.Src,

@@ -338,24 +338,94 @@ func (b *BrokenSet) LoadState(d *snapshot.Decoder) {
 	}
 }
 
-// SaveRecoveryState serializes the orphan-reap timers and the severed-port
-// mask (the mutable recovery state; the wiring is rebuilt at construction).
-func (rc *Recovery) SaveRecoveryState(e *snapshot.Encoder) {
-	e.Int(len(rc.emptySince))
-	for _, s := range rc.emptySince {
-		e.I64(s)
+// SaveChannels writes the state every router snapshot opens with: the
+// channels in grantee order, then which output links have a credit book
+// and the books' contents. The policy's own state follows it, and
+// SaveCounters closes the snapshot.
+func (c *Chassis) SaveChannels(e *snapshot.Encoder, codec *flit.Codec) {
+	for _, vc := range c.VCs {
+		vc.SaveState(e, codec)
 	}
-	e.U8(rc.severed)
+	for d := 0; d < TransferLeg; d++ {
+		if c.Books[d] == nil {
+			e.Bool(false)
+			continue
+		}
+		e.Bool(true)
+		c.Books[d].SaveState(e)
+	}
 }
 
-// LoadRecoveryState restores state written by SaveRecoveryState.
-func (rc *Recovery) LoadRecoveryState(d *snapshot.Decoder) {
-	if n := d.SliceLen(8); d.Err() == nil && n != len(rc.emptySince) {
-		d.Corruptf("recovery tracks %d VCs, snapshot had %d", len(rc.emptySince), n)
+// LoadChannels restores state written by SaveChannels; a structural
+// mismatch poisons the decoder.
+func (c *Chassis) LoadChannels(d *snapshot.Decoder, codec *flit.Codec) {
+	for _, vc := range c.VCs {
+		vc.LoadState(d, codec)
+		if d.Err() != nil {
+			return
+		}
+	}
+	for dir := 0; dir < TransferLeg; dir++ {
+		present := d.Bool()
+		if d.Err() != nil {
+			return
+		}
+		if present != (c.Books[dir] != nil) {
+			d.Corruptf("router %d: output book %d presence mismatch", c.Node, dir)
+			return
+		}
+		if present {
+			c.Books[dir].LoadState(d)
+		}
+	}
+}
+
+// SaveInjection writes the injection channel, numbered in the PE port's
+// own namespace (so a per-port router writes a port-local index).
+func (c *Chassis) SaveInjection(e *snapshot.Encoder) {
+	v := c.InjVC
+	if v >= 0 {
+		v -= int(c.sideBase[topology.Local])
+	}
+	e.Int(v)
+}
+
+// LoadInjection restores the injection channel written by SaveInjection.
+func (c *Chassis) LoadInjection(d *snapshot.Decoder) {
+	v := d.Int()
+	if d.Err() == nil && (v < loopbackVC || v >= c.inputVCs) {
+		d.Corruptf("router %d: injection vc %d out of range", c.Node, v)
 		return
 	}
-	for i := range rc.emptySince {
-		rc.emptySince[i] = d.I64()
+	if v >= 0 {
+		v += int(c.sideBase[topology.Local])
 	}
-	rc.severed = d.U8()
+	c.InjVC = v
+}
+
+// SaveCounters writes the state every router snapshot closes with: the
+// activity and contention counters, the orphan-reap timers and the
+// severed-port mask.
+func (c *Chassis) SaveCounters(e *snapshot.Encoder) {
+	c.Act.SaveState(e)
+	c.Cont.SaveState(e)
+	e.Int(len(c.emptySince))
+	for _, s := range c.emptySince {
+		e.I64(s)
+	}
+	e.U8(c.severed)
+}
+
+// LoadCounters restores state written by SaveCounters.
+func (c *Chassis) LoadCounters(d *snapshot.Decoder) {
+	c.Act.LoadState(d)
+	c.Cont.LoadState(d)
+	if n := d.SliceLen(8); d.Err() == nil && n != len(c.emptySince) {
+		d.Corruptf("router %d tracks %d VCs, snapshot had %d", c.Node, len(c.emptySince), n)
+		return
+	}
+	for i := range c.emptySince {
+		c.emptySince[i] = d.I64()
+	}
+	c.severed = d.U8()
 }

@@ -352,7 +352,7 @@ func (v *VC) DrainDoomed() *flit.Flit {
 }
 
 // AbortFront forcibly retires the front packet state as if its tail had
-// popped, releasing its claim slot. Recovery uses it for broken packets
+// popped, releasing its claim slot. Fault recovery uses it for broken packets
 // whose remaining flits were dropped elsewhere and can never arrive; no
 // flit of the packet may still be buffered.
 func (v *VC) AbortFront() {
