@@ -74,7 +74,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 		}
 		r.mirror[m] = arbiter.NewMirror()
 	}
-	r.InitChassis(id, engine, vcs, BufferDepth)
+	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerSet)
 	r.EarlyEject = true
 	// Guided flit queuing: a flit lands in the module of its output.
 	for _, d := range topology.CardinalDirections {
@@ -306,11 +306,10 @@ func (r *Router) allocateSwitch(m Module, cycle int64) {
 	// priority than any real request and never displaces one (Peh-Dally
 	// speculation), so they cannot affect the matching — they are charged
 	// as SAOps only.
-	var readyByDir, specByDir [2]uint64
-	for mm := r.SwitchRequests(r.Alloc().SAReady()&mask, cycle, VCsPerSet, false); mm != 0; mm &= mm - 1 {
-		id := bits.TrailingZeros64(mm)
-		readyByDir[DirSlot(r.VCs[id].OutPort())] |= 1 << uint(id-base)
-	}
+	_, byLeg := r.SwitchRequests(r.Alloc().SAReady()&mask, cycle, false)
+	outs := m.Outputs()
+	readyByDir := [2]uint64{byLeg[outs[0]] >> uint(base), byLeg[outs[1]] >> uint(base)}
+	var specByDir [2]uint64
 	for mm := r.VAFailed & mask; mm != 0; mm &= mm - 1 {
 		id := bits.TrailingZeros64(mm)
 		if op := r.VCs[id].OutPort(); op.IsCardinal() {

@@ -51,7 +51,9 @@ type Config struct {
 	// AuditEvery runs the flit-conservation auditor every AuditEvery cycles
 	// (0 audits only at termination). The auditor asserts that every
 	// generated flit is delivered, dropped, backlogged, buffered, or on a
-	// link — a violated invariant panics with the full breakdown.
+	// link, and that the routers' allocation bitmaps and the hot state
+	// match a recomputation from the channels — a violated invariant
+	// panics with the full breakdown.
 	AuditEvery int64
 	// MaxCycles hard-caps the run (saturation guard). Zero selects a
 	// generous default.

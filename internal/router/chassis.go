@@ -44,8 +44,10 @@ type Chassis struct {
 	Engine *RouteEngine
 	// VCs lists the router's channels in grantee order: channel i is bit i
 	// of every allocation mask, grantee i in the output books, and slot i
-	// of the router's hot-state range.
+	// of the router's hot-state range. It slices vcs, which keeps the
+	// channel pointers in the chassis's own cache lines.
 	VCs []*VC
+	vcs [maxChannels]*VC
 	// Books are the output links' credit books by direction, plus the
 	// internal transfer leg at TransferLeg.
 	Books [TransferLeg + 1]*OutVCBook
@@ -79,6 +81,10 @@ type Chassis struct {
 	in, out    [5]*Conn
 	depth      int // downstream buffer depth the credit books start from
 	noFastPath bool
+	// The switch's crossbar inputs each serve group consecutive channels;
+	// inputBit[i] is channel i's input as a one-hot byte.
+	group    int
+	inputBit [maxChannels]uint8
 
 	// A link arriving on side d addresses channel sideBase[d]+vc for vc <
 	// inputVCs, and may reach only the channels in sideMask[d].
@@ -103,11 +109,12 @@ type Chassis struct {
 	alloc AllocState
 
 	// Per-cycle VA scratch: targReq[b][c] collects the requesters of
-	// downstream channel c through book b, targUsed[b] marks the c with
-	// requesters, vaNext records each requester's look-ahead route, and
-	// claim caches each output's downstream claimable mask for the cycle
-	// (valid where claimOK has the output's bit).
-	targReq  [TransferLeg + 1][maxInputVCs]uint64
+	// downstream channel c through book b (a bitmap over at most
+	// maxChannels requesters), targUsed[b] marks the c with requesters,
+	// vaNext records each requester's look-ahead route, and claim caches
+	// each output's downstream claimable mask for the cycle (valid where
+	// claimOK has the output's bit).
+	targReq  [TransferLeg + 1][maxInputVCs]uint16
 	targUsed [TransferLeg + 1]uint16
 	vaNext   [maxChannels]topology.Direction
 	claim    [4]uint64
@@ -116,13 +123,18 @@ type Chassis struct {
 
 // InitChassis wires the chassis of node's router over its channels, listed
 // in grantee order; depth is the downstream buffer depth the credit books
-// start from. Every link addresses the whole channel list until the policy
-// narrows it (PerPortNamespace, RestrictSide).
-func (c *Chassis) InitChassis(node int, engine *RouteEngine, vcs []*VC, depth int) {
+// start from, and group the number of consecutive channels each crossbar
+// input serves. Every link addresses the whole channel list until the
+// policy narrows it (PerPortNamespace, RestrictSide).
+func (c *Chassis) InitChassis(node int, engine *RouteEngine, vcs []*VC, depth, group int) {
 	if len(vcs) > maxChannels {
 		panic(fmt.Sprintf("router: %d channels exceed the chassis's %d", len(vcs), maxChannels))
 	}
-	c.Node, c.Engine, c.VCs, c.depth = node, engine, vcs, depth
+	c.Node, c.Engine, c.depth, c.group = node, engine, depth, group
+	c.VCs = c.vcs[:copy(c.vcs[:], vcs)]
+	for i := range vcs {
+		c.inputBit[i] = 1 << uint(i/group)
+	}
 	c.InjVC = -1
 	c.inputVCs = len(vcs)
 	all := uint64(1)<<uint(len(vcs)) - 1
@@ -642,7 +654,7 @@ func (c *Chassis) GrantVA() {
 		c.targUsed[b] = 0
 		for uc := used; uc != 0; uc &= uc - 1 {
 			ch := bits.TrailingZeros16(uc)
-			reqs := c.targReq[b][ch]
+			reqs := uint64(c.targReq[b][ch])
 			c.targReq[b][ch] = 0
 			w := c.VAArb[b][ch].GrantMask(reqs)
 			c.VAFailed |= reqs &^ (1 << uint(w))
@@ -669,12 +681,15 @@ func (c *Chassis) claimDownstream(b, ch int) bool {
 // CreditOK reports whether channel i's front flit may stream: it ejects
 // downstream, or the target channel has a free slot and i holds its
 // oldest grant.
-func (c *Chassis) CreditOK(vc *VC, i int) bool {
+func (c *Chassis) CreditOK(vc *VC, i int) bool { return c.creditOK(vc, i, c.leg(i, vc.OutPort())) }
+
+// creditOK is CreditOK for a front packet leaving through leg.
+func (c *Chassis) creditOK(vc *VC, i, leg int) bool {
 	if vc.EjectNext() {
 		return true
 	}
-	book := c.Books[c.leg(i, vc.OutPort())]
-	return book.Credits(vc.OutVC()) > 0 && book.MayStream(vc.OutVC(), i)
+	book, outVC := c.Books[leg], vc.OutVC()
+	return book.Credits(outVC) > 0 && book.MayStream(outVC, i)
 }
 
 // leg returns the crossbar output a packet in channel i routed to out
@@ -687,14 +702,14 @@ func (c *Chassis) leg(i int, out topology.Direction) int {
 }
 
 // SwitchRequests returns the channels among cand whose front flit may bid
-// for the switch this cycle: ready, and clear to stream (skipDoomed also
-// leaves doomed fronts out). It counts a credit stall for each ready
+// for the switch this cycle — ready, and clear to stream (skipDoomed also
+// leaves doomed fronts out) — both as one mask and split by the crossbar
+// output they bid for (see leg). It counts a credit stall for each ready
 // channel without credit, and tallies Figure 3's contention: a crossbar
-// input — an input group, channels id/group — requests an output when it
-// holds such a flit for it, and the request is contended when another
-// input wants the same output this cycle.
-func (c *Chassis) SwitchRequests(cand uint64, cycle int64, group int, skipDoomed bool) uint64 {
-	var ready uint64
+// input requests an output when it holds such a flit for it, and the
+// request is contended when another input wants the same output this
+// cycle.
+func (c *Chassis) SwitchRequests(cand uint64, cycle int64, skipDoomed bool) (ready uint64, byLeg [TransferLeg + 1]uint64) {
 	var desire [TransferLeg + 1]uint8
 	for m := cand; m != 0; m &= m - 1 {
 		id := bits.TrailingZeros64(m)
@@ -702,19 +717,21 @@ func (c *Chassis) SwitchRequests(cand uint64, cycle int64, group int, skipDoomed
 		if !vc.FrontReady(cycle) || skipDoomed && vc.Doomed() {
 			continue
 		}
-		if !c.CreditOK(vc, id) {
+		leg := c.leg(id, vc.OutPort())
+		if !c.creditOK(vc, id, leg) {
 			c.Act.CreditStalls++
 			continue
 		}
 		ready |= 1 << uint(id)
-		desire[c.leg(id, vc.OutPort())] |= 1 << uint(id/group)
+		byLeg[leg] |= 1 << uint(id)
+		desire[leg] |= c.inputBit[id]
 	}
 	for o, inputs := range desire {
 		if n := bits.OnesCount8(inputs); n > 0 {
 			c.countContention(topology.Direction(o), n)
 		}
 	}
-	return ready
+	return ready, byLeg
 }
 
 // countContention tallies n requests for output out, all of them contended
@@ -740,12 +757,13 @@ type Nominee struct {
 	ID, Leg int
 }
 
-// Nominate runs a separable switch allocator's input stage: group g — the
-// size channels from g*size — nominates one of its ready channels through
-// arbs[g]. Heads whose VA failed this cycle bid speculatively in parallel:
-// they are charged as arbitration work but rank below any real request and
-// never displace one (Peh-Dally speculation).
-func (c *Chassis) Nominate(ready uint64, size int, arbs []*arbiter.RoundRobin, nom []Nominee) {
+// Nominate runs a separable switch allocator's input stage: crossbar input
+// g nominates one of its ready channels through arbs[g]. Heads whose VA
+// failed this cycle bid speculatively in parallel: they are charged as
+// arbitration work but rank below any real request and never displace one
+// (Peh-Dally speculation).
+func (c *Chassis) Nominate(ready uint64, arbs []*arbiter.RoundRobin, nom []Nominee) {
+	size := c.group
 	mask := uint64(1)<<uint(size) - 1
 	for g, arb := range arbs {
 		shift := uint(g * size)

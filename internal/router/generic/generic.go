@@ -70,7 +70,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 		r.outArb[p] = arbiter.NewRoundRobin(numPorts)
 		r.VAArb[p] = arbiter.NewRoundRobinSlice(VCsPerPort, numReqs)
 	}
-	r.InitChassis(id, engine, vcs, BufferDepth)
+	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerPort)
 	r.PerPortNamespace(VCsPerPort)
 	return r
 }
@@ -223,9 +223,9 @@ func (r *Router) allocateSwitch(cycle int64) {
 	if saReady == 0 && r.VAFailed == 0 {
 		return
 	}
-	ready := r.SwitchRequests(saReady, cycle, VCsPerPort, false)
+	ready, _ := r.SwitchRequests(saReady, cycle, false)
 	var nom [numPorts]router.Nominee
-	r.Nominate(ready, VCsPerPort, r.inArb[:], nom[:])
+	r.Nominate(ready, r.inArb[:], nom[:])
 	for out := 0; out < numPorts; out++ {
 		var portReq uint64
 		for p := range nom {

@@ -83,7 +83,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 		r.outArb[d] = arbiter.NewRoundRobin(numSets)
 		r.VAArb[d] = arbiter.NewRoundRobinSlice(NumVCs, NumVCs)
 	}
-	r.InitChassis(id, engine, vcs, BufferDepth)
+	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerSet)
 	r.EarlyEject = true
 	return r
 }
@@ -169,9 +169,9 @@ func (r *Router) allocateSwitch(cycle int64) {
 	if saReady == 0 && r.VAFailed == 0 {
 		return
 	}
-	ready := r.SwitchRequests(saReady, cycle, VCsPerSet, false)
+	ready, _ := r.SwitchRequests(saReady, cycle, false)
 	var nom [numSets]router.Nominee
-	r.Nominate(ready, VCsPerSet, r.setArb[:], nom[:])
+	r.Nominate(ready, r.setArb[:], nom[:])
 	for _, out := range topology.CardinalDirections {
 		var reqs uint64
 		for s := range nom {

@@ -110,7 +110,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 	for i := range r.VAArb {
 		r.VAArb[i] = arbiter.NewRoundRobinSlice(NumVCs, NumVCs)
 	}
-	r.InitChassis(id, engine, vcs, BufferDepth)
+	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerPort)
 	for _, d := range topology.CardinalDirections {
 		r.RestrictSide(d, portMask(arrivalPort(d)))
 	}
@@ -252,9 +252,9 @@ func (r *Router) allocateSwitch(cycle int64) {
 	if saReady == 0 && r.VAFailed == 0 {
 		return
 	}
-	ready := r.SwitchRequests(saReady, cycle, VCsPerPort, true)
+	ready, _ := r.SwitchRequests(saReady, cycle, true)
 	var nom [numPorts]router.Nominee
-	r.Nominate(ready, VCsPerPort, r.inArb[:], nom[:])
+	r.Nominate(ready, r.inArb[:], nom[:])
 	// Stage 2: per module output, arbitrate among the module's three ports.
 	for m := 0; m < 2; m++ {
 		for o, leg := range moduleLegs[m] {

@@ -359,10 +359,11 @@ type Config struct {
 	// neighbor handshake is re-propagated, and upstream routers reroute or
 	// drop. Build one by hand or with PoissonFaultSchedule.
 	FaultSchedule []TimedFault
-	// AuditEvery runs the flit-conservation auditor every AuditEvery
-	// cycles during the run (0 audits only at termination, which always
-	// happens). A violation panics: it is a simulator bug, never a legal
-	// outcome.
+	// AuditEvery runs the flit-conservation auditor, which also rechecks
+	// the routers' incrementally maintained allocation and hot state,
+	// every AuditEvery cycles during the run (0 audits only at
+	// termination, which always happens). A violation panics: it is a
+	// simulator bug, never a legal outcome.
 	AuditEvery int64
 	// MaxCycles hard-caps the run (0 = default).
 	MaxCycles int64
