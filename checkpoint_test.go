@@ -8,6 +8,10 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"github.com/rocosim/roco/internal/arbiter"
+	"github.com/rocosim/roco/internal/router"
+	"github.com/rocosim/roco/internal/snapshot"
 )
 
 // ckptTestConfig is a small but fully armed run: runtime faults, the
@@ -144,6 +148,98 @@ func TestSnapshotTruncationEveryByte(t *testing.T) {
 	flipped[len(flipped)/2] ^= 0x40
 	if _, err := Resume(bytes.NewReader(flipped), cfg); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("flipped byte: got %v, want ErrCorruptSnapshot", err)
+	}
+}
+
+// TestSnapshotPackedFieldBounds pins the decoder side of the packed
+// in-memory layout: credit books hold int8 counters and 4-bit grantees in
+// a fixed-size grant FIFO, and arbiters hold byte-sized pointers, while
+// snapshots keep writing plain ints. A stream value the packing cannot
+// hold must poison the decoder as corruption, never panic or wrap around;
+// the value just inside each bound must still load.
+func TestSnapshotPackedFieldBounds(t *testing.T) {
+	book := func(depth, inflight int, grants ...int) func(*snapshot.Encoder) {
+		return func(e *snapshot.Encoder) {
+			e.Int(1) // one downstream channel
+			e.Int(depth)
+			e.Int(inflight)
+			e.Int(len(grants))
+			for _, g := range grants {
+				e.Int(g)
+			}
+		}
+	}
+	grants := func(k int) []int {
+		g := make([]int, k)
+		for i := range g {
+			g[i] = i
+		}
+		return g
+	}
+	loadBook := func(d *snapshot.Decoder) { router.NewOutVCBook(1, 5).LoadState(d) }
+	loadArb := func(d *snapshot.Decoder) {
+		a := arbiter.NewRoundRobin(3)
+		a.LoadState(d)
+	}
+	loadMirror := func(d *snapshot.Decoder) {
+		m := arbiter.NewMirror()
+		m.LoadState(d)
+	}
+	pointer := func(v ...int) func(*snapshot.Encoder) {
+		return func(e *snapshot.Encoder) {
+			for _, x := range v {
+				e.Int(x)
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		write func(*snapshot.Encoder)
+		load  func(*snapshot.Decoder)
+		ok    bool
+	}{
+		{"15 grants fill the FIFO", book(5, 0, grants(15)...), loadBook, true},
+		{"16 grants overflow the FIFO", book(5, 0, grants(16)...), loadBook, false},
+		{"grantee 15", book(5, 0, 15), loadBook, true},
+		{"grantee 16", book(5, 0, 16), loadBook, false},
+		{"negative grantee", book(5, 0, -1), loadBook, false},
+		{"depth 127", book(127, 0), loadBook, true},
+		{"depth 128", book(128, 0), loadBook, false},
+		{"negative depth", book(-1, 0), loadBook, false},
+		{"in flight 127", book(5, 127), loadBook, true},
+		{"in flight 128", book(5, 128), loadBook, false},
+		{"negative in flight", book(5, -1), loadBook, false},
+		{"round-robin pointer 2 of 3", pointer(2), loadArb, true},
+		{"round-robin pointer 3 of 3", pointer(3), loadArb, false},
+		{"round-robin pointer 256 of 3", pointer(256), loadArb, false},
+		{"mirror global pointer 2 of 2", pointer(2, 0), loadMirror, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := snapshot.NewEncoder()
+			tc.write(e)
+			var frame bytes.Buffer
+			if _, err := e.WriteTo(&frame); err != nil {
+				t.Fatal(err)
+			}
+			d, err := snapshot.Read(&frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("decoder panicked: %v", r)
+				}
+			}()
+			tc.load(d)
+			err = d.Finish()
+			if tc.ok && err != nil {
+				t.Fatalf("in-bounds stream refused: %v", err)
+			}
+			if !tc.ok && !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("got %v, want ErrCorruptSnapshot", err)
+			}
+		})
 	}
 }
 

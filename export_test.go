@@ -1,9 +1,12 @@
 package roco
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"github.com/rocosim/roco/internal/metrics"
 )
 
 func TestLatencySweepJSON(t *testing.T) {
@@ -45,6 +48,27 @@ func TestFaultExperimentJSON(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("JSON missing %s:\n%s", want, s)
 		}
+	}
+}
+
+// TestWriteJSONLongTail checks that a run whose latency tail outgrows the
+// quantile histogram still serializes: P95 and P99 report the observed
+// maximum rather than +Inf, which encoding/json rejects.
+func TestWriteJSONLongTail(t *testing.T) {
+	l := metrics.NewLatency()
+	for i := 0; i < 90; i++ {
+		l.Record(40)
+	}
+	for i := 0; i < 10; i++ {
+		l.Record(6000 + int64(i))
+	}
+	res := Result{P95Latency: l.Quantile(0.95), P99Latency: l.Quantile(0.99), MaxLatency: l.Max()}
+	if res.P95Latency != l.Max() || res.P99Latency != l.Max() {
+		t.Fatalf("P95 %v, P99 %v, want both the maximum %v", res.P95Latency, res.P99Latency, l.Max())
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, res); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
 	}
 }
 

@@ -15,38 +15,28 @@ const maskWidth = 64
 // RoundRobin is an n-input round-robin arbiter. The input granted most
 // recently gets the lowest priority in the next round, which provides
 // strong fairness — the same discipline assumed by the paper's separable
-// allocators.
+// allocators. It is two bytes, held by value: a router embeds dozens of
+// arbiters per node, and on big meshes boxing each one in its own heap
+// object costs more than the state it guards.
 type RoundRobin struct {
-	n    int
-	next int // index with highest priority in the next round
+	n    uint8
+	next uint8 // index with highest priority in the next round
 }
 
-// NewRoundRobin returns an arbiter over n request lines.
-func NewRoundRobin(n int) *RoundRobin {
-	if n < 1 {
-		panic("arbiter: round-robin needs at least one input")
-	}
-	return &RoundRobin{n: n}
-}
+// maxLines is the widest arbiter the two-byte layout can describe.
+const maxLines = 255
 
-// NewRoundRobinSlice returns count independent n-input arbiters backed by
-// a single allocation; &s[i] behaves exactly like NewRoundRobin(n).
-// Routers with many arbiters of one shape (e.g. one per (output port,
-// downstream VC) pair) use it to avoid boxing each 16-byte arbiter in its
-// own heap object on big meshes.
-func NewRoundRobinSlice(count, n int) []RoundRobin {
-	if n < 1 {
-		panic("arbiter: round-robin needs at least one input")
+// NewRoundRobin returns an arbiter over n request lines, as a value for
+// the owner to embed.
+func NewRoundRobin(n int) RoundRobin {
+	if n < 1 || n > maxLines {
+		panic("arbiter: round-robin needs 1 to 255 inputs")
 	}
-	s := make([]RoundRobin, count)
-	for i := range s {
-		s[i].n = n
-	}
-	return s
+	return RoundRobin{n: uint8(n)}
 }
 
 // Size returns the number of request lines.
-func (a *RoundRobin) Size() int { return a.n }
+func (a *RoundRobin) Size() int { return int(a.n) }
 
 // GrantMask returns the index of the winning request line in the bitmap
 // req (bit i asserted means line i requests), or -1 when req is zero. The
@@ -63,7 +53,7 @@ func (a *RoundRobin) Size() int { return a.n }
 func (a *RoundRobin) GrantMask(req uint64) int {
 	idx := a.peekMask(req)
 	if idx >= 0 {
-		a.next = idx + 1
+		a.next = uint8(idx) + 1
 		if a.next == a.n {
 			a.next = 0
 		}
@@ -85,10 +75,11 @@ func (a *RoundRobin) peekMask(req uint64) int {
 	if a.n > maskWidth {
 		panic("arbiter: bitmap grant on an arbiter wider than 64 lines")
 	}
-	r := (req >> uint(a.next)) | (req << (uint(a.n) - uint(a.next)))
-	idx := a.next + bits.TrailingZeros64(r)
-	if idx >= a.n {
-		idx -= a.n
+	next, n := int(a.next), int(a.n)
+	r := (req >> uint(next)) | (req << uint(n-next))
+	idx := next + bits.TrailingZeros64(r)
+	if idx >= n {
+		idx -= n
 	}
 	return idx
 }
@@ -112,14 +103,18 @@ type MirrorDecision struct {
 // the mirrored (opposite) direction, which by construction yields a maximal
 // matching. The primary port alternates every round so neither port
 // starves.
+//
+// Like RoundRobin it is held by value (three bytes, the global arbiter
+// inline).
 type Mirror struct {
-	global  *RoundRobin // 2:1 arbiter over the primary port's two directions
-	primary int         // which input port the global decision is made at
+	global  RoundRobin // 2:1 arbiter over the primary port's two directions
+	primary uint8      // which input port the global decision is made at
 }
 
-// NewMirror returns a Mirror allocator for one 2x2 module.
-func NewMirror() *Mirror {
-	return &Mirror{global: NewRoundRobin(2)}
+// NewMirror returns a Mirror allocator for one 2x2 module, as a value for
+// the owner to embed.
+func NewMirror() Mirror {
+	return Mirror{global: NewRoundRobin(2)}
 }
 
 // Allocate computes one allocation round. has[p][d] reports whether input
@@ -128,7 +123,7 @@ func NewMirror() *Mirror {
 // exists among the requests, Allocate finds one.
 func (m *Mirror) Allocate(has [2][2]bool) MirrorDecision {
 	dec := MirrorDecision{OutWinner: [2]int{-1, -1}}
-	p := m.primary
+	p := int(m.primary)
 	q := 1 - p
 
 	// Global arbitration happens only at the primary port: pick its

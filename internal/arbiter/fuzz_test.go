@@ -82,7 +82,7 @@ func FuzzGrantMask(f *testing.F) {
 			if gotG, wantG := fast.GrantMask(req), ref.grant(slice); gotG != wantG {
 				t.Fatalf("n=%d round=%d req=%#x: grant fast=%d ref=%d", n, round, req, gotG, wantG)
 			}
-			if fast.next != ref.next {
+			if int(fast.next) != ref.next {
 				t.Fatalf("n=%d round=%d req=%#x: pointer fast=%d ref=%d", n, round, req, fast.next, ref.next)
 			}
 		}

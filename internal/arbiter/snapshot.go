@@ -3,7 +3,7 @@ package arbiter
 import "github.com/rocosim/roco/internal/snapshot"
 
 // SaveState serializes the priority pointer.
-func (a *RoundRobin) SaveState(e *snapshot.Encoder) { e.Int(a.next) }
+func (a *RoundRobin) SaveState(e *snapshot.Encoder) { e.Int(int(a.next)) }
 
 // LoadState restores a priority pointer written by SaveState; an index
 // outside the arbiter's range poisons the decoder.
@@ -12,18 +12,18 @@ func (a *RoundRobin) LoadState(d *snapshot.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	if next < 0 || next >= a.n {
+	if next < 0 || next >= int(a.n) {
 		d.Corruptf("round-robin pointer %d out of range [0,%d)", next, a.n)
 		return
 	}
-	a.next = next
+	a.next = uint8(next)
 }
 
 // SaveState serializes the mirror allocator: its global arbiter pointer
 // and the primary-port toggle.
 func (m *Mirror) SaveState(e *snapshot.Encoder) {
 	m.global.SaveState(e)
-	e.Int(m.primary)
+	e.Int(int(m.primary))
 }
 
 // LoadState restores mirror state written by SaveState.
@@ -37,5 +37,5 @@ func (m *Mirror) LoadState(d *snapshot.Decoder) {
 		d.Corruptf("mirror primary %d", p)
 		return
 	}
-	m.primary = p
+	m.primary = uint8(p)
 }

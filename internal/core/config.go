@@ -204,6 +204,17 @@ func ConfigFor(alg routing.Algorithm) VCConfig {
 	return cfg
 }
 
+// tables holds every routing algorithm's Table 1 row, indexed by the
+// algorithm. Routers point into it instead of copying the row, so a run
+// keeps one copy per algorithm rather than one per node; nothing writes
+// to it after initialisation.
+var tables = func() (t [len(routing.Algorithms)]VCConfig) {
+	for _, alg := range routing.Algorithms {
+		t[alg] = ConfigFor(alg)
+	}
+	return t
+}()
+
 // ClassFor maps the dimension transition of a packet to the channel class
 // it must occupy. Under XY-YX routing, Y-first packets ride tyx-class
 // channels for their whole X leg (they "switched from Y to X"), keeping the

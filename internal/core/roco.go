@@ -18,12 +18,13 @@ import (
 type Router struct {
 	router.Chassis
 
-	cfg VCConfig
+	// cfg is the run's shared, read-only Table 1 row (see tables).
+	cfg *VCConfig
 
-	saArb  [2][2][2]*arbiter.RoundRobin
-	mirror [2]*arbiter.Mirror
-	outArb [2][2]*arbiter.RoundRobin // separable fallback: per (module, port) nomination
-	outSel [2][2]*arbiter.RoundRobin // separable fallback: per (module, direction) selection
+	saArb  [2][2][2]arbiter.RoundRobin
+	mirror [2]arbiter.Mirror
+	outArb [2][2]arbiter.RoundRobin // separable fallback: per (module, port) nomination
+	outSel [2][2]arbiter.RoundRobin // separable fallback: per (module, direction) selection
 
 	// disableMirror replaces the Mirroring-Effect allocator with a plain
 	// separable output stage (one 2:1 arbiter per output, no mirrored
@@ -55,14 +56,14 @@ func moduleVCMask(m Module) uint64 {
 // New returns a RoCo router for the given node, configured per Table 1 for
 // the engine's routing algorithm.
 func New(id int, engine *router.RouteEngine) *Router {
-	r := &Router{cfg: ConfigFor(engine.Algorithm())}
+	r := &Router{cfg: &tables[engine.Algorithm()]}
 	vcs := make([]*router.VC, NumVCs)
 	for v := range vcs {
 		vcs[v] = engine.NewVC(v, BufferDepth)
 		vcs[v].Class = r.cfg.Class[v]
 	}
 	for _, d := range topology.CardinalDirections {
-		r.VAArb[d] = arbiter.NewRoundRobinSlice(NumVCs, NumVCs)
+		r.SizeVAArb(int(d), NumVCs, NumVCs)
 	}
 	for m := 0; m < 2; m++ {
 		for p := 0; p < 2; p++ {
@@ -87,9 +88,9 @@ func New(id int, engine *router.RouteEngine) *Router {
 // separable output stage. Call before traffic flows; ablation use only.
 func (r *Router) DisableMirror() { r.disableMirror = true }
 
-// Config exposes the router's Table 1 VC configuration (tests and the
-// Table 1 experiment read it).
-func (r *Router) Config() VCConfig { return r.cfg }
+// Config returns a copy of the router's Table 1 VC configuration (tests
+// and the Table 1 experiment read it).
+func (r *Router) Config() VCConfig { return *r.cfg }
 
 // ApplyFault reacts to a permanent fault per the Hardware Recycling table:
 // RC failures are absorbed by downstream double routing, buffer failures by

@@ -12,10 +12,8 @@ import (
 // nothing across cycle boundaries.
 func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
 	r.SaveChannels(e, c)
-	for _, arbs := range r.VAArb {
-		for i := range arbs {
-			arbs[i].SaveState(e)
-		}
+	for b := range r.VAArb {
+		r.SaveVAArb(e, b)
 	}
 	for m := 0; m < 2; m++ {
 		for p := 0; p < 2; p++ {
@@ -44,10 +42,8 @@ func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 	if r.LoadChannels(d, c); d.Err() != nil {
 		return
 	}
-	for _, arbs := range r.VAArb {
-		for i := range arbs {
-			arbs[i].LoadState(d)
-		}
+	for b := range r.VAArb {
+		r.LoadVAArb(d, b)
 	}
 	for m := 0; m < 2; m++ {
 		for p := 0; p < 2; p++ {

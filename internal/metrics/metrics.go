@@ -40,8 +40,16 @@ func (l *Latency) StdDev() float64 { return l.run.StdDev() }
 // Max returns the largest observed latency.
 func (l *Latency) Max() float64 { return l.run.Max() }
 
-// Quantile returns an upper bound on the q-quantile latency.
-func (l *Latency) Quantile(q float64) float64 { return l.hist.Quantile(q) }
+// Quantile returns an upper bound on the q-quantile latency. When the
+// quantile falls past the histogram's last bucket it returns the observed
+// maximum: still an upper bound, and unlike the histogram's +Inf it
+// survives JSON encoding.
+func (l *Latency) Quantile(q float64) float64 {
+	if v := l.hist.Quantile(q); !math.IsInf(v, 1) {
+		return v
+	}
+	return l.run.Max()
+}
 
 // Completion tracks offered versus delivered packets; its ratio is the
 // paper's packet completion probability.

@@ -21,6 +21,27 @@ func TestLatencyStats(t *testing.T) {
 	}
 }
 
+// TestLatencyQuantilePastHistogram pins the tail past the 4096-cycle
+// histogram: a quantile that falls beyond its last bucket reports the
+// observed maximum, which still bounds it from above, instead of +Inf.
+func TestLatencyQuantilePastHistogram(t *testing.T) {
+	l := NewLatency()
+	for i := 0; i < 90; i++ {
+		l.Record(50)
+	}
+	for i := 0; i < 10; i++ { // 10% of the samples lie past 4095 cycles
+		l.Record(5000 + int64(i)*100)
+	}
+	for _, q := range []float64{0.95, 0.99} {
+		if got := l.Quantile(q); math.IsInf(got, 0) || got != l.Max() {
+			t.Errorf("Quantile(%v) = %v, want the maximum %v", q, got, l.Max())
+		}
+	}
+	if got := l.Quantile(0.5); got != 51 {
+		t.Errorf("median = %v, want the in-range bucket bound 51", got)
+	}
+}
+
 func TestCompletionProbability(t *testing.T) {
 	if p := (Completion{Generated: 100, Delivered: 75}).Probability(); p != 0.75 {
 		t.Errorf("completion = %v", p)

@@ -170,7 +170,7 @@ func (n *Network) stepActive() {
 				if n.connMark[c] == t {
 					continue
 				}
-				conn := n.conns[c]
+				conn := &n.conns[c]
 				if n.isLong != nil && n.isLong[c] {
 					// Multi-cycle D2D pipe: staged traffic moves it onto the
 					// persistent advance list instead of the one-shot path;
@@ -232,7 +232,7 @@ func (n *Network) advanceLongConns() {
 	}
 	w := 0
 	for _, c := range n.longActive {
-		conn := n.conns[c]
+		conn := &n.conns[c]
 		conn.Advance()
 		if conn.Flit.Readable() {
 			n.nextActiveBits.Set(n.links[c].down)

@@ -232,7 +232,8 @@ type link struct {
 }
 
 // pe is the processing element attached to one router: an infinite source
-// queue of segmented packets plus delivery bookkeeping.
+// queue of segmented packets plus delivery bookkeeping. The network keeps
+// its PEs in one slice.
 type pe struct {
 	id  int
 	gen traffic.Generator
@@ -240,7 +241,7 @@ type pe struct {
 	// (XY-vs-YX under O1TURN, adaptive seeding). Splitting one stream per
 	// PE from the user seed keeps generation deterministic regardless of
 	// how the mesh is sharded.
-	mode *stats.RNG
+	mode stats.RNG
 	// backlog[head:] holds the flits awaiting injection, across packets in
 	// order. Consuming by index instead of re-slicing keeps the front
 	// capacity alive, so once drained the array is reset and reused —
@@ -265,8 +266,8 @@ type Network struct {
 	topo    topology.Topology
 	engine  *router.RouteEngine
 	routers []router.Router
-	pes     []*pe
-	conns   []*router.Conn
+	pes     []pe
+	conns   []router.Conn // one per directed link, parallel to links
 	gens    []traffic.Generator
 	rng     *stats.RNG
 
@@ -454,15 +455,26 @@ func New(cfg Config) *Network {
 	}
 
 	// Wire every directed link with a Conn; size credit books from the
-	// downstream router's (possibly fault-degraded) VC depths.
+	// downstream router's (possibly fault-degraded) VC depths. The Conns
+	// live in one slice, sized by a first pass so it never moves: the
+	// routers hold pointers into it.
+	nlinks := 0
+	for id := 0; id < nodes; id++ {
+		for _, d := range topology.CardinalDirections {
+			if _, ok := cfg.Topo.Neighbor(id, d); ok {
+				nlinks++
+			}
+		}
+	}
+	n.conns = make([]router.Conn, nlinks)
+	n.links = make([]link, 0, nlinks)
 	for id := 0; id < nodes; id++ {
 		for _, d := range topology.CardinalDirections {
 			nb, ok := cfg.Topo.Neighbor(id, d)
 			if !ok {
 				continue
 			}
-			conn := &router.Conn{}
-			n.conns = append(n.conns, conn)
+			conn := &n.conns[len(n.links)]
 			from := d.Opposite()
 			down := n.routers[nb]
 			depths := make([]int, down.NumInputVCs(from))
@@ -568,9 +580,9 @@ func New(cfg Config) *Network {
 	// Traffic generators, one independent stream per node.
 	n.gens = traffic.New(cfg.Traffic, cfg.Topo, n.rng.Split(0x726166666963)) // "raffic"
 	modeBase := n.rng.Split(0x6d6f6465)                                      // "mode"
-	n.pes = make([]*pe, nodes)
+	n.pes = make([]pe, nodes)
 	for id := range n.pes {
-		n.pes[id] = &pe{id: id, gen: n.gens[id], mode: modeBase.Split(uint64(id))}
+		n.pes[id] = pe{id: id, gen: n.gens[id], mode: *modeBase.Split(uint64(id))}
 	}
 
 	n.nextAudit = math.MaxInt64
@@ -703,7 +715,8 @@ func (n *Network) generate() {
 		return
 	}
 	fpp := n.cfg.Traffic.FlitsPerPacket
-	for _, p := range n.pes {
+	for i := range n.pes {
+		p := &n.pes[i]
 		if n.generated >= n.targetPackets() {
 			break
 		}
@@ -802,7 +815,8 @@ func (n *Network) inject() {
 	if n.backlogFlits == 0 {
 		return
 	}
-	for _, p := range n.pes {
+	for i := range n.pes {
+		p := &n.pes[i]
 		// Flits of packets already broken by an in-flight loss will never
 		// be accepted; discard them so the source queue keeps draining.
 		// (Unroutable heads drain with their whole packet below, so the
@@ -873,7 +887,7 @@ func (n *Network) retransmitDue() {
 				SrcSeq:    e.Seq,
 				Origin:    e.Origin,
 			}
-			p := n.pes[e.Src]
+			p := &n.pes[e.Src]
 			p.backlog = flit.AppendSegment(p.backlog, pkt, n.poolFor(e.Src))
 			// The copy's flits are new in the conservation ledger (the
 			// originals were already accounted as dropped), but not new
@@ -912,8 +926,8 @@ func (n *Network) stepReference() {
 	n.retransmitDue()
 	n.tickColors(n.cycle)
 	n.inject()
-	for _, c := range n.conns {
-		c.Advance()
+	for i := range n.conns {
+		n.conns[i].Advance()
 	}
 	n.finishCycle()
 }
@@ -1117,8 +1131,8 @@ func (n *Network) audit() {
 			buffered += int64(r.BufferedFlits())
 		}
 	}
-	for _, c := range n.conns {
-		inPipes += int64(c.Flit.Occupancy())
+	for i := range n.conns {
+		inPipes += int64(n.conns[i].Flit.Occupancy())
 	}
 	total := n.delFlitsAll + n.dropFlitsAll + n.backlogFlits + buffered + inPipes
 	if total != n.genFlits {

@@ -99,7 +99,8 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 
 	traffic.SaveState(e, n.gens)
 	e.Int(len(n.pes))
-	for _, p := range n.pes {
+	for i := range n.pes {
+		p := &n.pes[i]
 		p.mode.SaveState(e)
 		pending := p.backlog[p.head:]
 		e.Int(len(pending))
@@ -112,8 +113,8 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 		r.SaveState(e, c)
 	}
 	e.Int(len(n.conns))
-	for _, conn := range n.conns {
-		conn.SaveState(e, c)
+	for i := range n.conns {
+		n.conns[i].SaveState(e, c)
 	}
 }
 
@@ -214,7 +215,8 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 		return
 	}
 	var backlog int64
-	for _, p := range n.pes {
+	for i := range n.pes {
+		p := &n.pes[i]
 		p.mode.LoadState(d)
 		k := d.SliceLen(8)
 		if d.Err() != nil {
@@ -243,8 +245,8 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 		d.Corruptf("snapshot has %d links, config built %d", nc, len(n.conns))
 		return
 	}
-	for _, conn := range n.conns {
-		conn.LoadState(d, c)
+	for i := range n.conns {
+		n.conns[i].LoadState(d, c)
 		if d.Err() != nil {
 			return
 		}
@@ -270,8 +272,8 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 	for _, r := range n.routers {
 		buffered += int64(r.BufferedFlits())
 	}
-	for _, conn := range n.conns {
-		inPipes += int64(conn.Flit.Occupancy())
+	for i := range n.conns {
+		inPipes += int64(n.conns[i].Flit.Occupancy())
 	}
 	if total := n.delFlitsAll + n.dropFlitsAll + n.backlogFlits + buffered + inPipes; total != n.genFlits {
 		d.Corruptf("flit conservation violated on load: generated %d, accounted %d", n.genFlits, total)

@@ -54,8 +54,8 @@ type Chassis struct {
 	// Neighbors are the routers reached through each output.
 	Neighbors [5]Router
 	// VAArb holds one arbiter per (book, downstream channel) for the VA
-	// output stage; the policy sizes them.
-	VAArb [TransferLeg + 1][]arbiter.RoundRobin
+	// output stage, inline; the policy sizes the ones its books use.
+	VAArb [TransferLeg + 1][maxInputVCs]arbiter.RoundRobin
 	// VAFailed marks the channels whose VC allocation failed this cycle;
 	// their parallel switch requests were speculative.
 	VAFailed uint64
@@ -162,6 +162,13 @@ func (c *Chassis) PerPortNamespace(n int) {
 	for d := range c.sideBase {
 		c.sideBase[d] = uint8(d * n)
 		c.sideMask[d] = (uint64(1)<<uint(n) - 1) << uint(d*n)
+	}
+}
+
+// SizeVAArb gives book b's first count VA arbiters n request lines each.
+func (c *Chassis) SizeVAArb(b, count, n int) {
+	for i := range c.VAArb[b][:count] {
+		c.VAArb[b][i] = arbiter.NewRoundRobin(n)
 	}
 }
 
@@ -762,10 +769,11 @@ type Nominee struct {
 // failed this cycle bid speculatively in parallel: they are charged as
 // arbitration work but rank below any real request and never displace one
 // (Peh-Dally speculation).
-func (c *Chassis) Nominate(ready uint64, arbs []*arbiter.RoundRobin, nom []Nominee) {
+func (c *Chassis) Nominate(ready uint64, arbs []arbiter.RoundRobin, nom []Nominee) {
 	size := c.group
 	mask := uint64(1)<<uint(size) - 1
-	for g, arb := range arbs {
+	for g := range arbs {
+		arb := &arbs[g]
 		shift := uint(g * size)
 		req := ready >> shift & mask
 		spec := c.VAFailed >> shift & mask &^ req

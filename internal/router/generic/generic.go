@@ -44,8 +44,8 @@ type Router struct {
 
 	torus topology.Toroidal // non-nil when running a torus (flat or multi-chip)
 
-	inArb  [numPorts]*arbiter.RoundRobin
-	outArb [numPorts]*arbiter.RoundRobin
+	inArb  [numPorts]arbiter.RoundRobin
+	outArb [numPorts]arbiter.RoundRobin
 
 	// vaRotate is each channel's rotating first-fit cursor for the VA
 	// input stage.
@@ -68,7 +68,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 		}
 		r.inArb[p] = arbiter.NewRoundRobin(VCsPerPort)
 		r.outArb[p] = arbiter.NewRoundRobin(numPorts)
-		r.VAArb[p] = arbiter.NewRoundRobinSlice(VCsPerPort, numReqs)
+		r.SizeVAArb(p, VCsPerPort, numReqs)
 	}
 	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerPort)
 	r.PerPortNamespace(VCsPerPort)

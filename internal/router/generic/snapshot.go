@@ -14,9 +14,7 @@ func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
 	for p := 0; p < numPorts; p++ {
 		r.inArb[p].SaveState(e)
 		r.outArb[p].SaveState(e)
-		for v := range r.VAArb[p] {
-			r.VAArb[p][v].SaveState(e)
-		}
+		r.SaveVAArb(e, p)
 	}
 	r.SaveInjection(e)
 	e.Bool(r.Dead)
@@ -35,9 +33,7 @@ func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 	for p := 0; p < numPorts; p++ {
 		r.inArb[p].LoadState(d)
 		r.outArb[p].LoadState(d)
-		for v := range r.VAArb[p] {
-			r.VAArb[p][v].LoadState(d)
-		}
+		r.LoadVAArb(d, p)
 	}
 	r.LoadInjection(d)
 	r.Dead = d.Bool()

@@ -65,8 +65,8 @@ func groupFor(q routing.Quadrant, from topology.Direction) int {
 type Router struct {
 	router.Chassis
 
-	setArb [numSets]*arbiter.RoundRobin // SA stage 1: one 3:1 arbiter per set
-	outArb [5]*arbiter.RoundRobin       // SA stage 2: 2:1 per output
+	setArb [numSets]arbiter.RoundRobin // SA stage 1: one 3:1 arbiter per set
+	outArb [5]arbiter.RoundRobin       // SA stage 2: 2:1 per output
 }
 
 // New returns a Path-Sensitive router for the given node.
@@ -81,7 +81,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 	}
 	for _, d := range topology.CardinalDirections {
 		r.outArb[d] = arbiter.NewRoundRobin(numSets)
-		r.VAArb[d] = arbiter.NewRoundRobinSlice(NumVCs, NumVCs)
+		r.SizeVAArb(int(d), NumVCs, NumVCs)
 	}
 	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerSet)
 	r.EarlyEject = true

@@ -16,9 +16,7 @@ func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
 	}
 	for _, d := range topology.CardinalDirections {
 		r.outArb[d].SaveState(e)
-		for i := range r.VAArb[d] {
-			r.VAArb[d][i].SaveState(e)
-		}
+		r.SaveVAArb(e, int(d))
 	}
 	r.SaveInjection(e)
 	e.Bool(r.Dead)
@@ -36,9 +34,7 @@ func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 	}
 	for _, dir := range topology.CardinalDirections {
 		r.outArb[dir].LoadState(d)
-		for i := range r.VAArb[dir] {
-			r.VAArb[dir][i].LoadState(d)
-		}
+		r.LoadVAArb(d, int(dir))
 	}
 	r.LoadInjection(d)
 	r.Dead = d.Bool()

@@ -77,8 +77,8 @@ func arrivalPort(from topology.Direction) int {
 type Router struct {
 	router.Chassis
 
-	inArb  [numPorts]*arbiter.RoundRobin         // per input port (2:1)
-	outArb [2][numOutsPerMod]*arbiter.RoundRobin // per module output (3:1)
+	inArb  [numPorts]arbiter.RoundRobin         // per input port (2:1)
+	outArb [2][numOutsPerMod]arbiter.RoundRobin // per module output (3:1)
 }
 
 // xModuleMask covers the X-module's channels (fromE, fromW, fromPE) in the
@@ -107,8 +107,8 @@ func New(id int, engine *router.RouteEngine) *Router {
 			r.outArb[m][o] = arbiter.NewRoundRobin(3)
 		}
 	}
-	for i := range r.VAArb {
-		r.VAArb[i] = arbiter.NewRoundRobinSlice(NumVCs, NumVCs)
+	for b := range r.VAArb {
+		r.SizeVAArb(b, NumVCs, NumVCs)
 	}
 	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerPort)
 	for _, d := range topology.CardinalDirections {

@@ -20,10 +20,8 @@ func (r *Router) SaveState(e *snapshot.Encoder, c *flit.Codec) {
 			r.outArb[m][o].SaveState(e)
 		}
 	}
-	for i := range r.VAArb {
-		for j := range r.VAArb[i] {
-			r.VAArb[i][j].SaveState(e)
-		}
+	for b := range r.VAArb {
+		r.SaveVAArb(e, b)
 	}
 	r.SaveInjection(e)
 	e.Bool(r.Dead)
@@ -45,10 +43,8 @@ func (r *Router) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 			r.outArb[m][o].LoadState(d)
 		}
 	}
-	for i := range r.VAArb {
-		for j := range r.VAArb[i] {
-			r.VAArb[i][j].LoadState(d)
-		}
+	for b := range r.VAArb {
+		r.LoadVAArb(d, b)
 	}
 	r.LoadInjection(d)
 	r.Dead = d.Bool()

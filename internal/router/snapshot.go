@@ -173,37 +173,57 @@ func (v *VC) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 }
 
 // SaveState serializes the output book's credit and grant-order state.
-// Depths are runtime state too: fault handshakes rewrite them live.
+// Depths are runtime state too: fault handshakes rewrite them live. The
+// stream stays canonical — plain ints, one grantee at a time — whatever
+// the in-memory packing.
 func (b *OutVCBook) SaveState(e *snapshot.Encoder) {
-	e.Int(len(b.depths))
-	for vc := range b.depths {
+	e.Int(int(b.n))
+	for vc := 0; vc < int(b.n); vc++ {
 		e.Int(int(b.depths[vc]))
 		e.Int(int(b.inflight[vc]))
-		e.Int(len(b.order[vc]))
-		for _, g := range b.order[vc] {
-			e.Int(g)
+		q := b.order[vc]
+		e.Int(q.count())
+		for i := 0; i < q.count(); i++ {
+			e.Int(q.at(i))
 		}
 	}
 }
 
-// LoadState restores a book written by SaveState; a size mismatch poisons
-// the decoder.
+// LoadState restores a book written by SaveState; a size mismatch, or a
+// value the packed layout cannot hold, poisons the decoder.
 func (b *OutVCBook) LoadState(d *snapshot.Decoder) {
-	if n := d.SliceLen(16); d.Err() == nil && n != len(b.depths) {
-		d.Corruptf("output book tracks %d VCs, snapshot had %d", len(b.depths), n)
+	if n := d.SliceLen(16); d.Err() == nil && n != int(b.n) {
+		d.Corruptf("output book tracks %d VCs, snapshot had %d", b.n, n)
 		return
 	}
-	for vc := range b.depths {
-		b.depths[vc] = int32(d.Int())
-		b.inflight[vc] = int32(d.Int())
+	for vc := 0; vc < int(b.n); vc++ {
+		depth, inflight := d.Int(), d.Int()
 		k := d.SliceLen(8)
 		if d.Err() != nil {
 			return
 		}
-		b.order[vc] = b.order[vc][:0]
-		for j := 0; j < k; j++ {
-			b.order[vc] = append(b.order[vc], d.Int())
+		if depth < 0 || depth > maxBookDepth || inflight < 0 || inflight > maxBookDepth {
+			d.Corruptf("output book vc %d: depth %d, in flight %d outside [0,%d]", vc, depth, inflight, maxBookDepth)
+			return
 		}
+		if k > grantCap {
+			d.Corruptf("output book vc %d queues %d grants, at most %d fit", vc, k, grantCap)
+			return
+		}
+		b.depths[vc], b.inflight[vc] = int8(depth), int8(inflight)
+		var q grantFIFO
+		for j := 0; j < k; j++ {
+			g := d.Int()
+			if d.Err() != nil {
+				return
+			}
+			if g < 0 || g > maxGrantee {
+				d.Corruptf("output book vc %d: grantee %d outside [0,%d]", vc, g, maxGrantee)
+				return
+			}
+			q = q.push(g)
+		}
+		b.order[vc] = q
 	}
 	b.resyncAlive()
 }
@@ -376,6 +396,24 @@ func (c *Chassis) LoadChannels(d *snapshot.Decoder, codec *flit.Codec) {
 		}
 		if present {
 			c.Books[dir].LoadState(d)
+		}
+	}
+}
+
+// SaveVAArb writes book b's VA arbiters, the ones the policy sized.
+func (c *Chassis) SaveVAArb(e *snapshot.Encoder, b int) {
+	for i := range c.VAArb[b] {
+		if a := &c.VAArb[b][i]; a.Size() > 0 {
+			a.SaveState(e)
+		}
+	}
+}
+
+// LoadVAArb restores arbiters written by SaveVAArb.
+func (c *Chassis) LoadVAArb(d *snapshot.Decoder, b int) {
+	for i := range c.VAArb[b] {
+		if a := &c.VAArb[b][i]; a.Size() > 0 {
+			a.LoadState(d)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/routing"
@@ -56,41 +57,28 @@ type pktState struct {
 // may hold the tail of one packet and the head of the next; the states
 // list tracks per-packet routing state in the same order. Only the front
 // packet participates in allocation.
+//
+// The byte-sized fields and the hot-state slot sit together at the end so
+// they share one word: a node holds a dozen channels, and the layout keeps
+// each at 112 bytes.
 type VC struct {
 	// Index is the VC's identity inside its router's VC namespace; it is
 	// what upstream routers place into flit.VC.
 	Index int
-	// Class is the semantic path-set class of the channel (dx, dy, txy,
-	// tyx, Injxy, Injyx) for the RoCo router; baseline routers leave the
-	// zero value.
-	Class routing.Turn
 	// Depth is the buffer capacity in flits.
 	Depth int
-
-	// Faulty marks a failed buffer operating under virtual queuing: the
-	// channel degrades to a single bypass latch (capacity 1) and every
-	// flit passing through pays the handshake penalty.
-	Faulty bool
 	// FaultPenalty is the extra cycles a flit spends before becoming
 	// SA-ready in a faulty channel.
 	FaultPenalty int64
 
-	// condemned poisons the channel after a live fault kills its datapath:
-	// every resident packet is doomed and every future arrival's state
-	// opens already doomed, so in-flight wormholes drain instead of
-	// wedging.
-	condemned bool
-
-	claims      int // packets admitted whose tails have not yet popped
-	claimFeeder topology.Direction
-	states      []pktState
-	queue       []*flit.Flit
+	claims int // packets admitted whose tails have not yet popped
+	states []pktState
+	queue  []*flit.Flit
 
 	// hot/slot bind the channel into the network-wide struct-of-arrays
 	// mirror (see HotState); nil/0 for unbound channels. Every queue or
 	// states mutation funnels through syncHot so the mirror stays exact.
-	hot  *HotState
-	slot int32
+	hot *HotState
 
 	// alloc/abit bind the channel into its router's allocation bitmaps
 	// (see AllocState); nil/0 for unbound channels. Queue/states mutations
@@ -98,6 +86,22 @@ type VC struct {
 	// syncAlloc/syncClaim directly.
 	alloc *AllocState
 	abit  uint64
+
+	// Class is the semantic path-set class of the channel (dx, dy, txy,
+	// tyx, Injxy, Injyx) for the RoCo router; baseline routers leave the
+	// zero value.
+	Class routing.Turn
+	// Faulty marks a failed buffer operating under virtual queuing: the
+	// channel degrades to a single bypass latch (capacity 1) and every
+	// flit passing through pays the handshake penalty.
+	Faulty bool
+	// condemned poisons the channel after a live fault kills its datapath:
+	// every resident packet is doomed and every future arrival's state
+	// opens already doomed, so in-flight wormholes drain instead of
+	// wedging.
+	condemned   bool
+	claimFeeder topology.Direction
+	slot        int32
 }
 
 // NewVC returns an idle channel of the given index and depth.
@@ -521,39 +525,95 @@ func (v *VC) SwitchReady(cycle int64) bool {
 // tail has been sent — younger grants wait, so flits of back-to-back
 // packets never interleave on the link and the shared downstream FIFO
 // stays in order.
+//
+// A book is a single 128-byte allocation: a node holds one per output,
+// so on big meshes its layout is a visible share of the footprint. The
+// fixed arrays cover the widest namespace a link addresses (maxInputVCs
+// channels), the counters are int8, and each channel's grant FIFO is one
+// word (see grantFIFO). The packing relies on bounds the chassis
+// guarantees: a book tracks at most 12 channels, grantees are channel
+// indexes below 16, depths are at most 127 flits, and at most
+// MaxPacketsPerChannel (8) grants queue per channel, since each is backed
+// by a claim on that channel.
 type OutVCBook struct {
-	// depths and inflight are int32: a book exists per output port per
-	// node, so halving the credit arrays is a measurable part of the
-	// big-mesh memory diet (values are flit counts, far below 2^31).
-	depths   []int32
-	inflight []int32 // flits sent into the channel, credits not yet returned
-	order    [][]int // per channel: FIFO of local grantee VC indexes
+	depths   [maxInputVCs]int8
+	inflight [maxInputVCs]int8 // flits sent into the channel, credits not yet returned
+	n        uint8             // channels tracked
 	// alive caches Alive(vc) as a bitmap (bit vc set iff depths[vc] > 0)
 	// so VA candidate masking is one AND instead of a per-channel load.
-	// Maintained by SetDepth and rebuilt on snapshot load; downstream VC
-	// namespaces are at most 15 wide, far inside the 64-bit budget.
-	alive uint64
+	// Maintained by SetDepth and rebuilt on snapshot load.
+	alive uint16
+	order [maxInputVCs]grantFIFO
+}
+
+// grantFIFO is one downstream channel's queue of local grantees: 4-bit
+// grantee indexes, oldest in the low nibble, with the queue length in the
+// top nibble. Slots past the length are kept zero.
+type grantFIFO uint64
+
+const (
+	granteeBits = 4
+	// maxGrantee bounds the grantee indexes a FIFO slot holds.
+	maxGrantee = 1<<granteeBits - 1
+	// grantCap is how many grants one FIFO holds: every nibble below the
+	// length nibble.
+	grantCap   = 64/granteeBits - 1
+	lenShift   = grantCap * granteeBits
+	grantsMask = grantFIFO(1)<<lenShift - 1
+	// maxBookDepth bounds a downstream channel's depth, and so its
+	// in-flight count, to the int8 counters.
+	maxBookDepth = math.MaxInt8
+)
+
+// The packing's structural bounds, checked at compile time: every channel
+// index fits a grantee slot, a channel's claims fit its FIFO, and a
+// namespace fits the alive bitmap.
+var (
+	_ [maxGrantee + 1 - maxChannels]struct{}
+	_ [grantCap - MaxPacketsPerChannel]struct{}
+	_ [16 - maxInputVCs]struct{}
+)
+
+// count returns the number of queued grants.
+func (q grantFIFO) count() int { return int(q >> lenShift) }
+
+// at returns the i-th oldest grantee.
+func (q grantFIFO) at(i int) int { return int((q >> (granteeBits * uint(i))) & maxGrantee) }
+
+// push appends grantee g; it panics past grantCap.
+func (q grantFIFO) push(g int) grantFIFO {
+	n := q.count()
+	if n == grantCap {
+		panic(fmt.Sprintf("router: grant FIFO overflow: %d grants queued", n))
+	}
+	return (q + 1<<lenShift) | grantFIFO(g)<<(granteeBits*uint(n))
+}
+
+// remove drops the i-th oldest grantee, closing the gap.
+func (q grantFIFO) remove(i int) grantFIFO {
+	shift := granteeBits * uint(i)
+	low := q & (1<<shift - 1)
+	high := ((q & grantsMask) >> (shift + granteeBits)) << shift
+	return grantFIFO(q.count()-1)<<lenShift | high | low
 }
 
 // NewOutVCBook returns a book for n downstream VCs of the given depth.
 func NewOutVCBook(n, depth int) *OutVCBook {
-	b := &OutVCBook{
-		depths:   make([]int32, n),
-		inflight: make([]int32, n),
-		order:    make([][]int, n),
+	if n < 0 || n > maxInputVCs {
+		panic(fmt.Sprintf("router: output book of %d VCs exceeds %d", n, maxInputVCs))
 	}
-	for i := range b.depths {
-		b.depths[i] = int32(depth)
+	b := &OutVCBook{n: uint8(n)}
+	for vc := 0; vc < n; vc++ {
+		b.SetDepth(vc, depth)
 	}
-	b.resyncAlive()
 	return b
 }
 
 // resyncAlive rebuilds the alive bitmap from the depths.
 func (b *OutVCBook) resyncAlive() {
 	b.alive = 0
-	for vc, d := range b.depths {
-		if d > 0 && vc < 64 {
+	for vc, d := range b.depths[:b.n] {
+		if d > 0 {
 			b.alive |= 1 << uint(vc)
 		}
 	}
@@ -566,56 +626,68 @@ func (b *OutVCBook) resyncAlive() {
 // stays consistent: outstanding flits keep returning their credits and
 // available credit is simply recomputed against the new depth.
 func (b *OutVCBook) SetDepth(vc, depth int) {
-	if depth < 0 {
-		panic("router: negative VC depth")
+	if depth < 0 || depth > maxBookDepth {
+		panic(fmt.Sprintf("router: VC depth %d outside [0,%d]", depth, maxBookDepth))
 	}
-	b.depths[vc] = int32(depth)
-	if vc < 64 {
-		if depth > 0 {
-			b.alive |= 1 << uint(vc)
-		} else {
-			b.alive &^= 1 << uint(vc)
-		}
+	b.depths[b.index(vc)] = int8(depth)
+	if depth > 0 {
+		b.alive |= 1 << uint(vc)
+	} else {
+		b.alive &^= 1 << uint(vc)
 	}
 }
 
+// index bounds-checks vc against the channels tracked (the fixed arrays
+// would otherwise accept any index below maxInputVCs).
+func (b *OutVCBook) index(vc int) int {
+	if uint(vc) >= uint(b.n) {
+		panic(fmt.Sprintf("router: downstream vc %d outside a %d-VC book", vc, b.n))
+	}
+	return vc
+}
+
 // Size returns the number of downstream VCs tracked.
-func (b *OutVCBook) Size() int { return len(b.depths) }
+func (b *OutVCBook) Size() int { return int(b.n) }
 
 // Alive reports whether downstream VC vc is usable at all.
 func (b *OutVCBook) Alive(vc int) bool { return b.depths[vc] > 0 }
 
 // AliveMask returns the usable downstream channels as a bitmap (bit vc
 // set iff Alive(vc)); VA request building ANDs it into candidate masks.
-func (b *OutVCBook) AliveMask() uint64 { return b.alive }
+func (b *OutVCBook) AliveMask() uint64 { return uint64(b.alive) }
 
 // EnqueueGrant records a local VA grant of downstream channel vc to the
-// local channel grantee; grants stream in FIFO order.
+// local channel grantee; grants stream in FIFO order. It panics when the
+// grantee does not fit a FIFO slot or the FIFO is full.
 func (b *OutVCBook) EnqueueGrant(vc, grantee int) {
-	b.order[vc] = append(b.order[vc], grantee)
+	if uint(grantee) > maxGrantee {
+		panic(fmt.Sprintf("router: grantee %d exceeds %d", grantee, maxGrantee))
+	}
+	vc = b.index(vc)
+	b.order[vc] = b.order[vc].push(grantee)
 }
 
 // MayStream reports whether grantee holds the oldest outstanding grant of
 // vc and may therefore send flits into it.
 func (b *OutVCBook) MayStream(vc, grantee int) bool {
 	q := b.order[vc]
-	return len(q) > 0 && q[0] == grantee
+	return q.count() > 0 && q.at(0) == grantee
 }
 
 // QueuedGrants returns the number of outstanding local grants of vc; VA
 // uses it to spread load across equivalent channels instead of piling
 // packets onto the first claimable one.
-func (b *OutVCBook) QueuedGrants(vc int) int { return len(b.order[vc]) }
+func (b *OutVCBook) QueuedGrants(vc int) int { return b.order[vc].count() }
 
 // Credits returns the remaining buffer slots of vc: its (possibly
 // fault-reduced) depth minus the flits in flight. A live depth reduction
 // below the current occupancy reads as zero until enough credits return.
 func (b *OutVCBook) Credits(vc int) int {
-	c := b.depths[vc] - b.inflight[vc]
+	c := int(b.depths[vc]) - int(b.inflight[vc])
 	if c < 0 {
 		return 0
 	}
-	return int(c)
+	return c
 }
 
 // CancelGrant withdraws grantee's oldest outstanding grant of vc, letting
@@ -623,10 +695,9 @@ func (b *OutVCBook) Credits(vc int) int {
 // is doomed. Reports whether a grant was found.
 func (b *OutVCBook) CancelGrant(vc, grantee int) bool {
 	q := b.order[vc]
-	for i, g := range q {
-		if g == grantee {
-			copy(q[i:], q[i+1:])
-			b.order[vc] = q[:len(q)-1]
+	for i := 0; i < q.count(); i++ {
+		if q.at(i) == grantee {
+			b.order[vc] = q.remove(i)
 			return true
 		}
 	}
@@ -641,12 +712,10 @@ func (b *OutVCBook) Send(vc int, tail bool) {
 	}
 	b.inflight[vc]++
 	if tail {
-		q := b.order[vc]
-		if len(q) == 0 {
+		if b.order[vc].count() == 0 {
 			panic(fmt.Sprintf("router: tail sent into unallocated downstream vc %d", vc))
 		}
-		copy(q, q[1:])
-		b.order[vc] = q[:len(q)-1]
+		b.order[vc] = b.order[vc].remove(0)
 	}
 }
 
@@ -662,7 +731,7 @@ func (b *OutVCBook) ReturnCredit(vc int) {
 // adaptive cost function uses it as its congestion signal.
 func (b *OutVCBook) FreeSlots() int {
 	total := 0
-	for vc := range b.depths {
+	for vc := 0; vc < int(b.n); vc++ {
 		total += b.Credits(vc)
 	}
 	return total

@@ -89,13 +89,23 @@ func New(cfg Config, topo topology.Topology, rng *stats.RNG) []Generator {
 	if cfg.Rate < 0 {
 		panic("traffic: negative rate")
 	}
-	gens := make([]Generator, topo.Nodes())
+	nodes := topo.Nodes()
+	gens := make([]Generator, nodes)
+	// The Bernoulli patterns keep every node's generator in one slice.
+	var bern []bernoulliGen
+	bernoulli := func(n int, r *stats.RNG, prob float64, dst int, pick func(*bernoulliGen) int) Generator {
+		if bern == nil {
+			bern = make([]bernoulliGen, nodes)
+		}
+		bern[n] = bernoulliGen{rng: *r, prob: prob, src: n, nodes: nodes, dst: dst, frac: cfg.HotspotFraction, pick: pick}
+		return &bern[n]
+	}
 	for n := range gens {
 		nodeRNG := rng.Split(uint64(n))
 		pktProb := cfg.Rate / float64(cfg.FlitsPerPacket)
 		switch cfg.Pattern {
 		case Uniform:
-			gens[n] = &bernoulliGen{src: n, prob: pktProb, rng: nodeRNG, pick: uniformPicker(n, topo.Nodes())}
+			gens[n] = bernoulli(n, nodeRNG, pktProb, 0, pickUniform)
 		case Transpose:
 			c := topo.Coord(n)
 			// Diagonal nodes map to themselves; on non-square grids, nodes
@@ -104,30 +114,20 @@ func New(cfg Config, topo topology.Topology, rng *stats.RNG) []Generator {
 				gens[n] = silentGen{}
 				break
 			}
-			dst := topo.ID(topology.Coord{X: c.Y, Y: c.X})
-			gens[n] = &bernoulliGen{src: n, prob: pktProb, rng: nodeRNG, pick: func(*stats.RNG) int { return dst }}
+			gens[n] = bernoulli(n, nodeRNG, pktProb, topo.ID(topology.Coord{X: c.Y, Y: c.X}), pickFixed)
 		case BitComplement:
-			dst := topo.Nodes() - 1 - n
+			dst := nodes - 1 - n
 			if dst == n {
 				gens[n] = silentGen{}
 				break
 			}
-			gens[n] = &bernoulliGen{src: n, prob: pktProb, rng: nodeRNG, pick: func(*stats.RNG) int { return dst }}
+			gens[n] = bernoulli(n, nodeRNG, pktProb, dst, pickFixed)
 		case Hotspot:
-			hot := cfg.HotspotNode
-			frac := cfg.HotspotFraction
-			uni := uniformPicker(n, topo.Nodes())
-			pick := func(r *stats.RNG) int {
-				if hot != n && r.Bernoulli(frac) {
-					return hot
-				}
-				return uni(r)
-			}
-			gens[n] = &bernoulliGen{src: n, prob: pktProb, rng: nodeRNG, pick: pick}
+			gens[n] = bernoulli(n, nodeRNG, pktProb, cfg.HotspotNode, pickHotspot)
 		case SelfSimilar:
-			gens[n] = newSelfSimilar(n, pktProb, topo.Nodes(), nodeRNG)
+			gens[n] = newSelfSimilar(n, pktProb, nodes, nodeRNG)
 		case MPEG2:
-			gens[n] = newMPEG2(n, pktProb, topo.Nodes(), nodeRNG)
+			gens[n] = newMPEG2(n, pktProb, nodes, nodeRNG)
 		default:
 			panic(fmt.Sprintf("traffic: unknown pattern %d", cfg.Pattern))
 		}
@@ -142,28 +142,51 @@ func (silentGen) NextPacket(int64) (int, bool) { return 0, false }
 
 // uniformPicker draws uniformly among all nodes except src.
 func uniformPicker(src, nodes int) func(*stats.RNG) int {
-	return func(r *stats.RNG) int {
-		d := r.Intn(nodes - 1)
-		if d >= src {
-			d++
-		}
-		return d
-	}
+	return func(r *stats.RNG) int { return uniformDraw(r, src, nodes) }
 }
 
-// bernoulliGen creates a packet each cycle with fixed probability.
+// uniformDraw draws uniformly among all nodes except src.
+func uniformDraw(r *stats.RNG, src, nodes int) int {
+	d := r.Intn(nodes - 1)
+	if d >= src {
+		d++
+	}
+	return d
+}
+
+// bernoulliGen creates a packet each cycle with fixed probability and
+// picks its destination with pick. It holds its RNG by value and its
+// picker as a plain function, so a node's generator is one object.
 type bernoulliGen struct {
-	src  int
+	rng  stats.RNG
 	prob float64
-	rng  *stats.RNG
-	pick func(*stats.RNG) int
+	// src and nodes frame the uniform draw; dst is the fixed destination
+	// (or the hot node, chosen with probability frac).
+	src, nodes, dst int
+	frac            float64
+	pick            func(*bernoulliGen) int
 }
 
 func (g *bernoulliGen) NextPacket(int64) (int, bool) {
 	if !g.rng.Bernoulli(g.prob) {
 		return 0, false
 	}
-	return g.pick(g.rng), true
+	return g.pick(g), true
+}
+
+// pickUniform draws uniformly among all nodes except the source.
+func pickUniform(g *bernoulliGen) int { return uniformDraw(&g.rng, g.src, g.nodes) }
+
+// pickFixed returns the generator's fixed destination (transpose,
+// bit-complement).
+func pickFixed(g *bernoulliGen) int { return g.dst }
+
+// pickHotspot sends to the hot node with probability frac, else uniformly.
+func pickHotspot(g *bernoulliGen) int {
+	if g.dst != g.src && g.rng.Bernoulli(g.frac) {
+		return g.dst
+	}
+	return pickUniform(g)
 }
 
 // selfSimilar is a bounded-Pareto ON/OFF source. During ON periods the node

@@ -27,6 +27,11 @@ go test -race ./internal/network ./internal/router/... ./internal/core
 # on every seed (extended exploration is manual:
 # `go test -fuzz=FuzzGrantMask ./internal/arbiter`).
 go test -race -run '^FuzzGrantMask$' ./internal/arbiter
+# The same for the packed credit book: FuzzOutVCBook's committed corpus
+# (internal/router/testdata/fuzz) replays credit, grant and snapshot
+# sequences against a slice-based reference book
+# (`go test -fuzz=FuzzOutVCBook ./internal/router` explores further).
+go test -race -run '^FuzzOutVCBook$' ./internal/router
 # Smoke the end-to-end benchmark (its own module, so ./... skips it):
 # statistics tests plus every workload at smoke scale, traced and untraced.
 (cd cmd/rocoperf && go test .)
