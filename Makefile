@@ -21,7 +21,8 @@ test:
 	go test ./...
 
 # The documentation gate alone (also part of `make check`): package
-# comments, exported-identifier docs, live markdown links.
+# comments, exported-identifier docs, live markdown links, and markdown
+# code references that name declared identifiers.
 doccheck:
 	sh scripts/doccheck.sh
 

@@ -5,26 +5,23 @@
 // retransmission launches and fault installation. Only pipes with staged
 // traffic advance.
 //
-// The kernel runs on packed state rather than per-router objects: every
-// channel's occupancy and dormancy is mirrored into the shared
-// router.HotState arrays, the active sets are uint64 bitsets, and channels
-// are slab-allocated with lazy buffer backing. The per-color tick scan is
-// then a word-wise sweep of activeBits∧colorMask, and the post-tick wake
-// scan reads one packed counter per router instead of virtually
-// dispatching into its channel objects.
+// The active sets are uint64 bitsets and channels are slab-allocated with
+// lazy buffer backing. The per-color tick scan is a word-wise sweep of
+// activeBits∧colorMask, and the post-tick wake scan asks each ticked
+// router Idle(), which reads the busy mask its channels keep in
+// router.AllocState: one word compare, no per-channel walk.
 //
 // Bit-identity with the reference kernel (stepReference) holds because a
 // skipped tick is a pure no-op except for the effects Router.SkipCycles
-// replays at wake-up, and because the packed structures are mirrors,
-// never sources of truth that diverge:
+// replays at wake-up:
 //
 //   - The tick order is canonical: within a color phase the bitset sweep
 //     visits ids ascending, which is precisely the order sched[c][s]
 //     lists them in.
-//   - The sleep decision is exact: HotState.RouterBusy(id) mirrors
-//     !router.Idle(), because every router kind defines Idle as "all
-//     channels dormant" and every channel queue/states mutation updates
-//     the mirror inline (router.VC.syncHot).
+//   - The sleep decision is exact: Idle() is "all channels dormant", and
+//     every channel queue/states mutation updates its busy bit inline
+//     (router.VC.syncAlloc); the auditor recomputes the mask from the
+//     channels.
 //   - Wakes cover every cycle that would do work: a router with staged
 //     input, returned credits, an accepted injection or a fault strike is
 //     in the active set for the cycle that consumes it.
@@ -32,8 +29,8 @@
 // Sharding is a parameter of the kernel, not a variant: shards are
 // contiguous id ranges, and each (color, shard) cell sweeps only its
 // slice of the bitset (see parallel.go). Snapshots stay kernel-canonical:
-// the hot state is derived, never serialized, and LoadState rebuilds it
-// with HotState.Resync after the routers restore (see snapshot.go).
+// the busy mask is derived, never serialized, and each channel's
+// LoadState rebuilds its bit (see snapshot.go).
 package network
 
 import (
@@ -45,9 +42,8 @@ import (
 
 // initGated builds the gated kernel's state after the mesh is wired and
 // the schedule built: the per-shard flit pools and scratch lists, the
-// settle and conn-mark clocks, the channel hot-state mirror, the activity
-// bitsets, the per-color schedule masks, the shard id ranges, and the CSR
-// adjacency.
+// settle and conn-mark clocks, the activity bitsets, the per-color
+// schedule masks, the shard id ranges, and the CSR adjacency.
 func (n *Network) initGated(nodes int) {
 	n.pools = make([]*flit.Pool, n.shards)
 	for i := range n.pools {
@@ -65,11 +61,6 @@ func (n *Network) initGated(nodes int) {
 
 	n.activeBits = router.NewBitset(nodes)
 	n.nextActiveBits = router.NewBitset(nodes)
-
-	n.hot = router.NewHotState(nodes)
-	for _, r := range n.routers {
-		r.BindHot(n.hot)
-	}
 
 	// CSR adjacency: conn indexes touching each node, in ascending conn
 	// index order, flattened into two arrays.
@@ -131,11 +122,6 @@ func (n *Network) wakeNow(id int) {
 	}
 }
 
-// HotState exposes the packed channel mirror (nil under the reference
-// kernel); tests assert its transition invariants against the routers'
-// virtual state.
-func (n *Network) HotState() *router.HotState { return n.hot }
-
 // stepActive is the activity-gated cycle loop: faults, generation,
 // retransmission, color-phased ticks of the active routers, injection,
 // the conn wake scan, the active-set swap, graveyard recycling, and the
@@ -151,7 +137,7 @@ func (n *Network) stepActive() {
 	n.inject()
 
 	// Wake scan: a ticked router stays active while any of its channels
-	// is non-dormant (one packed counter read). All pipe staging happens
+	// is non-dormant (one mask read). All pipe staging happens
 	// inside router ticks, so only conns touching a ticked router can
 	// carry traffic: advance exactly those, and wake each half-channel's
 	// reader so the staged content is consumed next cycle (a flit wakes
@@ -162,7 +148,7 @@ func (n *Network) stepActive() {
 	for s := range n.shardTicked {
 		ticked := n.shardTicked[s]
 		for _, id := range ticked {
-			if n.hot.RouterBusy(id) {
+			if !n.routers[id].Idle() {
 				n.nextActiveBits.Set(id)
 			}
 			for k := n.adjOff[id]; k < n.adjOff[id+1]; k++ {

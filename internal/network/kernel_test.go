@@ -68,9 +68,9 @@ func poissonFaults(seed uint64, mean float64, horizon int64) func(*Config) {
 // bit-identical Results — same latency histogram, same per-router activity
 // counters, same fault log. A divergence means a router was left asleep
 // through a cycle that would have done work, SkipCycles mis-replayed an
-// idle tick, the hot-state mirror drifted from the routers' own state (a
-// missed syncHot path), or the bitset sweep ticked a different set or
-// order than the canonical schedule.
+// idle tick, a router's busy mask drifted from its channels (a missed
+// syncAlloc path), or the bitset sweep ticked a different set or order
+// than the canonical schedule.
 //
 // The rows cover 4 router kinds × 3 seeds, Poisson runtime faults, the
 // XY-YX and adaptive algorithms (whose cost scan and mode flip read
@@ -160,11 +160,13 @@ func TestSoAKernelMatchesReferenceReliable(t *testing.T)      { runEquivalence(t
 func TestSoAKernelSharded(t *testing.T)                       { runEquivalence(t) }
 
 // TestSoAHotStateMirrorsRouters is the transition-invariant probe behind
-// the packed hot state: at every cycle boundary of a faulty mid-load run,
-// it must agree with the routers' own virtual answers — RouterBusy(id) ==
-// !Idle(id) (dormant→active on injection or fault strike, active→dormant
-// on drain, with no missed edge in either direction) and BufferedFlits
-// from the occupancy array equal to the router's channel sweep.
+// the gated kernel's sleep decision (the name is kept from the
+// struct-of-arrays mirror the busy masks replaced): at every cycle
+// boundary of a faulty mid-load run, each router's AuditAlloc must find
+// its busy mask — what Idle() reads — equal to a recount of its channels'
+// dormancy (dormant→busy on injection or fault strike, busy→dormant on
+// drain, with no missed edge in either direction), and an idle router
+// must hold no flit.
 func TestSoAHotStateMirrorsRouters(t *testing.T) {
 	cfg := kernelConfig(rocoBuilder, 13)
 	cfg.Schedule = fault.NewSchedule([]fault.Event{
@@ -172,23 +174,20 @@ func TestSoAHotStateMirrorsRouters(t *testing.T) {
 		{Cycle: 240, Fault: fault.Fault{Node: 36, Component: fault.Buffer, Module: fault.ColumnModule, VC: 1}},
 	})
 	n := New(cfg)
-	hs := n.HotState()
-	if hs == nil {
-		t.Fatal("gated network has no hot state")
-	}
 	nodes := cfg.Topo.Nodes()
 	sawBusy, sawDrained := false, false
 	for step := 0; step < 600; step++ {
 		n.Step()
 		for id := 0; id < nodes; id++ {
-			busy := hs.RouterBusy(id)
-			if idle := n.Router(id).Idle(); busy == idle {
-				t.Fatalf("cycle %d: hot state says router %d busy=%v but Idle()=%v", n.Cycle(), id, busy, idle)
+			r := n.Router(id)
+			if err := r.AuditAlloc(); err != nil {
+				t.Fatalf("cycle %d: %v", n.Cycle(), err)
 			}
-			if got, want := hs.BufferedFlits(id), n.Router(id).BufferedFlits(); got != want {
-				t.Fatalf("cycle %d: hot occupancy of router %d is %d, router says %d", n.Cycle(), id, got, want)
+			idle := r.Idle()
+			if idle && r.BufferedFlits() != 0 {
+				t.Fatalf("cycle %d: router %d is idle with %d flits buffered", n.Cycle(), id, r.BufferedFlits())
 			}
-			if busy {
+			if !idle {
 				sawBusy = true
 			} else if sawBusy {
 				sawDrained = true
@@ -196,7 +195,7 @@ func TestSoAHotStateMirrorsRouters(t *testing.T) {
 		}
 	}
 	if !sawBusy || !sawDrained {
-		t.Fatalf("probe saw no dormant→active→dormant transition (busy=%v drained=%v); workload too idle", sawBusy, sawDrained)
+		t.Fatalf("probe saw no dormant→busy→dormant transition (busy=%v drained=%v); workload too idle", sawBusy, sawDrained)
 	}
 }
 
@@ -231,7 +230,7 @@ func loadedAllocConfig() Config {
 // bitset sweeps over an empty active set must not touch the heap at all.
 // Loaded, after warm-up has faulted in every lazy channel buffer and
 // filled the flit pools and worklists, flits recycle through the pools and
-// the hot-state updates are pure array writes, so Step allocates nothing
+// the bitmap updates are pure word writes, so Step allocates nothing
 // either. The Step* names guard the sequential kernel, the SoAStep* names
 // the sharded one (Shards=4, Workers=2).
 

@@ -51,9 +51,9 @@ type Config struct {
 	// AuditEvery runs the flit-conservation auditor every AuditEvery cycles
 	// (0 audits only at termination). The auditor asserts that every
 	// generated flit is delivered, dropped, backlogged, buffered, or on a
-	// link, and that the routers' allocation bitmaps and the hot state
-	// match a recomputation from the channels — a violated invariant
-	// panics with the full breakdown.
+	// link, and that the routers' allocation and dormancy bitmaps match a
+	// recomputation from the channels — a violated invariant panics with
+	// the full breakdown.
 	AuditEvery int64
 	// MaxCycles hard-caps the run (saturation guard). Zero selects a
 	// generous default.
@@ -333,7 +333,6 @@ type Network struct {
 	// Activity-gated kernel state (see gated.go and DESIGN.md "Simulation
 	// kernel"). Unused in ReferenceKernel mode; pools stays nil there so
 	// flits are freshly allocated exactly as the pre-gating kernel did.
-	// hot is the packed mirror of every channel's occupancy and dormancy;
 	// activeBits/nextActiveBits are the routers ticking this cycle and the
 	// wakes accumulated for the next; colorMask and shardLo turn the
 	// canonical schedule into word-wise bitset sweeps; adjOff/adjList is
@@ -344,7 +343,6 @@ type Network struct {
 	shardTicked    [][]int      // scratch: routers ticked this Step, per shard
 	advance        []int        // scratch: conns with staged traffic this Step
 	connMark       []int64      // last cycle each conn was marked for advance
-	hot            *router.HotState
 	activeBits     router.Bitset
 	nextActiveBits router.Bitset
 	colorMask      []router.Bitset
@@ -620,9 +618,6 @@ func New(cfg Config) *Network {
 	}
 	return n
 }
-
-// Engine exposes the route engine (tests use it).
-func (n *Network) Engine() *router.RouteEngine { return n.engine }
 
 // Router exposes one router (tests use it).
 func (n *Network) Router(id int) router.Router { return n.routers[id] }
@@ -1115,21 +1110,15 @@ func (n *Network) propagateHandshake(node int) {
 
 // audit asserts flit conservation: every generated flit is accounted for as
 // delivered, dropped, awaiting injection, buffered in a router, or in
-// flight on a link. It then recomputes the incrementally maintained
-// derived state — each router's allocation bitmaps and, under the gated
-// kernel, the packed hot-state mirror — from the channels. A violation is
-// a simulator bug (a flit was silently lost or double-counted, or a
-// mutation skipped its mirror update) and panics with the breakdown.
+// flight on a link. It then recomputes each router's incrementally
+// maintained allocation and dormancy bitmaps from its channels. A
+// violation is a simulator bug (a flit was silently lost or
+// double-counted, or a mutation skipped its bitmap update) and panics with
+// the breakdown.
 func (n *Network) audit() {
 	var buffered, inPipes int64
-	if n.hot != nil {
-		// One linear sweep over the packed occupancy array; equal to the
-		// per-router virtual sweep by the hot-state maintenance invariant.
-		buffered = n.hot.TotalBuffered()
-	} else {
-		for _, r := range n.routers {
-			buffered += int64(r.BufferedFlits())
-		}
+	for _, r := range n.routers {
+		buffered += int64(r.BufferedFlits())
 	}
 	for i := range n.conns {
 		inPipes += int64(n.conns[i].Flit.Occupancy())
@@ -1142,11 +1131,6 @@ func (n *Network) audit() {
 	}
 	for _, r := range n.routers {
 		if err := r.AuditAlloc(); err != nil {
-			panic(fmt.Sprintf("network: derived state violated at cycle %d: %v", n.cycle, err))
-		}
-	}
-	if n.hot != nil {
-		if err := n.hot.Audit(); err != nil {
 			panic(fmt.Sprintf("network: derived state violated at cycle %d: %v", n.cycle, err))
 		}
 	}
@@ -1322,13 +1306,11 @@ type WindowPoint struct {
 // RunWindows executes the configured simulation while splitting delivered-
 // packet statistics into fixed-width windows, for time-series views of
 // warm-up convergence and traffic burstiness. It must be called instead of
-// Run, before any stepping.
+// Run, before any stepping; it runs Run's loop with a per-cycle hook, so
+// the Result is Run's.
 func (n *Network) RunWindows(windowCycles int64) (Result, []WindowPoint) {
 	if windowCycles < 1 {
 		panic("network: window width must be >= 1")
-	}
-	if n.cfg.WarmupPackets == 0 && !n.measuring {
-		n.beginMeasurement()
 	}
 	var points []WindowPoint
 	cur := WindowPoint{StartCycle: n.cycle}
@@ -1345,41 +1327,22 @@ func (n *Network) RunWindows(windowCycles int64) (Result, []WindowPoint) {
 	lastCount := n.latency.Count()
 	lastSum := n.latency.Average() * float64(lastCount)
 	lastDropped := n.dropFlitsAll
-	saturated := false
-	for {
-		n.Step()
+	res, _ := n.RunHooked(func() bool {
 		count := n.latency.Count()
 		sum := n.latency.Average() * float64(count)
 		cur.Delivered += count - lastCount
 		cur.Dropped += n.dropFlitsAll - lastDropped
 		latSum += sum - lastSum
 		lastCount, lastSum, lastDropped = count, sum, n.dropFlitsAll
-
 		if n.cycle-cur.StartCycle >= windowCycles {
 			flush()
 			cur = WindowPoint{StartCycle: n.cycle}
 			latSum = 0
 		}
-		if n.generated >= n.targetPackets() {
-			if n.drained() {
-				break
-			}
-			last := n.lastProgress
-			if last < n.measureStart {
-				last = n.measureStart
-			}
-			if n.cycle-last > n.cfg.InactivityLimit {
-				n.watchdog = n.buildWatchdog()
-				break
-			}
-		}
-		if n.cycle >= n.cfg.MaxCycles {
-			saturated = true
-			break
-		}
-	}
+		return false
+	})
 	flush()
-	return n.collect(saturated), points
+	return res, points
 }
 
 // Traces returns the sampled packet journeys (empty without TraceEvery).

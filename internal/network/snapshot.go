@@ -285,8 +285,6 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 	// everything once; idle routers fall back out of the active set
 	// immediately, re-converging to the original run's set with identical
 	// state (an idle tick and a skipped-then-settled cycle are equivalent).
-	// Then rebuild the derived hot-state mirror, which the routers'
-	// LoadState bypassed.
 	if n.gatedKernel() {
 		n.activeBits.SetFirst(len(n.routers))
 		n.nextActiveBits.ClearAll()
@@ -296,7 +294,6 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 		for i := range n.connMark {
 			n.connMark[i] = -1
 		}
-		n.hot.Resync()
 	}
 }
 

@@ -186,7 +186,7 @@ func TestCheckpointCrossKernelResume(t *testing.T) {
 	}
 
 	// Sequential gated snapshot, reference resume: the settle-before-save
-	// plus the derived (never serialized) hot state keep the byte stream
+	// plus the derived (never serialized) busy masks keep the byte stream
 	// identical to the reference kernel's.
 	_, _, frame = runCheckpointed(t, ckptConfig(rocoBuilder, seed, true))
 	resumed, _ = resume(t, ref, frame)

@@ -7,23 +7,26 @@ import (
 	"github.com/rocosim/roco/internal/topology"
 )
 
-// AllocState holds a router's allocation-stage request bitmaps: one bit
-// per channel, in the same flat grantee-index order as Chassis.VCs (and
-// therefore the output books and hot-state slots). The masks are exact
-// incremental mirrors of the per-VC predicates the VA/SA loops used to
-// evaluate channel by channel — NeedsVA, the routed half of SwitchReady,
-// and Claimable — maintained by the same mutation funnel that keeps the
-// hot-state occupancy mirror consistent (syncAlloc runs inside syncHot)
-// plus explicit hooks on the mutators that change routing state without
-// touching the queue (GrantRoute, GrantEject, Doom). A router's per-cycle
-// request building then starts from a bit test instead of a predicate
-// call per channel.
+// AllocState holds a router's per-channel bitmaps: one bit per channel,
+// in the same flat grantee-index order as Chassis.VCs (and therefore the
+// output books). The masks are exact incremental mirrors of per-VC
+// predicates — NeedsVA, the routed half of SwitchReady, Claimable, and
+// !Dormant — maintained by the channel mutators themselves: every queue
+// and packet-state mutation ends in syncAlloc, routing-state mutations
+// (GrantRoute, GrantEject, Doom) call it too, and claim mutations call
+// syncClaim. A router's per-cycle request building then starts from a bit
+// test instead of a predicate call per channel, and its dormancy is one
+// word compare.
 //
 // What the masks deliberately do NOT capture is anything that changes
 // without a VC mutator running: flit ReadyAt stamps (checked live through
 // VC.FrontReady), downstream credits, and look-ahead routes. Those stay
 // per-cycle work; the masks only prune which channels that work runs for.
 type AllocState struct {
+	// busy: the channel holds a buffered flit or resident packet state
+	// (!Dormant). The router is idle exactly when busy is zero, which is
+	// what the gated kernel's sleep decision reads.
+	busy uint64
 	// needVA: the front flit is a head still awaiting a downstream grant
 	// and the packet is not doomed — exactly the channels the VA request
 	// loop admits (NeedsVA() && !Doomed()).
@@ -59,10 +62,14 @@ func (a *AllocState) Claimable(from topology.Direction) uint64 {
 
 // bindAlloc wires the channel into the router's allocation bitmaps as bit
 // idx and seeds its bits from current state. Called by InitChassis, which
-// owns the canonical flat channel order.
+// owns the canonical flat channel order. A channel belongs to one router:
+// binding it twice would leave the first router's masks stale.
 func (v *VC) bindAlloc(a *AllocState, idx int) {
 	if idx >= 64 {
 		panic(fmt.Sprintf("router: channel %d beyond the 64-bit allocation mask", idx))
+	}
+	if v.alloc != nil {
+		panic(fmt.Sprintf("router: channel %d already bound to a router", v.Index))
 	}
 	v.alloc = a
 	v.abit = 1 << uint(idx)
@@ -80,13 +87,17 @@ func (v *VC) granteeIndex() int {
 	return bits.TrailingZeros64(v.abit)
 }
 
-// syncAlloc recomputes the channel's needVA and saReady bits after a
-// queue, states, or front-packet routing mutation. No-op for channels not
-// bound to a router (bare unit-test VCs).
+// syncAlloc recomputes the channel's busy, needVA and saReady bits after
+// a queue, states, or front-packet routing mutation. No-op for channels
+// not bound to a router (bare unit-test VCs).
 func (v *VC) syncAlloc() {
 	a := v.alloc
 	if a == nil {
 		return
+	}
+	a.busy &^= v.abit
+	if !v.Dormant() {
+		a.busy |= v.abit
 	}
 	a.needVA &^= v.abit
 	a.saReady &^= v.abit

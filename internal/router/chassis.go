@@ -43,9 +43,9 @@ type Chassis struct {
 	Node   int
 	Engine *RouteEngine
 	// VCs lists the router's channels in grantee order: channel i is bit i
-	// of every allocation mask, grantee i in the output books, and slot i
-	// of the router's hot-state range. It slices vcs, which keeps the
-	// channel pointers in the chassis's own cache lines.
+	// of every allocation mask and grantee i in the output books. It
+	// slices vcs, which keeps the channel pointers in the chassis's own
+	// cache lines.
 	VCs []*VC
 	vcs [maxChannels]*VC
 	// Books are the output links' credit books by direction, plus the
@@ -364,15 +364,9 @@ func (c *Chassis) Quiescent() bool {
 // flits buffered, no packet state resident), so sweeping, draining,
 // reaping, VA and SA all have nothing to do. Bare upstream claims do not
 // block idleness — no tick phase acts on a claim alone — and neither does
-// a loopback delivery, which progresses through TryInject.
-func (c *Chassis) Idle() bool {
-	for _, vc := range c.VCs {
-		if !vc.Dormant() {
-			return false
-		}
-	}
-	return true
-}
+// a loopback delivery, which progresses through TryInject. One load: the
+// channels keep their dormancy in the busy mask.
+func (c *Chassis) Idle() bool { return c.alloc.busy == 0 }
 
 // FastIdle reports whether the rest of the tick may be skipped: the fast
 // path is enabled and every channel is dormant, so the remaining phases
@@ -847,6 +841,9 @@ func (c *Chassis) AuditAlloc() error {
 	var want AllocState
 	for i, vc := range c.VCs {
 		bit := uint64(1) << uint(i)
+		if !vc.Dormant() {
+			want.busy |= bit
+		}
 		if vc.NeedsVA() {
 			if !vc.Doomed() {
 				want.needVA |= bit

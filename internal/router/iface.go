@@ -140,13 +140,6 @@ type Router interface {
 	// BufferedFlits counts the flits currently buffered in the router's
 	// channels (the conservation auditor's in-router term).
 	BufferedFlits() int
-	// BindHot mirrors the router's channels into the network-wide
-	// struct-of-arrays hot-state table (occupancy, class, dormancy). The
-	// gated kernel calls it once per router, in ascending id order, after
-	// construction; the reference kernel never binds and pays nothing.
-	// Implemented by the embedded Chassis, which already holds the
-	// canonical flat channel list in grantee-index order.
-	BindHot(hs *HotState)
 	// AuditAlloc recomputes the allocation bitmaps from the channels and
 	// reports an error when the incrementally maintained copies disagree;
 	// the network's auditor panics on it, on its AuditEvery cadence. It
@@ -172,9 +165,10 @@ type Router interface {
 	Quiescent() bool
 
 	// Idle reports whether ticking the router with empty input pipes would
-	// be a pure no-op apart from the effects SkipCycles replays: no
-	// buffered or claimed VCs, no granted switch state, nothing to sweep.
-	// The activity-gated kernel puts Idle routers to sleep.
+	// be a pure no-op apart from the effects SkipCycles replays: every
+	// channel dormant (no buffered flit, no resident packet state), so
+	// nothing to sweep or allocate. The activity-gated kernel puts Idle
+	// routers to sleep.
 	Idle() bool
 	// SkipCycles replays the state effects of n consecutive idle ticks in
 	// O(1): activity cycle counting and any arbitration state that moves

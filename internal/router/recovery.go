@@ -91,11 +91,6 @@ const orphanAge = 4
 // SetDropSink installs the network's drop-accounting callback.
 func (c *Chassis) SetDropSink(s DropSink) { c.dropSink = s }
 
-// BindHot mirrors the router's channels into the shared struct-of-arrays
-// table. VCs is exactly the router's grantee-index channel order, so the
-// slot layout matches the order every other per-VC structure uses.
-func (c *Chassis) BindHot(hs *HotState) { hs.BindRouter(c.Node, c.VCs) }
-
 // SetBroken shares the network-wide broken-packet registry.
 func (c *Chassis) SetBroken(b *BrokenSet) { c.broken = b }
 

@@ -126,9 +126,7 @@ func (v *VC) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 		return
 	}
 	// A lazily built channel allocates its full-capacity backing here, so
-	// the resumed run keeps the allocate-once steady state. The hot-state
-	// mirror is NOT updated incrementally on this path; the network calls
-	// HotState.Resync once after all routers load.
+	// the resumed run keeps the allocate-once steady state.
 	v.ensureBuffers()
 	v.states = v.states[:0]
 	for i := 0; i < ns; i++ {
@@ -165,9 +163,9 @@ func (v *VC) LoadState(d *snapshot.Decoder, c *flit.Codec) {
 		}
 		v.queue = append(v.queue, c.Decode(d))
 	}
-	// The allocation bitmaps are derived state, never serialized; rebuild
-	// the channel's bits from what just loaded (like HotState.Resync, but
-	// per channel — the masks have no cross-channel terms).
+	// The allocation bitmaps, dormancy included, are derived state, never
+	// serialized; rebuild the channel's bits from what just loaded (the
+	// masks have no cross-channel terms).
 	v.syncAlloc()
 	v.syncClaim()
 }

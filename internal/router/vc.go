@@ -58,9 +58,8 @@ type pktState struct {
 // list tracks per-packet routing state in the same order. Only the front
 // packet participates in allocation.
 //
-// The byte-sized fields and the hot-state slot sit together at the end so
-// they share one word: a node holds a dozen channels, and the layout keeps
-// each at 112 bytes.
+// The byte-sized fields sit together at the end so they share one word: a
+// node holds a dozen channels, and the layout keeps each at 104 bytes.
 type VC struct {
 	// Index is the VC's identity inside its router's VC namespace; it is
 	// what upstream routers place into flit.VC.
@@ -75,15 +74,10 @@ type VC struct {
 	states []pktState
 	queue  []*flit.Flit
 
-	// hot/slot bind the channel into the network-wide struct-of-arrays
-	// mirror (see HotState); nil/0 for unbound channels. Every queue or
-	// states mutation funnels through syncHot so the mirror stays exact.
-	hot *HotState
-
 	// alloc/abit bind the channel into its router's allocation bitmaps
-	// (see AllocState); nil/0 for unbound channels. Queue/states mutations
-	// resync through syncHot; routing-state and claim mutations call
-	// syncAlloc/syncClaim directly.
+	// (see AllocState); nil/0 for unbound channels. Queue, states and
+	// routing-state mutations resync through syncAlloc, claim mutations
+	// through syncClaim.
 	alloc *AllocState
 	abit  uint64
 
@@ -101,7 +95,6 @@ type VC struct {
 	// wedging.
 	condemned   bool
 	claimFeeder topology.Direction
-	slot        int32
 }
 
 // NewVC returns an idle channel of the given index and depth.
@@ -116,6 +109,40 @@ func NewVC(index, depth int) *VC {
 		states:      make([]pktState, 0, MaxPacketsPerChannel),
 		queue:       make([]*flit.Flit, 0, depth),
 	}
+}
+
+// VCArena slab-allocates channels contiguously so one router's — and
+// neighboring routers' — hot channel metadata shares cache lines instead
+// of scattering across individually boxed heap objects. Arena channels
+// are also lazy: their flit queue and packet-state backing arrays stay
+// nil until the first flit arrives, so a dormant channel on a big mesh
+// costs only the VC header. The first PushFrom allocates the flit queue
+// at full depth and the packet-state array at a small starting capacity
+// that grows on demand (amortized, bounded by MaxPacketsPerChannel), so
+// the steady state settles at zero allocs per cycle.
+type VCArena struct {
+	slab []VC
+	used int
+}
+
+// arenaChunk is how many channels one slab holds. 1024 VCs ≈ one 8x8
+// mesh of RoCo routers per slab; big meshes chain slabs, small ones
+// waste at most one slab's tail.
+const arenaChunk = 1024
+
+// NewVC carves an idle lazy channel out of the arena.
+func (a *VCArena) NewVC(index, depth int) *VC {
+	if depth < 1 {
+		panic("router: VC depth must be >= 1")
+	}
+	if a.used == len(a.slab) {
+		a.slab = make([]VC, arenaChunk)
+		a.used = 0
+	}
+	v := &a.slab[a.used]
+	a.used++
+	*v = VC{Index: index, Depth: depth, claimFeeder: topology.Invalid}
+	return v
 }
 
 // lazyStateCap is the initial packet-state capacity of a lazily built
@@ -136,29 +163,6 @@ func (v *VC) ensureBuffers() {
 	}
 	if v.states == nil {
 		v.states = make([]pktState, 0, lazyStateCap)
-	}
-}
-
-// syncHot propagates a queue/states mutation into the bound hot-state
-// arrays: the slot's occupancy mirror, and the owning router's dormancy
-// count when the channel crosses between dormant and non-dormant. before
-// is len(queue)+len(states) sampled at the mutator's entry. It also
-// refreshes the allocation bitmaps — every queue/states mutation can move
-// the needVA/saReady bits. No-op for unbound channels.
-func (v *VC) syncHot(before int) {
-	v.syncAlloc()
-	hs := v.hot
-	if hs == nil {
-		return
-	}
-	hs.occ[v.slot] = int32(len(v.queue))
-	after := len(v.queue) + len(v.states)
-	if before == 0 {
-		if after > 0 {
-			hs.vcWake(v.slot)
-		}
-	} else if after == 0 {
-		hs.vcSleep(v.slot)
 	}
 }
 
@@ -366,7 +370,6 @@ func (v *VC) AbortFront() {
 	if v.frontAligned() {
 		panic(fmt.Sprintf("router: abort of vc %d front packet with buffered flits", v.Index))
 	}
-	before := len(v.queue) + len(v.states)
 	copy(v.states, v.states[1:])
 	v.states = v.states[:len(v.states)-1]
 	v.claims--
@@ -374,7 +377,7 @@ func (v *VC) AbortFront() {
 		v.claimFeeder = topology.Invalid
 	}
 	v.syncClaim()
-	v.syncHot(before)
+	v.syncAlloc()
 }
 
 // ReleaseClaim returns one claim slot taken with Claim before any flit of
@@ -441,7 +444,6 @@ func (v *VC) PushFrom(f *flit.Flit, from topology.Direction) {
 		panic(fmt.Sprintf("router: overflow on vc %d: %v", v.Index, f))
 	}
 	v.ensureBuffers()
-	before := len(v.queue) + len(v.states)
 	if f.Type.IsHead() {
 		if len(v.states) >= v.claims {
 			panic(fmt.Sprintf("router: head %v pushed into vc %d without a claim", f, v.Index))
@@ -465,7 +467,7 @@ func (v *VC) PushFrom(f *flit.Flit, from topology.Direction) {
 		f.ReadyAt += v.FaultPenalty
 	}
 	v.queue = append(v.queue, f)
-	v.syncHot(before)
+	v.syncAlloc()
 }
 
 // Pop removes and returns the front flit. Popping a tail retires the front
@@ -475,7 +477,6 @@ func (v *VC) Pop() *flit.Flit {
 		panic(fmt.Sprintf("router: pop from empty vc %d", v.Index))
 	}
 	f := v.queue[0]
-	before := len(v.queue) + len(v.states)
 	copy(v.queue, v.queue[1:])
 	v.queue = v.queue[:len(v.queue)-1]
 	if f.Type.IsTail() {
@@ -487,7 +488,7 @@ func (v *VC) Pop() *flit.Flit {
 		}
 		v.syncClaim()
 	}
-	v.syncHot(before)
+	v.syncAlloc()
 	return f
 }
 

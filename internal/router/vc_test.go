@@ -305,3 +305,50 @@ func TestVCPurgeClaims(t *testing.T) {
 		t.Fatal("purge of an unrelated link must not release the claim")
 	}
 }
+
+// TestVCArenaLazyBuffers pins the memory-diet contract: an arena channel
+// is born with nil backing arrays, allocates the flit queue at full depth
+// and the packet-state array at a small starting capacity on the first
+// push, and behaves identically to an eager channel afterwards.
+func TestVCArenaLazyBuffers(t *testing.T) {
+	var a VCArena
+	vc := a.NewVC(2, 4)
+	if vc.queue != nil || vc.states != nil {
+		t.Fatal("arena channel should defer buffer allocation")
+	}
+	if !vc.Dormant() || !vc.Claimable(topology.East) {
+		t.Fatal("lazy channel must act as an idle channel")
+	}
+	vc.Claim(topology.East)
+	fl := makePacketFlits(1, 2, topology.East)
+	vc.PushFrom(fl[0], topology.East)
+	if cap(vc.queue) != 4 || cap(vc.states) != lazyStateCap {
+		t.Fatalf("first push must allocate queue at depth, states at lazyStateCap: queue %d/%d, states %d/%d",
+			cap(vc.queue), 4, cap(vc.states), lazyStateCap)
+	}
+	vc.PushFrom(fl[1], topology.East)
+	if vc.Pop().PacketID != 1 || vc.Pop().PacketID != 1 || !vc.Idle() {
+		t.Fatal("arena channel FIFO broken")
+	}
+}
+
+func TestVCArenaChunking(t *testing.T) {
+	var a VCArena
+	first := a.NewVC(0, 2)
+	for i := 1; i < arenaChunk; i++ {
+		a.NewVC(i, 2)
+	}
+	next := a.NewVC(arenaChunk, 2) // forces a fresh slab
+	if first == next {
+		t.Fatal("slab rollover returned an aliased channel")
+	}
+	if next.Index != arenaChunk || next.Depth != 2 || next.claimFeeder != topology.Invalid {
+		t.Fatal("post-rollover channel not initialized")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("arena NewVC with depth 0 should panic")
+		}
+	}()
+	a.NewVC(0, 0)
+}

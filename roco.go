@@ -180,6 +180,7 @@ func (c Component) String() string { return fault.Component(c).String() }
 // afflicted interface of a D2DInterface fault.
 type Side int
 
+// The four sides, in the simulator's cardinal-direction order.
 const (
 	SideNorth Side = iota
 	SideEast
@@ -360,8 +361,8 @@ type Config struct {
 	// drop. Build one by hand or with PoissonFaultSchedule.
 	FaultSchedule []TimedFault
 	// AuditEvery runs the flit-conservation auditor, which also rechecks
-	// the routers' incrementally maintained allocation and hot state,
-	// every AuditEvery cycles during the run (0 audits only at
+	// the routers' incrementally maintained allocation and dormancy
+	// bitmaps, every AuditEvery cycles during the run (0 audits only at
 	// termination, which always happens). A violation panics: it is a
 	// simulator bug, never a legal outcome.
 	AuditEvery int64

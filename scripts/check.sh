@@ -19,7 +19,8 @@ go vet ./...
 go build ./...
 go test ./...
 # Documentation gate: package comments, exported-identifier docs in
-# public packages, and live relative markdown links.
+# public packages, live relative markdown links, and markdown code
+# references that name declared identifiers.
 sh scripts/doccheck.sh
 go test -race ./internal/network ./internal/router/... ./internal/core
 # Differential seed-corpus pass for the bitmap arbiter fast path, under

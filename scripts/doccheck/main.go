@@ -3,9 +3,10 @@
 // when (1) any package is missing a godoc package comment, (2) any
 // exported identifier in a public (non-internal, non-main) package is
 // missing a doc comment — a group doc on a const/var/type block covers
-// its members — or (3) any relative link in a markdown file points at a
-// path that does not exist. No output and exit 0 means the docs are
-// whole.
+// its members — (3) any relative link in a markdown file points at a
+// path that does not exist, or (4) a backticked Type.Member or pkg.Ident
+// in a markdown file names something the module does not declare (see
+// refs.go). No output and exit 0 means the docs are whole.
 package main
 
 import (
@@ -29,6 +30,7 @@ func main() {
 	var problems []string
 	problems = append(problems, checkGoDocs(root)...)
 	problems = append(problems, checkMarkdownLinks(root)...)
+	problems = append(problems, checkMarkdownRefs(root)...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {
@@ -45,25 +47,41 @@ func skipDir(name string) bool {
 	return name == ".git" || name == "testdata" || strings.HasPrefix(name, ".")
 }
 
+// sourceFiles lists the files under root that keep accepts, skipping the
+// directories skipDir names — but never root itself, since "." starts
+// with a dot.
+func sourceFiles(root string, keep func(path string) bool) []string {
+	var files []string
+	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+		case d.IsDir():
+			if path != root && skipDir(d.Name()) {
+				return filepath.SkipDir
+			}
+		case keep(path):
+			files = append(files, path)
+		}
+		return nil
+	})
+	return files
+}
+
+// goSource accepts non-test Go files.
+func goSource(path string) bool {
+	return strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go")
+}
+
+// markdown accepts markdown files.
+func markdown(path string) bool { return strings.HasSuffix(path, ".md") }
+
 // checkGoDocs parses every package directory and applies the package- and
 // exported-identifier-comment rules.
 func checkGoDocs(root string) []string {
 	dirs := map[string]bool{}
-	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return nil
-		}
-		if d.IsDir() {
-			if skipDir(d.Name()) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dirs[filepath.Dir(path)] = true
-		}
-		return nil
-	})
+	for _, path := range sourceFiles(root, goSource) {
+		dirs[filepath.Dir(path)] = true
+	}
 
 	var problems []string
 	for dir := range dirs {
@@ -197,23 +215,11 @@ var mdLink = regexp.MustCompile(`\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 // resolves to an existing file or directory.
 func checkMarkdownLinks(root string) []string {
 	var problems []string
-	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return nil
-		}
-		if d.IsDir() {
-			if skipDir(d.Name()) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".md") {
-			return nil
-		}
+	for _, path := range sourceFiles(root, markdown) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			problems = append(problems, fmt.Sprintf("%s: %v", path, err))
-			return nil
+			continue
 		}
 		for lineNo, line := range strings.Split(string(data), "\n") {
 			for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
@@ -234,7 +240,6 @@ func checkMarkdownLinks(root string) []string {
 				}
 			}
 		}
-		return nil
-	})
+	}
 	return problems
 }

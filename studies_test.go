@@ -1,6 +1,7 @@
 package roco
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -138,6 +139,10 @@ func TestRunWindowed(t *testing.T) {
 	}
 	if total != res.DeliveredPackets {
 		t.Errorf("window deliveries %d != total %d", total, res.DeliveredPackets)
+	}
+	// The windows are a view of one ordinary run: the Result must be Run's.
+	if want := Run(cfg); !reflect.DeepEqual(res, want) {
+		t.Errorf("RunWindowed result diverged from Run\n got: %+v\nwant: %+v", res, want)
 	}
 }
 
