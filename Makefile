@@ -51,9 +51,11 @@ profile:
 bench-paper:
 	go test -bench=. -benchmem .
 
-# Extended fuzzing of the runtime fault-injection path.
+# Extended fuzzing of the runtime fault-injection path and of the
+# snapshot decoders (corrupt payloads behind a valid checksum).
 fuzz:
 	go test ./internal/network -run '^$$' -fuzz FuzzDynamicFaults -fuzztime 60s
+	go test . -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 60s
 
 # Fault-storm chaos soak: the reliable-delivery protocol under a Poisson
 # storm of runtime faults, with the race detector on.

@@ -2,7 +2,9 @@ package roco
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -176,14 +178,14 @@ func TestSnapshotPackedFieldBounds(t *testing.T) {
 		}
 		return g
 	}
-	loadBook := func(d *snapshot.Decoder) { router.NewOutVCBook(1, 5).LoadState(d) }
+	loadBook := func(d *snapshot.Decoder) { router.NewOutVCBook(1, 5).State(d.Stream()) }
 	loadArb := func(d *snapshot.Decoder) {
 		a := arbiter.NewRoundRobin(3)
-		a.LoadState(d)
+		a.State(d.Stream())
 	}
 	loadMirror := func(d *snapshot.Decoder) {
 		m := arbiter.NewMirror()
-		m.LoadState(d)
+		m.State(d.Stream())
 	}
 	pointer := func(v ...int) func(*snapshot.Encoder) {
 		return func(e *snapshot.Encoder) {
@@ -241,6 +243,79 @@ func TestSnapshotPackedFieldBounds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fuzzSnapshotConfigs are the runs whose mid-run snapshots
+// FuzzSnapshotDecode corrupts: each router kind on a 4x4 mesh under
+// reliable delivery, telemetry and a Poisson schedule of critical faults,
+// and a 2x2 grid of serial 2x2 chiplets.
+func fuzzSnapshotConfigs() []Config {
+	var cs []Config
+	for _, k := range []RouterKind{Generic, PathSensitive, RoCo, PDR} {
+		cs = append(cs, Config{
+			Width: 4, Height: 4,
+			Router: k, Algorithm: XY, Traffic: Uniform,
+			InjectionRate:  0.2,
+			WarmupPackets:  50,
+			MeasurePackets: 400,
+			Seed:           5,
+			Reliable:       true,
+			TelemetryEvery: 64,
+			FaultSchedule:  PoissonFaultSchedule(CriticalFaults, 100, 600, 4, 4, 3),
+		})
+	}
+	chiplet := cs[2]
+	chiplet.Width, chiplet.Height = 0, 0
+	chiplet.ChipsX, chiplet.ChipsY, chiplet.ChipW, chiplet.ChipH = 2, 2, 2, 2
+	chiplet.D2DClass = D2DSerial
+	return append(cs, chiplet)
+}
+
+// FuzzSnapshotDecode strikes the snapshot decoders with corrupt payloads
+// behind a valid checksum: Resume must return an error or a Sim, never
+// panic. An input picks one of the mid-run frames built below and
+// patches its payload; each patch is a 4-byte little-endian offset past
+// the 8-byte configuration fingerprint and the byte to write there. The
+// frame is then checksummed afresh so the patched bytes reach the
+// decoders. `make fuzz` explores beyond the committed corpus.
+func FuzzSnapshotDecode(f *testing.F) {
+	type stored struct {
+		cfg   Config
+		frame []byte
+	}
+	var frames []stored
+	for _, cfg := range fuzzSnapshotConfigs() {
+		sim := NewSim(cfg)
+		for _, c := range []int64{150, 400} {
+			if _, _, err := sim.RunCheckpointed(CheckpointOptions{CycleBudget: c}); err != nil {
+				f.Fatal(err)
+			}
+			var frame bytes.Buffer
+			if err := sim.Checkpoint(&frame); err != nil {
+				f.Fatal(err)
+			}
+			frames = append(frames, stored{cfg, frame.Bytes()})
+		}
+	}
+	for i := range frames {
+		f.Add(uint8(i), []byte(nil))
+	}
+	const header = 20 // magic, version u32, payload length u64
+	crc := crc64.MakeTable(crc64.ECMA)
+	f.Fuzz(func(t *testing.T, pick uint8, patches []byte) {
+		st := frames[int(pick)%len(frames)]
+		frame := append([]byte(nil), st.frame...)
+		payload := frame[header : len(frame)-8]
+		patched := len(patches) >= 5
+		for ; len(patches) >= 5; patches = patches[5:] {
+			off := binary.LittleEndian.Uint32(patches) % uint32(len(payload)-8)
+			payload[8+off] = patches[4]
+		}
+		binary.LittleEndian.PutUint64(frame[len(frame)-8:], crc64.Checksum(payload, crc))
+		if _, err := Resume(bytes.NewReader(frame), st.cfg); err != nil && !patched {
+			t.Fatalf("unpatched frame %d refused: %v", int(pick)%len(frames), err)
+		}
+	})
 }
 
 // TestResumeLatestFallsBackPastTornSnapshot pins crash recovery: when

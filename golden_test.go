@@ -146,15 +146,63 @@ func writeGoldenValue(w io.Writer, v reflect.Value) {
 	}
 }
 
+// goldenResaveCycles are the cycles at which TestRouterGoldenDigests
+// checkpoints each case, resumes the snapshot and checkpoints again.
+var goldenResaveCycles = []int64{1, 150, 300, 700}
+
+// checkResave steps cfg through goldenResaveCycles and requires a Sim
+// resumed from each checkpoint to write the same bytes back: a load that
+// drops or misreads any state the save wrote changes them.
+func checkResave(t *testing.T, name string, cfg Config) {
+	t.Helper()
+	sim := NewSim(cfg)
+	for _, c := range goldenResaveCycles {
+		_, interrupted, err := sim.RunCheckpointed(CheckpointOptions{CycleBudget: c})
+		if err != nil {
+			t.Fatalf("%s: run to cycle %d: %v", name, c, err)
+		}
+		var saved, resaved bytes.Buffer
+		if err := sim.Checkpoint(&saved); err != nil {
+			t.Fatalf("%s: checkpoint at cycle %d: %v", name, sim.Cycle(), err)
+		}
+		resumed, err := Resume(bytes.NewReader(saved.Bytes()), cfg)
+		if err != nil {
+			t.Errorf("%s: resume at cycle %d: %v", name, sim.Cycle(), err)
+			return
+		}
+		if err := resumed.Checkpoint(&resaved); err != nil {
+			t.Fatalf("%s: checkpoint of the resumed sim at cycle %d: %v", name, sim.Cycle(), err)
+		}
+		if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+			t.Errorf("%s: snapshot at cycle %d changes across a resume", name, sim.Cycle())
+		}
+		if !interrupted {
+			return // the run ended before cycle c
+		}
+	}
+}
+
 // TestRouterGoldenDigests pins router behaviour bit for bit: grant order,
 // every activity and contention counter, fault recovery, and the snapshot
 // bytes of each router kind. The kernel-equivalence suites cannot catch a
-// drift that changes every kernel alike; these digests do.
+// drift that changes every kernel alike; these digests do. Each case
+// also checks, under the gated kernel, the reference kernel and two
+// shards, that loading a mid-run snapshot inverts saving it.
 func TestRouterGoldenDigests(t *testing.T) {
+	kernels := []struct {
+		name      string
+		reference bool
+		shards    int
+	}{{"gated", false, 0}, {"reference", true, 0}, {"sharded", false, 2}}
 	for _, c := range goldenCases() {
 		got := goldenDigest(t, c.cfg)
 		if want, ok := goldenDigests[c.name]; !ok || got != want {
 			t.Errorf("%q: digest %s, want %s", c.name, got, want)
+		}
+		for _, k := range kernels {
+			cfg := c.cfg
+			cfg.ReferenceKernel, cfg.Shards = k.reference, k.shards
+			checkResave(t, c.name+"/"+k.name, cfg)
 		}
 	}
 }

@@ -2,40 +2,21 @@ package arbiter
 
 import "github.com/rocosim/roco/internal/snapshot"
 
-// SaveState serializes the priority pointer.
-func (a *RoundRobin) SaveState(e *snapshot.Encoder) { e.Int(int(a.next)) }
-
-// LoadState restores a priority pointer written by SaveState; an index
-// outside the arbiter's range poisons the decoder.
-func (a *RoundRobin) LoadState(d *snapshot.Decoder) {
-	next := d.Int()
-	if d.Err() != nil {
-		return
+// State streams the priority pointer; a loaded pointer outside the
+// arbiter's range is corruption.
+func (a *RoundRobin) State(s *snapshot.Stream) {
+	snapshot.Narrow(s, &a.next)
+	if a.next >= a.n {
+		s.Corruptf("round-robin pointer %d out of range [0,%d)", a.next, a.n)
 	}
-	if next < 0 || next >= int(a.n) {
-		d.Corruptf("round-robin pointer %d out of range [0,%d)", next, a.n)
-		return
-	}
-	a.next = uint8(next)
 }
 
-// SaveState serializes the mirror allocator: its global arbiter pointer
-// and the primary-port toggle.
-func (m *Mirror) SaveState(e *snapshot.Encoder) {
-	m.global.SaveState(e)
-	e.Int(int(m.primary))
-}
-
-// LoadState restores mirror state written by SaveState.
-func (m *Mirror) LoadState(d *snapshot.Decoder) {
-	m.global.LoadState(d)
-	p := d.Int()
-	if d.Err() != nil {
-		return
+// State streams the mirror allocator: its global arbiter pointer and the
+// primary-port toggle.
+func (m *Mirror) State(s *snapshot.Stream) {
+	m.global.State(s)
+	snapshot.Narrow(s, &m.primary)
+	if m.primary > 1 {
+		s.Corruptf("mirror primary %d", m.primary)
 	}
-	if p != 0 && p != 1 {
-		d.Corruptf("mirror primary %d", p)
-		return
-	}
-	m.primary = uint8(p)
 }

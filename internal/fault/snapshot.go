@@ -1,58 +1,32 @@
 package fault
 
-import (
-	"github.com/rocosim/roco/internal/snapshot"
-	"github.com/rocosim/roco/internal/topology"
-)
+import "github.com/rocosim/roco/internal/snapshot"
 
-// SaveState serializes one event (the network's fault log uses it too).
-func (ev Event) SaveState(e *snapshot.Encoder) {
-	e.I64(ev.Cycle)
-	e.Int(ev.Fault.Node)
-	e.U8(uint8(ev.Fault.Component))
-	e.U8(uint8(ev.Fault.Module))
-	e.Int(ev.Fault.VC)
-	e.U8(uint8(ev.Fault.Port))
+// State streams one event (the network's fault log uses it too).
+func (ev *Event) State(s *snapshot.Stream) {
+	s.I64(&ev.Cycle)
+	s.Int(&ev.Fault.Node)
+	snapshot.Enum(s, &ev.Fault.Component)
+	snapshot.Enum(s, &ev.Fault.Module)
+	s.Int(&ev.Fault.VC)
+	snapshot.Enum(s, &ev.Fault.Port)
 }
 
-// LoadEvent restores an event written by Event.SaveState.
-func LoadEvent(d *snapshot.Decoder) Event {
-	return Event{
-		Cycle: d.I64(),
-		Fault: Fault{
-			Node:      d.Int(),
-			Component: Component(d.U8()),
-			Module:    Module(d.U8()),
-			VC:        d.Int(),
-			Port:      topology.Direction(d.U8()),
-		},
-	}
-}
-
-// SaveState serializes the schedule's consumption cursor. The event list
-// itself is configuration (rebuilt from the run's Config on resume); only
-// the cursor is runtime state.
-func (s *Schedule) SaveState(e *snapshot.Encoder) {
-	e.Int(len(s.events))
-	e.Int(s.next)
-}
-
-// LoadState restores a cursor written by SaveState into a schedule rebuilt
-// from the same configuration; an event-count mismatch (a different
-// schedule) poisons the decoder.
-func (s *Schedule) LoadState(d *snapshot.Decoder) {
-	n := d.Int()
-	next := d.Int()
-	if d.Err() != nil {
+// State streams the schedule's consumption cursor. The event list itself
+// is configuration (rebuilt from the run's Config on resume); only the
+// cursor is runtime state. Loading into a schedule with a different
+// event count (a different schedule) is corruption.
+func (sc *Schedule) State(s *snapshot.Stream) {
+	n, next := len(sc.events), sc.next
+	s.Int(&n)
+	s.Int(&next)
+	if n != len(sc.events) {
+		s.Corruptf("fault schedule has %d events, snapshot had %d", len(sc.events), n)
 		return
 	}
-	if n != len(s.events) {
-		d.Corruptf("fault schedule has %d events, snapshot had %d", len(s.events), n)
+	if next < 0 || next > len(sc.events) {
+		s.Corruptf("fault schedule cursor %d out of range", next)
 		return
 	}
-	if next < 0 || next > len(s.events) {
-		d.Corruptf("fault schedule cursor %d out of range", next)
-		return
-	}
-	s.next = next
+	sc.next = next
 }

@@ -2,74 +2,54 @@ package flit
 
 import (
 	"github.com/rocosim/roco/internal/snapshot"
-	"github.com/rocosim/roco/internal/topology"
 	"github.com/rocosim/roco/internal/trace"
 )
 
-// Codec serializes flits for checkpointing. Flits are value-serialized in
+// Codec streams flits for checkpointing. Flits are value-serialized in
 // the single container that owns them (a source backlog, a VC queue, a
 // link pipe), so the codec needs no identity map for the flits themselves;
 // the one cross-reference a flit carries — its trace record — is restored
 // through Records, keyed by packet ID.
 type Codec struct {
-	// Records maps packet ID to the decoded trace record, for relinking
-	// Flit.Rec on load. The trace collector must therefore be decoded
+	// Records maps packet ID to the loaded trace record, for relinking
+	// Flit.Rec on load. The trace collector must therefore be loaded
 	// before any flit.
 	Records map[uint64]*trace.Record
-	// Pool supplies structs on decode (nil allocates fresh). Freshly
+	// Pool supplies structs on load (nil allocates fresh). Freshly
 	// allocated and recycled flits behave identically — every live field
 	// is written below — so the choice never affects results.
 	Pool *Pool
 }
 
-// Encode serializes one live flit.
-func (c *Codec) Encode(e *snapshot.Encoder, f *Flit) {
-	e.U8(uint8(f.Type))
-	e.U64(f.PacketID)
-	e.Int(f.Seq)
-	e.Int(f.Src)
-	e.Int(f.Dst)
-	e.U8(uint8(f.Mode))
-	e.U8(uint8(f.OutPort))
-	e.Int(f.VC)
-	e.I64(f.CreatedAt)
-	e.I64(f.InjectedAt)
-	e.Int(f.Hops)
-	e.I64(f.ReadyAt)
-	e.Bool(f.CrossedX)
-	e.Bool(f.CrossedY)
-	e.Bool(f.Rec != nil)
-	e.I64(f.Penalty)
-	e.U64(f.SrcSeq)
-	e.U64(f.Origin)
-}
-
-// Decode restores one flit written by Encode.
-func (c *Codec) Decode(d *snapshot.Decoder) *Flit {
-	f := c.Pool.Get()
-	f.Type = Type(d.U8())
-	f.PacketID = d.U64()
-	f.Seq = d.Int()
-	f.Src = d.Int()
-	f.Dst = d.Int()
-	f.Mode = RouteMode(d.U8())
-	f.OutPort = topology.Direction(d.U8())
-	f.VC = d.Int()
-	f.CreatedAt = d.I64()
-	f.InjectedAt = d.I64()
-	f.Hops = d.Int()
-	f.ReadyAt = d.I64()
-	f.CrossedX = d.Bool()
-	f.CrossedY = d.Bool()
-	if d.Bool() {
+// Flit streams one live flit; loading draws the flit from Pool into *pf.
+func (c *Codec) Flit(s *snapshot.Stream, pf **Flit) {
+	if s.Loading() {
+		*pf = c.Pool.Get()
+	}
+	f := *pf
+	snapshot.Enum(s, &f.Type)
+	s.U64(&f.PacketID)
+	s.Int(&f.Seq)
+	s.Int(&f.Src)
+	s.Int(&f.Dst)
+	snapshot.Enum(s, &f.Mode)
+	snapshot.Enum(s, &f.OutPort)
+	s.Int(&f.VC)
+	s.I64(&f.CreatedAt)
+	s.I64(&f.InjectedAt)
+	s.Int(&f.Hops)
+	s.I64(&f.ReadyAt)
+	s.Bool(&f.CrossedX)
+	s.Bool(&f.CrossedY)
+	traced := f.Rec != nil
+	if s.Bool(&traced); traced && s.Loading() {
 		rec, ok := c.Records[f.PacketID]
 		if !ok {
-			d.Corruptf("flit %d references a missing trace record", f.PacketID)
+			s.Corruptf("flit %d references a missing trace record", f.PacketID)
 		}
 		f.Rec = rec
 	}
-	f.Penalty = d.I64()
-	f.SrcSeq = d.U64()
-	f.Origin = d.U64()
-	return f
+	s.I64(&f.Penalty)
+	s.U64(&f.SrcSeq)
+	s.U64(&f.Origin)
 }

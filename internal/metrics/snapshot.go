@@ -2,27 +2,15 @@ package metrics
 
 import "github.com/rocosim/roco/internal/snapshot"
 
-// SaveState serializes the latency accumulator and histogram.
-func (l *Latency) SaveState(e *snapshot.Encoder) {
-	l.run.SaveState(e)
-	l.hist.SaveState(e)
+// State streams the latency accumulator and histogram. A loading
+// receiver must come from NewLatency so the histogram shape matches.
+func (l *Latency) State(s *snapshot.Stream) {
+	l.run.State(s)
+	l.hist.State(s)
 }
 
-// LoadState restores state written by SaveState. The receiver must come
-// from NewLatency so the histogram shape matches.
-func (l *Latency) LoadState(d *snapshot.Decoder) {
-	l.run.LoadState(d)
-	l.hist.LoadState(d)
-}
-
-// SaveState serializes the completion counters.
-func (c *Completion) SaveState(e *snapshot.Encoder) {
-	e.I64(c.Generated)
-	e.I64(c.Delivered)
-}
-
-// LoadState restores counters written by SaveState.
-func (c *Completion) LoadState(d *snapshot.Decoder) {
-	c.Generated = d.I64()
-	c.Delivered = d.I64()
+// State streams the completion counters.
+func (c *Completion) State(s *snapshot.Stream) {
+	s.I64(&c.Generated)
+	s.I64(&c.Delivered)
 }

@@ -2,9 +2,11 @@
 // of mutable simulation state — counters, fault bookkeeping, protocol
 // tracker, telemetry ring, PE backlogs and RNG streams, router internals,
 // and link pipes — at a cycle boundary; LoadState restores it into a
-// network freshly built from the same Config. The contract is exactness:
-// a resumed network continues bit-identically to one that never stopped,
-// under every kernel (reference, gated, sharded) and both Reliable modes.
+// network freshly built from the same Config. Both run the one layout,
+// Network.state, over a snapshot.Stream of their direction. The contract
+// is exactness: a resumed network continues bit-identically to one that
+// never stopped, under every kernel (reference, gated, sharded) and both
+// Reliable modes.
 //
 // Canonicalization makes that kernel-independence work. Before saving,
 // every router is settled to cycle-1 (replaying any skipped idle cycles —
@@ -18,7 +20,6 @@
 package network
 
 import (
-	"github.com/rocosim/roco/internal/fault"
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/snapshot"
 	"github.com/rocosim/roco/internal/traffic"
@@ -41,81 +42,7 @@ func (n *Network) SaveState(e *snapshot.Encoder) {
 	if len(n.graveyard) != 0 || len(n.advance) != 0 {
 		panic("network: snapshot taken mid-cycle")
 	}
-
-	e.I64(n.cycle)
-	e.U64(n.nextPacketID)
-	e.I64(n.generated)
-	e.I64(n.deliveredAll)
-	e.I64(n.genFlits)
-	e.I64(n.delFlitsAll)
-	e.I64(n.dropFlitsAll)
-	e.I64(n.backlogFlits)
-
-	// The trace collector goes first: flits reference its records by
-	// pointer, and the codec relinks them by packet ID on decode.
-	n.tracer.SaveState(e)
-	c := &flit.Codec{}
-
-	n.broken.SaveState(e)
-	n.schedule.SaveState(e)
-	e.Int(len(n.faultLog))
-	for i, ev := range n.faultLog {
-		ev.SaveState(e)
-		saveDrops(e, n.faultDrops[i])
-	}
-	saveDrops(e, n.drops)
-
-	e.Int(len(n.buckets))
-	for _, b := range n.buckets {
-		e.I64(b)
-	}
-	e.Int(len(n.goodBuckets))
-	for _, b := range n.goodBuckets {
-		e.I64(b)
-	}
-	e.I64(n.dupFlits)
-	e.I64(n.dupPackets)
-	e.I64(n.lastProgress)
-	e.I64(n.lastDelivery)
-
-	e.Bool(n.measuring)
-	e.I64(n.measureStart)
-	e.I64(n.deliveredFlits)
-	n.latency.SaveState(e)
-	n.srcQueue.SaveState(e)
-	n.completion.SaveState(e)
-
-	e.I64(n.nextAudit)
-	e.I64(n.nextTelemetry)
-
-	e.Bool(n.rel != nil)
-	if n.rel != nil {
-		n.rel.SaveState(e)
-	}
-	e.Bool(n.tele != nil)
-	if n.tele != nil {
-		n.tele.SaveState(e)
-	}
-
-	traffic.SaveState(e, n.gens)
-	e.Int(len(n.pes))
-	for i := range n.pes {
-		p := &n.pes[i]
-		p.mode.SaveState(e)
-		pending := p.backlog[p.head:]
-		e.Int(len(pending))
-		for _, f := range pending {
-			c.Encode(e, f)
-		}
-	}
-
-	for _, r := range n.routers {
-		r.SaveState(e, c)
-	}
-	e.Int(len(n.conns))
-	for i := range n.conns {
-		n.conns[i].SaveState(e, c)
-	}
+	n.state(e.Stream())
 }
 
 // LoadState restores state written by SaveState into a network freshly
@@ -128,128 +55,8 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 		d.Corruptf("loading network state into a stepped network")
 		return
 	}
-
-	n.cycle = d.I64()
-	n.nextPacketID = d.U64()
-	n.generated = d.I64()
-	n.deliveredAll = d.I64()
-	n.genFlits = d.I64()
-	n.delFlitsAll = d.I64()
-	n.dropFlitsAll = d.I64()
-	n.backlogFlits = d.I64()
-	if d.Err() != nil {
+	if n.state(d.Stream()); d.Err() != nil {
 		return
-	}
-	if n.cycle < 0 || n.generated < 0 || n.genFlits < 0 {
-		d.Corruptf("negative network counters")
-		return
-	}
-
-	byID := n.tracer.LoadState(d)
-	if d.Err() != nil {
-		return
-	}
-	// Decoded flits draw from the pool of their owning container's shard;
-	// pools are empty on a fresh network, so Get falls through to plain
-	// allocation either way — the pool choice never affects behavior.
-	c := &flit.Codec{Records: byID}
-
-	n.broken.LoadState(d)
-	n.schedule.LoadState(d)
-	nf := d.SliceLen(8)
-	for i := 0; i < nf; i++ {
-		n.faultLog = append(n.faultLog, fault.LoadEvent(d))
-		n.faultDrops = append(n.faultDrops, loadDrops(d))
-		if d.Err() != nil {
-			return
-		}
-	}
-	n.drops = loadDrops(d)
-
-	nb := d.SliceLen(8)
-	for i := 0; i < nb; i++ {
-		n.buckets = append(n.buckets, d.I64())
-	}
-	ng := d.SliceLen(8)
-	if ng > 0 && n.rel == nil {
-		d.Corruptf("goodput buckets present without the reliability protocol")
-		return
-	}
-	for i := 0; i < ng; i++ {
-		n.goodBuckets = append(n.goodBuckets, d.I64())
-	}
-	n.dupFlits = d.I64()
-	n.dupPackets = d.I64()
-	n.lastProgress = d.I64()
-	n.lastDelivery = d.I64()
-
-	n.measuring = d.Bool()
-	n.measureStart = d.I64()
-	n.deliveredFlits = d.I64()
-	n.latency.LoadState(d)
-	n.srcQueue.LoadState(d)
-	n.completion.LoadState(d)
-
-	n.nextAudit = d.I64()
-	n.nextTelemetry = d.I64()
-
-	if rel := d.Bool(); d.Err() == nil && rel != (n.rel != nil) {
-		d.Corruptf("snapshot reliability mode does not match configuration")
-		return
-	}
-	if n.rel != nil {
-		n.rel.LoadState(d)
-	}
-	if tele := d.Bool(); d.Err() == nil && tele != (n.tele != nil) {
-		d.Corruptf("snapshot telemetry mode does not match configuration")
-		return
-	}
-	if n.tele != nil {
-		n.tele.LoadState(d)
-	}
-
-	traffic.LoadState(d, n.gens)
-	np := d.SliceLen(32)
-	if d.Err() == nil && np != len(n.pes) {
-		d.Corruptf("snapshot has %d processing elements, config built %d", np, len(n.pes))
-		return
-	}
-	var backlog int64
-	for i := range n.pes {
-		p := &n.pes[i]
-		p.mode.LoadState(d)
-		k := d.SliceLen(8)
-		if d.Err() != nil {
-			return
-		}
-		p.backlog = p.backlog[:0]
-		p.head = 0
-		for j := 0; j < k; j++ {
-			p.backlog = append(p.backlog, c.Decode(d))
-		}
-		backlog += int64(k)
-	}
-	if d.Err() == nil && backlog != n.backlogFlits {
-		d.Corruptf("backlog ledger %d does not match %d serialized flits", n.backlogFlits, backlog)
-		return
-	}
-
-	for _, r := range n.routers {
-		r.LoadState(d, c)
-		if d.Err() != nil {
-			return
-		}
-	}
-	nc := d.SliceLen(2)
-	if d.Err() == nil && nc != len(n.conns) {
-		d.Corruptf("snapshot has %d links, config built %d", nc, len(n.conns))
-		return
-	}
-	for i := range n.conns {
-		n.conns[i].LoadState(d, c)
-		if d.Err() != nil {
-			return
-		}
 	}
 	if n.isLong != nil {
 		// Rebuild the multi-cycle D2D advance list from the restored pipe
@@ -297,6 +104,127 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 	}
 }
 
+// state streams the network's mutable state in either direction. The
+// checks that need the whole loaded network (flit conservation) follow
+// it in LoadState.
+func (n *Network) state(s *snapshot.Stream) {
+	s.I64(&n.cycle)
+	s.U64(&n.nextPacketID)
+	s.I64(&n.generated)
+	s.I64(&n.deliveredAll)
+	s.I64(&n.genFlits)
+	s.I64(&n.delFlitsAll)
+	s.I64(&n.dropFlitsAll)
+	s.I64(&n.backlogFlits)
+	if n.cycle < 0 || n.generated < 0 || n.genFlits < 0 {
+		s.Corruptf("negative network counters")
+		return
+	}
+
+	// The trace collector goes first: flits reference its records by
+	// pointer, and the codec relinks them by packet ID on load. Loaded
+	// flits draw from the pool of their owning container's shard; pools
+	// are empty on a fresh network, so Get falls through to plain
+	// allocation either way — the pool choice never affects behavior.
+	c := &flit.Codec{Records: n.tracer.State(s)}
+	if s.Err() != nil {
+		return
+	}
+
+	n.broken.State(s)
+	n.schedule.State(s)
+	snapshot.Slice(s, &n.faultLog, 8)
+	if s.Loading() {
+		n.faultDrops = make([]DropBreakdown, len(n.faultLog))
+	}
+	for i := range n.faultLog {
+		n.faultLog[i].State(s)
+		n.faultDrops[i].state(s)
+	}
+	n.drops.state(s)
+
+	snapshot.Slice(s, &n.buckets, 8)
+	for i := range n.buckets {
+		s.I64(&n.buckets[i])
+	}
+	if snapshot.Slice(s, &n.goodBuckets, 8); len(n.goodBuckets) > 0 && n.rel == nil {
+		s.Corruptf("goodput buckets present without the reliability protocol")
+		return
+	}
+	for i := range n.goodBuckets {
+		s.I64(&n.goodBuckets[i])
+	}
+	s.I64(&n.dupFlits)
+	s.I64(&n.dupPackets)
+	s.I64(&n.lastProgress)
+	s.I64(&n.lastDelivery)
+
+	s.Bool(&n.measuring)
+	s.I64(&n.measureStart)
+	s.I64(&n.deliveredFlits)
+	n.latency.State(s)
+	n.srcQueue.State(s)
+	n.completion.State(s)
+
+	s.I64(&n.nextAudit)
+	s.I64(&n.nextTelemetry)
+
+	rel := n.rel != nil
+	if s.Bool(&rel); rel != (n.rel != nil) {
+		s.Corruptf("snapshot reliability mode does not match configuration")
+		return
+	}
+	if rel {
+		n.rel.State(s)
+	}
+	tele := n.tele != nil
+	if s.Bool(&tele); tele != (n.tele != nil) {
+		s.Corruptf("snapshot telemetry mode does not match configuration")
+		return
+	}
+	if tele {
+		n.tele.State(s)
+	}
+
+	traffic.State(s, n.gens)
+	if np := s.Len(len(n.pes), 32); np != len(n.pes) {
+		s.Corruptf("snapshot has %d processing elements, config built %d", np, len(n.pes))
+		return
+	}
+	var backlog int64
+	for i := range n.pes {
+		p := &n.pes[i]
+		p.mode.State(s)
+		pending := p.backlog[p.head:]
+		if snapshot.Slice(s, &pending, 8); s.Loading() {
+			p.backlog, p.head = pending, 0
+		}
+		for j := range pending {
+			c.Flit(s, &pending[j])
+		}
+		backlog += int64(len(pending))
+	}
+	if backlog != n.backlogFlits {
+		s.Corruptf("backlog ledger %d does not match %d serialized flits", n.backlogFlits, backlog)
+		return
+	}
+
+	for _, r := range n.routers {
+		if r.State(s, c); s.Err() != nil {
+			return
+		}
+	}
+	if nc := s.Len(len(n.conns), 2); nc != len(n.conns) {
+		s.Corruptf("snapshot has %d links, config built %d", nc, len(n.conns))
+		return
+	}
+	for i := range n.conns {
+		if n.conns[i].State(s, c); s.Err() != nil {
+			return
+		}
+	}
+}
+
 // Restore builds a network from cfg and loads a snapshot into it,
 // returning the decoder's final verdict (including trailing-byte
 // detection). cfg must describe the run that produced the snapshot;
@@ -311,16 +239,8 @@ func Restore(cfg Config, d *snapshot.Decoder) (*Network, error) {
 	return n, nil
 }
 
-func saveDrops(e *snapshot.Encoder, b DropBreakdown) {
-	e.I64(b.Unroutable)
-	e.I64(b.InFlight)
-	e.I64(b.DeadDrain)
-}
-
-func loadDrops(d *snapshot.Decoder) DropBreakdown {
-	return DropBreakdown{
-		Unroutable: d.I64(),
-		InFlight:   d.I64(),
-		DeadDrain:  d.I64(),
-	}
+func (b *DropBreakdown) state(s *snapshot.Stream) {
+	s.I64(&b.Unroutable)
+	s.I64(&b.InFlight)
+	s.I64(&b.DeadDrain)
 }

@@ -2,24 +2,13 @@ package power
 
 import "github.com/rocosim/roco/internal/snapshot"
 
-// SaveState serializes the energy split.
-func (b *Breakdown) SaveState(e *snapshot.Encoder) {
-	e.F64(b.BuffersNJ)
-	e.F64(b.CrossbarNJ)
-	e.F64(b.LinksNJ)
-	e.F64(b.ArbitrationNJ)
-	e.F64(b.RoutingNJ)
-	e.F64(b.EjectionNJ)
-	e.F64(b.LeakageNJ)
-}
-
-// LoadState restores a split written by SaveState.
-func (b *Breakdown) LoadState(d *snapshot.Decoder) {
-	b.BuffersNJ = d.F64()
-	b.CrossbarNJ = d.F64()
-	b.LinksNJ = d.F64()
-	b.ArbitrationNJ = d.F64()
-	b.RoutingNJ = d.F64()
-	b.EjectionNJ = d.F64()
-	b.LeakageNJ = d.F64()
+// State streams the energy split.
+func (b *Breakdown) State(s *snapshot.Stream) {
+	s.F64(&b.BuffersNJ)
+	s.F64(&b.CrossbarNJ)
+	s.F64(&b.LinksNJ)
+	s.F64(&b.ArbitrationNJ)
+	s.F64(&b.RoutingNJ)
+	s.F64(&b.EjectionNJ)
+	s.F64(&b.LeakageNJ)
 }

@@ -7,146 +7,108 @@ import (
 	"github.com/rocosim/roco/internal/snapshot"
 )
 
-// SaveState serializes the tracker: policy (for validation), per-source
-// sequence counters and duplicate windows, the unresolved entries, and the
-// lifetime counters. Entries are written sorted by (src, seq) so the byte
-// stream is deterministic regardless of map iteration order. The timer
-// heap is not serialized: it holds exactly the unresolved entries (plus
-// lazily-deleted resolved ones, which are observationally inert), and its
-// comparison is a total order, so rebuilding it from the entries yields an
-// identical expiry sequence.
-func (t *Tracker) SaveState(e *snapshot.Encoder) {
-	e.I64(t.params.Timeout)
-	e.I64(t.params.MaxTimeout)
-	e.Int(t.params.MaxRetries)
-
-	e.Int(len(t.wins))
-	for i := range t.wins {
-		w := &t.wins[i]
-		e.U64(t.nextSeq[i])
-		e.U64(w.contig)
-		over := make([]uint64, 0, len(w.over))
-		for s := range w.over {
-			over = append(over, s)
-		}
-		sort.Slice(over, func(a, b int) bool { return over[a] < over[b] })
-		e.Int(len(over))
-		for _, s := range over {
-			e.U64(s)
-		}
-	}
-
-	keys := make([]entryKey, 0, len(t.entries))
-	for k := range t.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].src != keys[b].src {
-			return keys[a].src < keys[b].src
-		}
-		return keys[a].seq < keys[b].seq
-	})
-	e.Int(len(keys))
-	for _, k := range keys {
-		en := t.entries[k]
-		e.Int(en.Src)
-		e.Int(en.Dst)
-		e.U64(en.Seq)
-		e.U64(en.Origin)
-		e.U64(en.CurID)
-		e.I64(en.CreatedAt)
-		e.Int(en.Attempts)
-		e.I64(en.timeout)
-		e.I64(en.deadline)
-	}
-
-	e.I64(t.retransmissions)
-	e.I64(t.recovered)
-	e.Int(len(t.giveUps))
-	for _, g := range t.giveUps {
-		e.Int(g.Src)
-		e.Int(g.Dst)
-		e.U64(g.Seq)
-		e.U64(g.Origin)
-		e.Int(g.Attempts)
-		e.I64(g.Cycle)
-		e.U8(uint8(g.Reason))
-	}
-}
-
-// LoadState restores a tracker written by SaveState. The receiver must be
-// fresh from NewTracker with the same node count and (normalized) policy;
-// a mismatch poisons the decoder.
-func (t *Tracker) LoadState(d *snapshot.Decoder) {
-	if len(t.entries) != 0 || len(t.giveUps) != 0 {
-		d.Corruptf("loading protocol state into a used tracker")
+// State streams the tracker: policy (for validation), per-source sequence
+// counters and duplicate windows, the unresolved entries, and the
+// lifetime counters. Window overflow sets and entries are written sorted
+// (by seq, and by (src, seq)) so the byte stream is deterministic
+// regardless of map iteration order. The timer heap is not serialized: it
+// holds exactly the unresolved entries (plus lazily-deleted resolved
+// ones, which are observationally inert), and its comparison is a total
+// order, so rebuilding it from the entries yields an identical expiry
+// sequence. A loading receiver must be fresh from NewTracker with the
+// same node count and (normalized) policy; a mismatch is corruption.
+func (t *Tracker) State(s *snapshot.Stream) {
+	if s.Loading() && (len(t.entries) != 0 || len(t.giveUps) != 0) {
+		s.Corruptf("loading protocol state into a used tracker")
 		return
 	}
-	if to, mx, mr := d.I64(), d.I64(), d.Int(); d.Err() == nil &&
-		(to != t.params.Timeout || mx != t.params.MaxTimeout || mr != t.params.MaxRetries) {
-		d.Corruptf("protocol params (%d,%d,%d) do not match snapshot (%d,%d,%d)",
+	to, mx, mr := t.params.Timeout, t.params.MaxTimeout, t.params.MaxRetries
+	s.I64(&to)
+	s.I64(&mx)
+	s.Int(&mr)
+	if to != t.params.Timeout || mx != t.params.MaxTimeout || mr != t.params.MaxRetries {
+		s.Corruptf("protocol params (%d,%d,%d) do not match snapshot (%d,%d,%d)",
 			t.params.Timeout, t.params.MaxTimeout, t.params.MaxRetries, to, mx, mr)
 		return
 	}
 
-	nodes := d.SliceLen(16)
-	if d.Err() == nil && nodes != len(t.wins) {
-		d.Corruptf("protocol tracker has %d nodes, snapshot had %d", len(t.wins), nodes)
+	if nodes := s.Len(len(t.wins), 16); nodes != len(t.wins) {
+		s.Corruptf("protocol tracker has %d nodes, snapshot had %d", len(t.wins), nodes)
 		return
 	}
-	for i := 0; i < nodes; i++ {
+	for i := range t.wins {
 		w := &t.wins[i]
-		t.nextSeq[i] = d.U64()
-		w.contig = d.U64()
-		k := d.SliceLen(8)
-		if k > 0 {
-			w.over = make(map[uint64]struct{}, k)
+		s.U64(&t.nextSeq[i])
+		s.U64(&w.contig)
+		var over []uint64
+		if !s.Loading() {
+			over = make([]uint64, 0, len(w.over))
+			for seq := range w.over {
+				over = append(over, seq)
+			}
+			sort.Slice(over, func(a, b int) bool { return over[a] < over[b] })
 		}
-		for j := 0; j < k; j++ {
-			w.over[d.U64()] = struct{}{}
+		snapshot.Slice(s, &over, 8)
+		for j := range over {
+			s.U64(&over[j])
 		}
-		if d.Err() != nil {
-			return
+		if s.Loading() && len(over) > 0 {
+			w.over = make(map[uint64]struct{}, len(over))
+			for _, seq := range over {
+				w.over[seq] = struct{}{}
+			}
 		}
 	}
 
-	n := d.SliceLen(8 * 9)
-	for i := 0; i < n; i++ {
-		en := &Entry{
-			Src:       d.Int(),
-			Dst:       d.Int(),
-			Seq:       d.U64(),
-			Origin:    d.U64(),
-			CurID:     d.U64(),
-			CreatedAt: d.I64(),
-			Attempts:  d.Int(),
-			timeout:   d.I64(),
-			deadline:  d.I64(),
+	var entries []*Entry
+	if !s.Loading() {
+		entries = make([]*Entry, 0, len(t.entries))
+		for _, en := range t.entries {
+			entries = append(entries, en)
 		}
-		if d.Err() != nil {
-			return
-		}
-		t.entries[entryKey{en.Src, en.Seq}] = en
-		t.timers = append(t.timers, en)
-	}
-	heap.Init(&t.timers)
-	t.pending = len(t.entries)
-
-	t.retransmissions = d.I64()
-	t.recovered = d.I64()
-	g := d.SliceLen(8)
-	for i := 0; i < g; i++ {
-		t.giveUps = append(t.giveUps, GiveUp{
-			Src:      d.Int(),
-			Dst:      d.Int(),
-			Seq:      d.U64(),
-			Origin:   d.U64(),
-			Attempts: d.Int(),
-			Cycle:    d.I64(),
-			Reason:   GiveUpReason(d.U8()),
+		sort.Slice(entries, func(a, b int) bool {
+			if entries[a].Src != entries[b].Src {
+				return entries[a].Src < entries[b].Src
+			}
+			return entries[a].Seq < entries[b].Seq
 		})
-		if d.Err() != nil {
-			return
+	}
+	snapshot.Slice(s, &entries, 8*9)
+	for i, en := range entries {
+		if s.Loading() {
+			en = &Entry{}
+			entries[i] = en
 		}
+		s.Int(&en.Src)
+		s.Int(&en.Dst)
+		s.U64(&en.Seq)
+		s.U64(&en.Origin)
+		s.U64(&en.CurID)
+		s.I64(&en.CreatedAt)
+		s.Int(&en.Attempts)
+		s.I64(&en.timeout)
+		s.I64(&en.deadline)
+		if s.Loading() {
+			t.entries[entryKey{en.Src, en.Seq}] = en
+		}
+	}
+	if s.Loading() {
+		t.timers = append(t.timers, entries...)
+		heap.Init(&t.timers)
+		t.pending = len(t.entries)
+	}
+
+	s.I64(&t.retransmissions)
+	s.I64(&t.recovered)
+	snapshot.Slice(s, &t.giveUps, 8)
+	for i := range t.giveUps {
+		g := &t.giveUps[i]
+		s.Int(&g.Src)
+		s.Int(&g.Dst)
+		s.U64(&g.Seq)
+		s.U64(&g.Origin)
+		s.Int(&g.Attempts)
+		s.I64(&g.Cycle)
+		snapshot.Enum(s, &g.Reason)
 	}
 }

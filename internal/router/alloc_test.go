@@ -102,16 +102,16 @@ func TestHotStateAbortFrontSleeps(t *testing.T) {
 	checkDormancy(t, "front aborted", cs, [2]bool{true, true})
 }
 
-// TestHotStateResync pins the snapshot-restore contract: VC.LoadState
-// writes channel internals directly, and its closing syncAlloc must leave
-// the busy mask exactly what the mutators would have built, in both
-// directions.
+// TestHotStateResync pins the snapshot-restore contract: a loading
+// VC.State writes channel internals directly, and its closing syncAlloc
+// must leave the busy mask exactly what the mutators would have built, in
+// both directions.
 func TestHotStateResync(t *testing.T) {
 	cs, vcs := bindTestRouters(t)
 	codec := &flit.Codec{}
 	save := func(vc *VC) *snapshot.Decoder {
 		e := snapshot.NewEncoder()
-		vc.SaveState(e, codec)
+		vc.State(e.Stream(), codec)
 		return frame(t, e)
 	}
 	idle := save(vcs[3])
@@ -122,8 +122,8 @@ func TestHotStateResync(t *testing.T) {
 
 	// Swap the two channels' states through the codec: router 1 wakes,
 	// router 0 sleeps.
-	vcs[3].LoadState(busy, codec)
-	vcs[1].LoadState(idle, codec)
+	vcs[3].State(busy.Stream(), codec)
+	vcs[1].State(idle.Stream(), codec)
 	for _, d := range []*snapshot.Decoder{busy, idle} {
 		if err := d.Finish(); err != nil {
 			t.Fatal(err)

@@ -166,7 +166,7 @@ func compareBooks(b *OutVCBook, r *refBook) error {
 // FuzzOutVCBook differentially checks the packed credit book against the
 // slice-based reference over random operation sequences: every
 // observable must agree after every step, both must panic on the same
-// step, and a SaveState/LoadState round trip must write the reference's
+// step, and a State save/load round trip must write the reference's
 // canonical bytes and restore an equal book. Each operation is three
 // bytes (opcode, channel, argument). The committed seed corpus runs in
 // `make check` under the race detector; explore further with
@@ -232,17 +232,17 @@ func FuzzOutVCBook(f *testing.F) {
 				bp, rp = panics(func() { b.SetDepth(vc, d) }), panics(func() { r.setDepth(vc, d) })
 			case opRoundTrip:
 				e, re := snapshot.NewEncoder(), snapshot.NewEncoder()
-				b.SaveState(e)
+				b.State(e.Stream())
 				r.save(re)
 				var eb, rb bytes.Buffer
 				e.WriteTo(&eb)
 				re.WriteTo(&rb)
 				if !bytes.Equal(eb.Bytes(), rb.Bytes()) {
-					t.Fatalf("step %d: SaveState is not the canonical stream", step/3)
+					t.Fatalf("step %d: saving State is not the canonical stream", step/3)
 				}
 				loaded := NewOutVCBook(n, 0)
 				d := frame(t, e)
-				loaded.LoadState(d)
+				loaded.State(d.Stream())
 				if err := d.Finish(); err != nil {
 					t.Fatalf("step %d: reloading a saved book: %v", step/3, err)
 				}

@@ -183,12 +183,11 @@ type Router interface {
 	// phases that are no-ops on an Idle router.
 	DisableTickFastPath()
 
-	// SaveState serializes the router's complete mutable state (channels,
-	// credit books, arbiter pointers, fault flags, counters) for a
-	// checkpoint, and LoadState restores it into a freshly built router of
-	// the same configuration. Both are called only at cycle boundaries,
-	// with every kernel worker parked. LoadState reports failures through
-	// the decoder's error state, never partially applied panics.
-	SaveState(e *snapshot.Encoder, c *flit.Codec)
-	LoadState(d *snapshot.Decoder, c *flit.Codec)
+	// State streams the router's complete mutable state (channels, credit
+	// books, arbiter pointers, fault flags, counters) in either direction:
+	// a saving stream writes it for a checkpoint, a loading stream restores
+	// it into a freshly built router of the same configuration. It is
+	// called only at cycle boundaries, with every kernel worker parked, and
+	// a load reports failures through the stream's error, never a panic.
+	State(s *snapshot.Stream, c *flit.Codec)
 }

@@ -94,7 +94,7 @@ func TestLoopbackSnapshotResumes(t *testing.T) {
 		t.Fatal("loopback head rejected")
 	}
 	e := snapshot.NewEncoder()
-	r.SaveState(e, &flit.Codec{})
+	r.State(e.Stream(), &flit.Codec{})
 	var frame bytes.Buffer
 	if _, err := e.WriteTo(&frame); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestLoopbackSnapshotResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := newTestRouter(routing.XY)
-	resumed.LoadState(d, &flit.Codec{})
+	resumed.State(d.Stream(), &flit.Codec{})
 	if d.Err() != nil {
 		t.Fatalf("mid-loopback snapshot refused: %v", d.Err())
 	}

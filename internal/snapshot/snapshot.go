@@ -2,9 +2,10 @@
 // behind deterministic checkpoint/resume: a sticky-error Encoder/Decoder
 // pair over fixed-width little-endian primitives, a self-describing frame
 // format (magic, version, length, CRC64), and crash-safe file persistence
-// (same-directory temp file, fsync, atomic rename). Higher layers compose
-// the primitives into full simulation-state serializers; this package
-// knows nothing about routers or flits.
+// (same-directory temp file, fsync, atomic rename). Higher layers write
+// each stateful type's layout once, as a State method over a Stream that
+// saves or loads in one pass; this package knows nothing about routers or
+// flits.
 //
 // # Frame format
 //
@@ -65,9 +66,6 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// Len returns the payload size accumulated so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -98,12 +96,6 @@ func (e *Encoder) Bool(v bool) {
 
 // Bytes appends a length-prefixed byte slice.
 func (e *Encoder) Bytes(v []byte) {
-	e.Int(len(v))
-	e.buf = append(e.buf, v...)
-}
-
-// Str appends a length-prefixed string.
-func (e *Encoder) Str(v string) {
 	e.Int(len(v))
 	e.buf = append(e.buf, v...)
 }
@@ -283,9 +275,6 @@ func (d *Decoder) Bytes() []byte {
 	}
 	return append([]byte(nil), b...)
 }
-
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string { return string(d.Bytes()) }
 
 // SliceLen reads a slice length prefix and validates it against the
 // remaining payload: a slice of n elements of at least elemBytes each

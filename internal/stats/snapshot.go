@@ -2,72 +2,38 @@ package stats
 
 import "github.com/rocosim/roco/internal/snapshot"
 
-// State exposes the raw xoshiro256** state for checkpointing.
-func (r *RNG) State() [4]uint64 { return r.s }
-
-// SetState restores a state captured by State.
-func (r *RNG) SetState(s [4]uint64) { r.s = s }
-
-// SaveState serializes the generator state.
-func (r *RNG) SaveState(e *snapshot.Encoder) {
-	for _, w := range r.s {
-		e.U64(w)
-	}
-}
-
-// LoadState restores a state written by SaveState.
-func (r *RNG) LoadState(d *snapshot.Decoder) {
+// State streams the generator state.
+func (r *RNG) State(s *snapshot.Stream) {
 	for i := range r.s {
-		r.s[i] = d.U64()
+		s.U64(&r.s[i])
 	}
 }
 
-// SaveState serializes the accumulator.
-func (r *Running) SaveState(e *snapshot.Encoder) {
-	e.I64(r.n)
-	e.F64(r.mean)
-	e.F64(r.m2)
-	e.F64(r.min)
-	e.F64(r.max)
+// State streams the accumulator.
+func (r *Running) State(s *snapshot.Stream) {
+	s.I64(&r.n)
+	s.F64(&r.mean)
+	s.F64(&r.m2)
+	s.F64(&r.min)
+	s.F64(&r.max)
 }
 
-// LoadState restores an accumulator written by SaveState.
-func (r *Running) LoadState(d *snapshot.Decoder) {
-	r.n = d.I64()
-	r.mean = d.F64()
-	r.m2 = d.F64()
-	r.min = d.F64()
-	r.max = d.F64()
-}
-
-// SaveState serializes the histogram, shape included.
-func (h *Histogram) SaveState(e *snapshot.Encoder) {
-	e.F64(h.width)
-	e.Int(len(h.counts))
-	for _, c := range h.counts {
-		e.I64(c)
+// State streams the histogram, shape included. Loading into a histogram
+// of another shape (bucket count or width) is corruption, never a silent
+// rebinning.
+func (h *Histogram) State(s *snapshot.Stream) {
+	w := h.width
+	if s.F64(&w); w != h.width {
+		s.Corruptf("histogram width %v, want %v", w, h.width)
 	}
-	e.I64(h.over)
-	e.I64(h.total)
-	h.running.SaveState(e)
-}
-
-// LoadState restores a histogram written by SaveState into h, which must
-// have the same shape (bucket count and width) — a mismatch poisons the
-// decoder instead of silently rebinning.
-func (h *Histogram) LoadState(d *snapshot.Decoder) {
-	if w := d.F64(); w != h.width {
-		d.Corruptf("histogram width %v, want %v", w, h.width)
-	}
-	n := d.SliceLen(8)
-	if n != len(h.counts) {
-		d.Corruptf("histogram buckets %d, want %d", n, len(h.counts))
+	if n := s.Len(len(h.counts), 8); n != len(h.counts) {
+		s.Corruptf("histogram buckets %d, want %d", n, len(h.counts))
 		return
 	}
 	for i := range h.counts {
-		h.counts[i] = d.I64()
+		s.I64(&h.counts[i])
 	}
-	h.over = d.I64()
-	h.total = d.I64()
-	h.running.LoadState(d)
+	s.I64(&h.over)
+	s.I64(&h.total)
+	h.running.State(s)
 }

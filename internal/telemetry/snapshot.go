@@ -4,222 +4,134 @@ import (
 	"github.com/rocosim/roco/internal/snapshot"
 )
 
-func saveNodeSample(e *snapshot.Encoder, s *NodeSample) {
-	e.I64(s.LinkFlits)
-	e.I64(s.CrossbarTraversals)
-	e.I64(s.BufferWrites)
-	e.I64(s.BufferReads)
-	e.I64(s.VAOps)
-	e.I64(s.VAGrants)
-	e.I64(s.SAOps)
-	e.I64(s.SAGrants)
-	e.I64(s.RouteComputations)
-	e.I64(s.Ejections)
-	e.I64(s.EarlyEjections)
-	e.I64(s.DroppedFlits)
-	e.I64(s.CreditStalls)
-	for _, o := range s.Occupancy {
-		e.U32(uint32(o))
-	}
-	e.U32(uint32(s.OccupancyTotal))
+// streamI32 streams an int32 by its uint32 bit pattern.
+func streamI32(s *snapshot.Stream, v *int32) {
+	u := uint32(*v)
+	s.U32(&u)
+	*v = int32(u)
 }
 
-func loadNodeSample(d *snapshot.Decoder, s *NodeSample) {
-	s.LinkFlits = d.I64()
-	s.CrossbarTraversals = d.I64()
-	s.BufferWrites = d.I64()
-	s.BufferReads = d.I64()
-	s.VAOps = d.I64()
-	s.VAGrants = d.I64()
-	s.SAOps = d.I64()
-	s.SAGrants = d.I64()
-	s.RouteComputations = d.I64()
-	s.Ejections = d.I64()
-	s.EarlyEjections = d.I64()
-	s.DroppedFlits = d.I64()
-	s.CreditStalls = d.I64()
-	for i := range s.Occupancy {
-		s.Occupancy[i] = int32(d.U32())
+func (n *NodeSample) state(s *snapshot.Stream) {
+	s.I64(&n.LinkFlits)
+	s.I64(&n.CrossbarTraversals)
+	s.I64(&n.BufferWrites)
+	s.I64(&n.BufferReads)
+	s.I64(&n.VAOps)
+	s.I64(&n.VAGrants)
+	s.I64(&n.SAOps)
+	s.I64(&n.SAGrants)
+	s.I64(&n.RouteComputations)
+	s.I64(&n.Ejections)
+	s.I64(&n.EarlyEjections)
+	s.I64(&n.DroppedFlits)
+	s.I64(&n.CreditStalls)
+	for i := range n.Occupancy {
+		streamI32(s, &n.Occupancy[i])
 	}
-	s.OccupancyTotal = int32(d.U32())
+	streamI32(s, &n.OccupancyTotal)
 }
 
-func saveEpoch(e *snapshot.Encoder, ep *Epoch) {
-	e.I64(ep.Index)
-	e.I64(ep.StartCycle)
-	e.I64(ep.EndCycle)
-	e.I64(ep.Cycles)
-	e.I64(ep.Generated)
-	e.I64(ep.Delivered)
-	e.I64(ep.Dropped)
-	e.I64(ep.Retransmissions)
-	e.I64(ep.Recovered)
-	e.I64(ep.GiveUps)
-	e.I64(ep.LinkFlits)
-	e.I64(ep.CrossbarFlits)
-	e.I64(ep.SAGrants)
-	e.I64(ep.SAConflicts)
-	e.I64(ep.CreditStalls)
-	e.I64(ep.Ejections)
-	e.I64(ep.EarlyEjections)
-	for _, o := range ep.Occupancy {
-		e.I64(o)
-	}
-	e.I64(ep.OccupancyTotal)
-	ep.Energy.SaveState(e)
-	e.Int(len(ep.Nodes))
-	for i := range ep.Nodes {
-		saveNodeSample(e, &ep.Nodes[i])
-	}
-}
-
-// loadEpoch fills ep in place, preserving its preallocated Nodes slice.
-func loadEpoch(d *snapshot.Decoder, ep *Epoch) {
-	ep.Index = d.I64()
-	ep.StartCycle = d.I64()
-	ep.EndCycle = d.I64()
-	ep.Cycles = d.I64()
-	ep.Generated = d.I64()
-	ep.Delivered = d.I64()
-	ep.Dropped = d.I64()
-	ep.Retransmissions = d.I64()
-	ep.Recovered = d.I64()
-	ep.GiveUps = d.I64()
-	ep.LinkFlits = d.I64()
-	ep.CrossbarFlits = d.I64()
-	ep.SAGrants = d.I64()
-	ep.SAConflicts = d.I64()
-	ep.CreditStalls = d.I64()
-	ep.Ejections = d.I64()
-	ep.EarlyEjections = d.I64()
+// state streams ep in place; loading keeps its preallocated Nodes slice
+// and rejects a node count it does not match.
+func (ep *Epoch) state(s *snapshot.Stream) {
+	s.I64(&ep.Index)
+	s.I64(&ep.StartCycle)
+	s.I64(&ep.EndCycle)
+	s.I64(&ep.Cycles)
+	s.I64(&ep.Generated)
+	s.I64(&ep.Delivered)
+	s.I64(&ep.Dropped)
+	s.I64(&ep.Retransmissions)
+	s.I64(&ep.Recovered)
+	s.I64(&ep.GiveUps)
+	s.I64(&ep.LinkFlits)
+	s.I64(&ep.CrossbarFlits)
+	s.I64(&ep.SAGrants)
+	s.I64(&ep.SAConflicts)
+	s.I64(&ep.CreditStalls)
+	s.I64(&ep.Ejections)
+	s.I64(&ep.EarlyEjections)
 	for i := range ep.Occupancy {
-		ep.Occupancy[i] = d.I64()
+		s.I64(&ep.Occupancy[i])
 	}
-	ep.OccupancyTotal = d.I64()
-	ep.Energy.LoadState(d)
-	if n := d.SliceLen(8); d.Err() == nil && n != len(ep.Nodes) {
-		d.Corruptf("epoch has %d node samples, collector is sized for %d", n, len(ep.Nodes))
+	s.I64(&ep.OccupancyTotal)
+	ep.Energy.State(s)
+	if n := s.Len(len(ep.Nodes), 8); n != len(ep.Nodes) {
+		s.Corruptf("epoch has %d node samples, collector is sized for %d", n, len(ep.Nodes))
 		return
 	}
 	for i := range ep.Nodes {
-		loadNodeSample(d, &ep.Nodes[i])
+		ep.Nodes[i].state(s)
 	}
 }
 
-func saveTotals(e *snapshot.Encoder, t *Totals) {
-	e.I64(t.Epochs)
-	e.I64(t.Cycles)
-	e.I64(t.Generated)
-	e.I64(t.Delivered)
-	e.I64(t.Dropped)
-	e.I64(t.Retransmissions)
-	e.I64(t.Recovered)
-	e.I64(t.GiveUps)
-	e.I64(t.LinkFlits)
-	e.I64(t.CrossbarFlits)
-	e.I64(t.SAGrants)
-	e.I64(t.SAConflicts)
-	e.I64(t.CreditStalls)
-	e.I64(t.Ejections)
-	e.I64(t.EarlyEjections)
-	t.Energy.SaveState(e)
+func (t *Totals) state(s *snapshot.Stream) {
+	s.I64(&t.Epochs)
+	s.I64(&t.Cycles)
+	s.I64(&t.Generated)
+	s.I64(&t.Delivered)
+	s.I64(&t.Dropped)
+	s.I64(&t.Retransmissions)
+	s.I64(&t.Recovered)
+	s.I64(&t.GiveUps)
+	s.I64(&t.LinkFlits)
+	s.I64(&t.CrossbarFlits)
+	s.I64(&t.SAGrants)
+	s.I64(&t.SAConflicts)
+	s.I64(&t.CreditStalls)
+	s.I64(&t.Ejections)
+	s.I64(&t.EarlyEjections)
+	t.Energy.State(s)
 }
 
-func loadTotals(d *snapshot.Decoder, t *Totals) {
-	t.Epochs = d.I64()
-	t.Cycles = d.I64()
-	t.Generated = d.I64()
-	t.Delivered = d.I64()
-	t.Dropped = d.I64()
-	t.Retransmissions = d.I64()
-	t.Recovered = d.I64()
-	t.GiveUps = d.I64()
-	t.LinkFlits = d.I64()
-	t.CrossbarFlits = d.I64()
-	t.SAGrants = d.I64()
-	t.SAConflicts = d.I64()
-	t.CreditStalls = d.I64()
-	t.Ejections = d.I64()
-	t.EarlyEjections = d.I64()
-	t.Energy.LoadState(d)
-}
-
-// SaveState serializes the collector: the retained epochs in logical
+// State streams the collector: the retained epochs in logical
 // (oldest-first) order, eviction count, the previous-epoch baselines, and
 // the cumulative totals. The ring's physical rotation is not preserved —
 // only its logical content matters (eviction order and Snapshot output are
-// functions of the logical sequence alone).
-func (c *Collector) SaveState(e *snapshot.Encoder) {
+// functions of the logical sequence alone) — so loaded epochs land at ring
+// positions 0..count-1. A loading collector must be freshly built with the
+// same configuration; a shape mismatch is corruption.
+func (c *Collector) State(s *snapshot.Stream) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.I64(c.cfg.Every)
-	e.Int(len(c.ring))
-	e.Int(c.cfg.Nodes)
-	e.Int(c.count)
+	every, capEp, nodes, count := c.cfg.Every, len(c.ring), c.cfg.Nodes, c.count
+	s.I64(&every)
+	s.Int(&capEp)
+	s.Int(&nodes)
+	s.Int(&count)
+	switch {
+	case every != c.cfg.Every:
+		s.Corruptf("telemetry epoch length %d, snapshot had %d", c.cfg.Every, every)
+		return
+	case capEp != len(c.ring):
+		s.Corruptf("telemetry ring capacity %d, snapshot had %d", len(c.ring), capEp)
+		return
+	case nodes != c.cfg.Nodes:
+		s.Corruptf("telemetry node count %d, snapshot had %d", c.cfg.Nodes, nodes)
+		return
+	case count < 0 || count > len(c.ring):
+		s.Corruptf("telemetry ring holds %d epochs over capacity %d", count, len(c.ring))
+		return
+	}
+	if s.Loading() {
+		c.start, c.count = 0, count
+	}
 	for i := 0; i < c.count; i++ {
-		saveEpoch(e, &c.ring[(c.start+i)%len(c.ring)])
-	}
-	e.I64(c.evicted)
-	e.I64(c.lastCycle)
-	for i := range c.prevAct {
-		c.prevAct[i].SaveState(e)
-	}
-	c.prevCont.SaveState(e)
-	e.I64(c.prevNet.GenFlits)
-	e.I64(c.prevNet.DelFlits)
-	e.I64(c.prevNet.DropFlits)
-	e.I64(c.prevNet.Retransmissions)
-	e.I64(c.prevNet.Recovered)
-	e.I64(c.prevNet.GiveUps)
-	saveTotals(e, &c.totals)
-}
-
-// LoadState restores a collector written by SaveState into a freshly built
-// collector with the same configuration; a shape mismatch poisons the
-// decoder. Retained epochs land at ring positions 0..count-1 (start = 0),
-// which is logically identical to any rotation of the live ring.
-func (c *Collector) LoadState(d *snapshot.Decoder) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if every := d.I64(); d.Err() == nil && every != c.cfg.Every {
-		d.Corruptf("telemetry epoch length %d, snapshot had %d", c.cfg.Every, every)
-		return
-	}
-	if capEp := d.Int(); d.Err() == nil && capEp != len(c.ring) {
-		d.Corruptf("telemetry ring capacity %d, snapshot had %d", len(c.ring), capEp)
-		return
-	}
-	if nodes := d.Int(); d.Err() == nil && nodes != c.cfg.Nodes {
-		d.Corruptf("telemetry node count %d, snapshot had %d", c.cfg.Nodes, nodes)
-		return
-	}
-	count := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if count < 0 || count > len(c.ring) {
-		d.Corruptf("telemetry ring holds %d epochs over capacity %d", count, len(c.ring))
-		return
-	}
-	c.start = 0
-	c.count = count
-	for i := 0; i < count; i++ {
-		loadEpoch(d, &c.ring[i])
-		if d.Err() != nil {
+		if c.ring[(c.start+i)%len(c.ring)].state(s); s.Err() != nil {
 			return
 		}
 	}
-	c.evicted = d.I64()
-	c.lastCycle = d.I64()
+	s.I64(&c.evicted)
+	s.I64(&c.lastCycle)
 	for i := range c.prevAct {
-		c.prevAct[i].LoadState(d)
+		c.prevAct[i].State(s)
 	}
-	c.prevCont.LoadState(d)
-	c.prevNet.GenFlits = d.I64()
-	c.prevNet.DelFlits = d.I64()
-	c.prevNet.DropFlits = d.I64()
-	c.prevNet.Retransmissions = d.I64()
-	c.prevNet.Recovered = d.I64()
-	c.prevNet.GiveUps = d.I64()
-	loadTotals(d, &c.totals)
+	c.prevCont.State(s)
+	s.I64(&c.prevNet.GenFlits)
+	s.I64(&c.prevNet.DelFlits)
+	s.I64(&c.prevNet.DropFlits)
+	s.I64(&c.prevNet.Retransmissions)
+	s.I64(&c.prevNet.Recovered)
+	s.I64(&c.prevNet.GiveUps)
+	c.totals.state(s)
 }

@@ -2,62 +2,49 @@ package trace
 
 import "github.com/rocosim/roco/internal/snapshot"
 
-// SaveState serializes every record in insertion order.
-func (c *Collector) SaveState(e *snapshot.Encoder) {
+// State streams every record in insertion order. Loading requires an
+// empty collector and returns the loaded records keyed by packet ID, for
+// relinking the Rec pointers of in-flight flits (stream the collector
+// before any flit); saving returns nil.
+func (c *Collector) State(s *snapshot.Stream) map[uint64]*Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.Int(len(c.records))
-	for _, r := range c.records {
-		e.U64(r.PacketID)
-		e.Int(r.Src)
-		e.Int(r.Dst)
-		e.I64(r.CreatedAt)
-		e.Int(len(r.Visits))
-		for _, v := range r.Visits {
-			e.Int(v.Node)
-			e.I64(v.Cycle)
-			e.U8(uint8(v.Kind))
-			e.U8(uint8(v.Reason))
-		}
-	}
-}
-
-// LoadState restores a collector written by SaveState into an empty
-// collector and returns the records keyed by packet ID, for relinking the
-// Rec pointers of in-flight flits (decode the collector before any flit).
-func (c *Collector) LoadState(d *snapshot.Decoder) map[uint64]*Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.records) != 0 {
-		d.Corruptf("loading trace state into a non-empty collector")
+	if s.Loading() && len(c.records) != 0 {
+		s.Corruptf("loading trace state into a non-empty collector")
 		return nil
 	}
-	n := d.SliceLen(8)
-	byID := make(map[uint64]*Record, n)
-	for i := 0; i < n; i++ {
-		r := &Record{
-			PacketID:  d.U64(),
-			Src:       d.Int(),
-			Dst:       d.Int(),
-			CreatedAt: d.I64(),
+	snapshot.Slice(s, &c.records, 8)
+	var byID map[uint64]*Record
+	if s.Loading() {
+		byID = make(map[uint64]*Record, len(c.records))
+	}
+	for i, r := range c.records {
+		if s.Loading() {
+			r = &Record{}
+			c.records[i] = r
 		}
-		k := d.SliceLen(8)
-		// Mirror NewRecord's preallocation so resumed records grow the
-		// same way live ones do.
-		r.Visits = make([]Visit, 0, max(16, k))
-		for j := 0; j < k; j++ {
-			r.Visits = append(r.Visits, Visit{
-				Node:   d.Int(),
-				Cycle:  d.I64(),
-				Kind:   VisitKind(d.U8()),
-				Reason: DropReason(d.U8()),
-			})
+		s.U64(&r.PacketID)
+		s.Int(&r.Src)
+		s.Int(&r.Dst)
+		s.I64(&r.CreatedAt)
+		if k := s.Len(len(r.Visits), 8); s.Loading() {
+			// Mirror NewRecord's preallocation so resumed records grow the
+			// same way live ones do.
+			r.Visits = make([]Visit, k, max(16, k))
 		}
-		if d.Err() != nil {
+		for j := range r.Visits {
+			v := &r.Visits[j]
+			s.Int(&v.Node)
+			s.I64(&v.Cycle)
+			snapshot.Enum(s, &v.Kind)
+			snapshot.Enum(s, &v.Reason)
+		}
+		if s.Err() != nil {
 			return nil
 		}
-		c.records = append(c.records, r)
-		byID[r.PacketID] = r
+		if byID != nil {
+			byID[r.PacketID] = r
+		}
 	}
 	return byID
 }

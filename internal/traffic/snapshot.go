@@ -11,86 +11,55 @@ const (
 	genMPEG2
 )
 
-// SaveState serializes the mutable state of every generator. The generator
+// State streams the mutable state of every generator. The generator
 // structure itself (pattern, rates, destinations) is configuration and is
 // rebuilt from Config on resume; only RNG streams and process state are
-// runtime state. Each generator is tagged with its kind so a resume into a
-// different workload fails loudly instead of misinterpreting bytes.
-func SaveState(e *snapshot.Encoder, gens []Generator) {
-	e.Int(len(gens))
-	for _, g := range gens {
+// runtime state. Each generator is tagged with its kind so a resume into
+// a different workload fails loudly instead of misinterpreting bytes: a
+// count or kind mismatch is corruption.
+func State(s *snapshot.Stream, gens []Generator) {
+	if n := s.Len(len(gens), 1); n != len(gens) {
+		s.Corruptf("snapshot has %d traffic generators, config built %d", n, len(gens))
+		return
+	}
+	for i, g := range gens {
+		want := kindOf(g)
+		kind := want
+		if s.U8(&kind); kind != want {
+			s.Corruptf("generator %d: snapshot kind %d, want %d", i, kind, want)
+			return
+		}
 		switch g := g.(type) {
-		case silentGen:
-			e.U8(genSilent)
 		case *bernoulliGen:
-			e.U8(genBernoulli)
-			g.rng.SaveState(e)
+			g.rng.State(s)
 		case *selfSimilar:
-			e.U8(genSelfSimilar)
-			g.rng.SaveState(e)
-			e.I64(g.remaining)
-			e.Bool(g.on)
+			g.rng.State(s)
+			s.I64(&g.remaining)
+			s.Bool(&g.on)
 		case *mpeg2:
-			e.U8(genMPEG2)
-			g.rng.SaveState(e)
-			e.Int(g.gopIdx)
-			e.I64(g.framePhase)
-			e.F64(g.backlog)
-		default:
-			panic("traffic: unknown generator kind in snapshot")
+			g.rng.State(s)
+			s.Int(&g.gopIdx)
+			s.I64(&g.framePhase)
+			s.F64(&g.backlog)
+			if g.gopIdx < 0 || g.gopIdx >= len(g.gop) {
+				s.Corruptf("generator %d: gop index %d out of range", i, g.gopIdx)
+				return
+			}
 		}
 	}
 }
 
-// LoadState restores generator state written by SaveState into generators
-// freshly built with the same Config. A count or kind mismatch poisons the
-// decoder.
-func LoadState(d *snapshot.Decoder, gens []Generator) {
-	n := d.SliceLen(1)
-	if d.Err() == nil && n != len(gens) {
-		d.Corruptf("snapshot has %d traffic generators, config built %d", n, len(gens))
-		return
+// kindOf returns the snapshot kind tag of g.
+func kindOf(g Generator) uint8 {
+	switch g.(type) {
+	case silentGen:
+		return genSilent
+	case *bernoulliGen:
+		return genBernoulli
+	case *selfSimilar:
+		return genSelfSimilar
+	case *mpeg2:
+		return genMPEG2
 	}
-	for i, g := range gens {
-		kind := d.U8()
-		if d.Err() != nil {
-			return
-		}
-		switch g := g.(type) {
-		case silentGen:
-			if kind != genSilent {
-				d.Corruptf("generator %d: snapshot kind %d, want silent", i, kind)
-				return
-			}
-		case *bernoulliGen:
-			if kind != genBernoulli {
-				d.Corruptf("generator %d: snapshot kind %d, want bernoulli", i, kind)
-				return
-			}
-			g.rng.LoadState(d)
-		case *selfSimilar:
-			if kind != genSelfSimilar {
-				d.Corruptf("generator %d: snapshot kind %d, want self-similar", i, kind)
-				return
-			}
-			g.rng.LoadState(d)
-			g.remaining = d.I64()
-			g.on = d.Bool()
-		case *mpeg2:
-			if kind != genMPEG2 {
-				d.Corruptf("generator %d: snapshot kind %d, want mpeg2", i, kind)
-				return
-			}
-			g.rng.LoadState(d)
-			g.gopIdx = d.Int()
-			g.framePhase = d.I64()
-			g.backlog = d.F64()
-			if d.Err() == nil && (g.gopIdx < 0 || g.gopIdx >= len(g.gop)) {
-				d.Corruptf("generator %d: gop index %d out of range", i, g.gopIdx)
-				return
-			}
-		default:
-			panic("traffic: unknown generator kind in snapshot")
-		}
-	}
+	panic("traffic: unknown generator kind in snapshot")
 }

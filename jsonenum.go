@@ -30,11 +30,11 @@ var (
 		Hotspot:       {"hotspot"},
 	}
 	componentTokens = map[Component][]string{
-		RC:       {"rc"},
-		Buffer:   {"buffer"},
-		VA:       {"va"},
-		SA:       {"sa"},
-		Crossbar: {"crossbar"},
+		RC:           {"rc"},
+		Buffer:       {"buffer"},
+		VA:           {"va"},
+		SA:           {"sa"},
+		Crossbar:     {"crossbar"},
 		MuxDemux:     {"muxdemux", "mux/demux", "mux-demux"},
 		D2DInterface: {"d2d", "d2dif", "d2d-if", "d2dinterface"},
 	}

@@ -16,6 +16,14 @@ if [ -n "$STALE" ]; then
 fi
 
 go vet ./...
+# Formatting gate: every tracked Go file must be gofmt-clean (listing the
+# tracked files keeps untracked build output such as .bench_build/ out).
+UNFORMATTED="$(gofmt -l $(git ls-files '*.go'))"
+if [ -n "$UNFORMATTED" ]; then
+	echo "check.sh: files need gofmt:" >&2
+	echo "$UNFORMATTED" >&2
+	exit 1
+fi
 go build ./...
 go test ./...
 # Documentation gate: package comments, exported-identifier docs in
