@@ -33,7 +33,8 @@ func goldenConfig(k RouterKind, alg Algorithm, rate float64) Config {
 // goldenCases covers every router kind under every routing algorithm it
 // supports, runtime fault schedules of both classes (critical
 // ones under reliable delivery), the torus, the mirror ablation, a
-// serial-chiplet interface fault, and epoch telemetry.
+// serial-chiplet interface fault, a multi-chip torus with a fault on its
+// wrap seam, and epoch telemetry.
 func goldenCases() []goldenCase {
 	var cs []goldenCase
 	kinds := []RouterKind{Generic, PathSensitive, RoCo}
@@ -69,6 +70,15 @@ func goldenCases() []goldenCase {
 	chiplet.FaultSchedule = []TimedFault{{Cycle: 400, Fault: Fault{Node: 0, Component: D2DInterface, Side: SideEast}}}
 	cs = append(cs, goldenCase{"RoCo/chiplet-d2d", chiplet})
 
+	mcTorus := goldenConfig(Generic, XY, 0.15)
+	mcTorus.Width, mcTorus.Height = 0, 0
+	mcTorus.Torus = true
+	mcTorus.ChipsX, mcTorus.ChipsY, mcTorus.ChipW, mcTorus.ChipH = 2, 2, 3, 3
+	mcTorus.D2DClass = D2DSerial
+	mcTorus.Reliable = true
+	mcTorus.FaultSchedule = []TimedFault{{Cycle: 400, Fault: Fault{Node: 0, Component: D2DInterface, Side: SideWest}}}
+	cs = append(cs, goldenCase{"Generic/multichip-torus", mcTorus})
+
 	tele := goldenConfig(RoCo, Adaptive, 0.2)
 	tele.TelemetryEvery = 100
 	cs = append(cs, goldenCase{"RoCo/telemetry", tele})
@@ -76,8 +86,9 @@ func goldenCases() []goldenCase {
 }
 
 // goldenDigests holds the digest of every golden case, recorded before the
-// routers were rebuilt on the shared chassis. Never edit an entry to make
-// the test pass: a mismatch means behaviour changed.
+// routers were rebuilt on the shared chassis (the multi-chip torus before
+// the topologies became one grid type). Never edit an entry to make the
+// test pass: a mismatch means behaviour changed.
 var goldenDigests = map[string]string{
 	"Generic VC Router/XY":                "a18b83dacb69a7d6a1309b1ffa826dec77dc555ed0fcf68cc6bb4b0fbf296f48",
 	"Generic VC Router/XY-YX":             "dd769ffb415449bf06c0585d2061d949c231af7dcb4d44eb12854bf32ac07d9b",
@@ -101,6 +112,7 @@ var goldenDigests = map[string]string{
 	"RoCo/no-mirror":                      "c4ce2dd9081dd17652083dfb84ded01bf7ee3642520b27797c792f3d31249567",
 	"RoCo/chiplet-d2d":                    "0c09c27b4786194c62a4fb7c456e084ac825e1ada9352061c40e15dbdf274712",
 	"RoCo/telemetry":                      "d2adc6ee70550f3c870902e61c9c0632a3ccecd884d58abdf029b2d1d7050a2c",
+	"Generic/multichip-torus":             "d92fdaeb4833f00afc1eeab3e6d753e7d389da13a38c5adb014b82c81bda6f7a",
 }
 
 // goldenDigest runs cfg to its end and hashes every Result field plus the
