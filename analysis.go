@@ -81,20 +81,15 @@ func buildNetwork(cfg Config, traceEvery uint64) (*network.Network, power.Profil
 	return net, profile
 }
 
-// buildTopology maps the grid fields of a validated Config to a concrete
-// topology: a chiplet grid when ChipsX et al. are set (wrapped by Torus),
-// the flat torus or mesh otherwise.
-func buildTopology(cfg Config) topology.Topology {
-	switch {
-	case cfg.multichip() && cfg.Torus:
-		return topology.NewMultiChipTorus(cfg.ChipsX, cfg.ChipsY, cfg.ChipW, cfg.ChipH)
-	case cfg.multichip():
-		return topology.NewMultiChipMesh(cfg.ChipsX, cfg.ChipsY, cfg.ChipW, cfg.ChipH)
-	case cfg.Torus:
-		return topology.NewTorus(cfg.Width, cfg.Height)
-	default:
-		return topology.NewMesh(cfg.Width, cfg.Height)
+// buildTopology maps the grid fields of a validated Config to its grid:
+// the chiplet tiling when ChipsX et al. are set, a single Width x Height
+// die otherwise, wrapped by Torus.
+func buildTopology(cfg Config) *topology.Grid {
+	cx, cy, cw, ch := 1, 1, cfg.Width, cfg.Height
+	if cfg.multichip() {
+		cx, cy, cw, ch = cfg.ChipsX, cfg.ChipsY, cfg.ChipW, cfg.ChipH
 	}
+	return topology.NewGrid(cx, cy, cw, ch, cfg.Torus)
 }
 
 // runNetwork executes one simulation and returns the raw network result

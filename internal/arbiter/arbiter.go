@@ -84,9 +84,6 @@ func (a *RoundRobin) peekMask(req uint64) int {
 	return idx
 }
 
-// Reset restores the priority pointer to input 0.
-func (a *RoundRobin) Reset() { a.next = 0 }
-
 // MirrorDecision is the outcome of one Mirror-allocator round for a 2x2
 // module: which input port drives which of the module's two output
 // directions. -1 entries mean the corresponding output stays idle.

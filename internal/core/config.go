@@ -235,17 +235,6 @@ func (c *VCConfig) Admits(id int, turn routing.Turn, mode flit.RouteMode, nextOu
 	return c.Dir[id] == topology.Invalid || c.Dir[id] == nextOut
 }
 
-// ClassIDs returns the VC ids carrying class t.
-func (c *VCConfig) ClassIDs(t routing.Turn) []int {
-	var out []int
-	for id, cl := range c.Class {
-		if cl == t {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // MinimumVCs returns the number of VCs strictly required for correct
 // deadlock-free operation of the algorithm (paper Section 3.1: XY needs 8;
 // XY-YX needs 10; adaptive needs 12).

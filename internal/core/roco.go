@@ -88,10 +88,6 @@ func New(id int, engine *router.RouteEngine) *Router {
 // separable output stage. Call before traffic flows; ablation use only.
 func (r *Router) DisableMirror() { r.disableMirror = true }
 
-// Config returns a copy of the router's Table 1 VC configuration (tests
-// and the Table 1 experiment read it).
-func (r *Router) Config() VCConfig { return *r.cfg }
-
 // ApplyFault reacts to a permanent fault per the Hardware Recycling table:
 // RC failures are absorbed by downstream double routing, buffer failures by
 // virtual queuing over the bypass path, SA failures by offloading onto the

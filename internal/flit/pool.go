@@ -65,14 +65,6 @@ func (p *Pool) Put(f *Flit) {
 	p.free = append(p.free, f)
 }
 
-// Len returns the number of recycled flits currently free (tests use it).
-func (p *Pool) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.free)
-}
-
 // AppendSegment segments the packet and appends its flits to dst, drawing
 // the structs from pool (nil pool allocates fresh). It is the pooled form
 // of Packet.Segment and fills the same fields.

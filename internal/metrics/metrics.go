@@ -34,9 +34,6 @@ func (l *Latency) Count() int64 { return l.run.Count() }
 // Average returns the mean latency in cycles.
 func (l *Latency) Average() float64 { return l.run.Mean() }
 
-// StdDev returns the latency standard deviation.
-func (l *Latency) StdDev() float64 { return l.run.StdDev() }
-
 // Max returns the largest observed latency.
 func (l *Latency) Max() float64 { return l.run.Max() }
 
@@ -91,28 +88,23 @@ func Throughput(deliveredFlits, cycles int64, nodes int) float64 {
 
 // Summary bundles the outcome of one simulation run.
 type Summary struct {
-	AvgLatency     float64
-	P95Latency     float64
-	P99Latency     float64
-	MaxLatency     float64
-	AvgSourceQ     float64 // mean cycles a tail flit waited at the source PE
-	DeliveredPkts  int64
-	GeneratedPkts  int64
-	Completion     float64
-	ThroughputFNC  float64 // flits/node/cycle accepted
-	Cycles         int64
-	EnergyPerPktNJ float64
-	TotalEnergyNJ  float64
-	DynamicNJ      float64
-	LeakageNJ      float64
-	PEF            float64
-	ContentionRow  float64
-	ContentionCol  float64
-	ContentionAll  float64
+	AvgLatency    float64
+	P95Latency    float64
+	P99Latency    float64
+	MaxLatency    float64
+	AvgSourceQ    float64 // mean cycles a tail flit waited at the source PE
+	DeliveredPkts int64
+	GeneratedPkts int64
+	Completion    float64
+	ThroughputFNC float64 // flits/node/cycle accepted
+	Cycles        int64
+	ContentionRow float64
+	ContentionCol float64
+	ContentionAll float64
 }
 
 // String renders a one-line summary.
 func (s Summary) String() string {
-	return fmt.Sprintf("lat=%.2f cyc (p99=%.0f) delivered=%d/%d compl=%.3f thr=%.3f f/n/c E/pkt=%.3f nJ PEF=%.2f",
-		s.AvgLatency, s.P99Latency, s.DeliveredPkts, s.GeneratedPkts, s.Completion, s.ThroughputFNC, s.EnergyPerPktNJ, s.PEF)
+	return fmt.Sprintf("lat=%.2f cyc (p99=%.0f) delivered=%d/%d compl=%.3f thr=%.3f f/n/c",
+		s.AvgLatency, s.P99Latency, s.DeliveredPkts, s.GeneratedPkts, s.Completion, s.ThroughputFNC)
 }

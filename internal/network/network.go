@@ -29,7 +29,7 @@ import (
 type Config struct {
 	// Topo is the network topology (the paper's evaluation uses an 8x8
 	// mesh).
-	Topo topology.Topology
+	Topo *topology.Grid
 	// Algorithm is the routing discipline.
 	Algorithm routing.Algorithm
 	// Build constructs the router for one node; the caller selects the
@@ -105,11 +105,11 @@ type Config struct {
 	// threads the router-kind profile through here).
 	TelemetryProfile power.Profile
 	// D2DLatency and D2DGap shape the die-to-die boundary links of a
-	// chiplet topology (one implementing topology.Classed): every D2D link
-	// becomes a multi-cycle pipe with D2DLatency cycles of transit and at
-	// most one flit accepted per D2DGap cycles (the serializer of a narrow
-	// off-chip lane). Values below 1 are treated as 1; 1/1 leaves the link
-	// a plain one-cycle latch. Ignored on single-die topologies.
+	// chiplet grid: every link Topo classes as topology.D2D becomes a
+	// multi-cycle pipe with D2DLatency cycles of transit and at most one
+	// flit accepted per D2DGap cycles (the serializer of a narrow off-chip
+	// lane). Values below 1 are treated as 1; 1/1 leaves the link a plain
+	// one-cycle latch. A single die has no D2D links to apply them to.
 	D2DLatency, D2DGap int
 	// Reliable enables the end-to-end delivery protocol: sources track
 	// every logical packet, retransmit copies whose flits a fault
@@ -263,7 +263,7 @@ func (p *pe) consumeFront() {
 // Network is a fully wired simulation instance.
 type Network struct {
 	cfg     Config
-	topo    topology.Topology
+	topo    *topology.Grid
 	engine  *router.RouteEngine
 	routers []router.Router
 	pes     []pe
@@ -512,7 +512,7 @@ func New(cfg Config) *Network {
 	// Die-to-die boundary links of a chiplet topology become multi-cycle
 	// pipes; the long-conn advance lists exist only when at least one link
 	// actually carries transit state.
-	if cl, ok := cfg.Topo.(topology.Classed); ok && (cfg.D2DLatency > 1 || cfg.D2DGap > 1) {
+	if cfg.D2DLatency > 1 || cfg.D2DGap > 1 {
 		lat, gap := cfg.D2DLatency, cfg.D2DGap
 		if lat < 1 {
 			lat = 1
@@ -523,7 +523,7 @@ func New(cfg Config) *Network {
 		long := false
 		n.isLong = make([]bool, len(n.conns))
 		for i, l := range n.links {
-			if cl.LinkClass(l.up, l.out) == topology.D2D {
+			if cfg.Topo.LinkClass(l.up, l.out) == topology.D2D {
 				n.conns[i].SetD2D(lat, gap)
 				n.isLong[i] = n.conns[i].Long()
 				long = long || n.isLong[i]
@@ -964,8 +964,8 @@ func (n *Network) telemetryCounters() telemetry.NetSample {
 func (n *Network) Telemetry() *telemetry.Collector { return n.tele }
 
 // validateFault panics on a structurally impossible fault: a nonexistent
-// node, or a die-to-die interface fault on a topology without chiplet
-// boundaries (or aimed at a side with none).
+// node, or a die-to-die interface fault aimed at a side of its chiplet
+// with no interface (every side of a single die).
 func (n *Network) validateFault(flt fault.Fault, nodes int) {
 	if flt.Node < 0 || flt.Node >= nodes {
 		panic(fmt.Sprintf("network: fault at nonexistent node %d", flt.Node))
@@ -973,14 +973,10 @@ func (n *Network) validateFault(flt fault.Fault, nodes int) {
 	if flt.Component != fault.D2DIf {
 		return
 	}
-	ch, ok := n.topo.(topology.Chiplet)
-	if !ok {
-		panic("network: D2D interface fault on a topology without chiplet boundaries")
-	}
 	if !flt.Port.IsCardinal() {
 		panic(fmt.Sprintf("network: D2D interface fault needs a cardinal side, got %v", flt.Port))
 	}
-	if len(ch.InterfaceNodes(ch.ChipOf(flt.Node), flt.Port)) == 0 {
+	if len(n.topo.InterfaceNodes(n.topo.ChipOf(flt.Node), flt.Port)) == 0 {
 		panic(fmt.Sprintf("network: node %d's chiplet has no %v die-to-die interface", flt.Node, flt.Port))
 	}
 }
@@ -990,9 +986,8 @@ func (n *Network) validateFault(flt fault.Fault, nodes int) {
 // interface side, and both endpoint routers of each boundary link sever
 // their facing ports. Returns the routers touched (pairs of endpoints).
 func (n *Network) severInterface(flt fault.Fault) []int {
-	ch := n.topo.(topology.Chiplet)
 	var touched []int
-	for _, u := range ch.InterfaceNodes(ch.ChipOf(flt.Node), flt.Port) {
+	for _, u := range n.topo.InterfaceNodes(n.topo.ChipOf(flt.Node), flt.Port) {
 		v, ok := n.topo.Neighbor(u, flt.Port)
 		if !ok {
 			continue
@@ -1010,8 +1005,7 @@ func (n *Network) severInterface(flt fault.Fault) []int {
 // endpoint routers, and the neighbor handshake re-propagates around the
 // cut. One fault log entry covers the entire interface.
 func (n *Network) installInterfaceFault(ev fault.Event) {
-	ch := n.topo.(topology.Chiplet)
-	ifNodes := ch.InterfaceNodes(ch.ChipOf(ev.Fault.Node), ev.Fault.Port)
+	ifNodes := n.topo.InterfaceNodes(n.topo.ChipOf(ev.Fault.Node), ev.Fault.Port)
 	if n.gatedKernel() {
 		// Replay sleep under pre-fault rules and wake for this very cycle:
 		// both endpoints of every boundary link (their port masks change)
@@ -1210,9 +1204,7 @@ func (n *Network) RunCycles(c int64) Result {
 	return n.collect(false)
 }
 
-// collect aggregates measurements into a Result. The energy fields of the
-// Summary are zero here; the caller applies a power profile (the network
-// does not know the router technology parameters).
+// collect aggregates measurements into a Result.
 func (n *Network) collect(saturated bool) Result {
 	n.stopWorkers()
 	// Replay any outstanding sleep so per-router activity is complete.
@@ -1264,13 +1256,11 @@ func (n *Network) collect(saturated bool) Result {
 		res.Activity.Add(r.Activity())
 		res.Contention.Add(r.Contention())
 	}
-	if cl, ok := n.topo.(topology.Classed); ok {
-		// Die-to-die traffic splits out of the link-flit total so the power
-		// layer can price boundary crossings at the off-chip energy.
-		for _, l := range n.links {
-			if cl.LinkClass(l.up, l.out) == topology.D2D {
-				res.D2DLinkFlits += res.PerRouter[l.up].LinkFlitsByDir[l.out]
-			}
+	// Die-to-die traffic splits out of the link-flit total so the power
+	// layer can price boundary crossings at the off-chip energy.
+	for _, l := range n.links {
+		if n.topo.LinkClass(l.up, l.out) == topology.D2D {
+			res.D2DLinkFlits += res.PerRouter[l.up].LinkFlitsByDir[l.out]
 		}
 	}
 	res.Summary = metrics.Summary{

@@ -53,7 +53,7 @@ type sinkEvent struct {
 // bucketed by color and then by shard, plus the node->shard map. Shards
 // are contiguous id ranges of near-equal size, so within a color the
 // shard-major traversal visits ids in ascending order.
-func buildSchedule(topo topology.Topology, shards int) (sched [][][]int, shardOf []int) {
+func buildSchedule(topo *topology.Grid, shards int) (sched [][][]int, shardOf []int) {
 	nodes := topo.Nodes()
 	colorOf := make([]int, nodes)
 	mark := make([]int, nodes)

@@ -62,9 +62,8 @@ func (o *Oracle) Deliverable(src, dst int) (bool, flit.RouteMode) {
 }
 
 func (o *Oracle) compute(src, dst int) oracleResult {
-	_, torus := o.engine.Topology().(topology.Toroidal)
 	switch alg := o.engine.Algorithm(); {
-	case torus || alg == routing.XY:
+	case o.engine.Topology().Wraps() || alg == routing.XY:
 		return oracleResult{ok: o.walk(src, dst, flit.XFirst), mode: flit.XFirst}
 	case alg == routing.XYYX:
 		if o.walk(src, dst, flit.XFirst) {

@@ -159,9 +159,6 @@ func NewTracker(nodes int, p Params) *Tracker {
 	}
 }
 
-// Params returns the normalized policy in effect.
-func (t *Tracker) Params() Params { return t.params }
-
 // Stamp registers a fresh logical packet at its first transmission and
 // returns its per-source sequence number (1-based; 0 never occurs, so a
 // zero SrcSeq on a flit always means "protocol off").

@@ -44,10 +44,6 @@ type AllocState struct {
 	feeder  [int(topology.Invalid) + 1]uint64
 }
 
-// NeedVA returns the VA request mask: channels whose front head awaits a
-// downstream channel grant (and is not doomed).
-func (a *AllocState) NeedVA() uint64 { return a.needVA }
-
 // SAReady returns the switch-request mask: channels whose front flit is
 // routed and aligned with the front packet. The caller still gates each
 // bit on VC.FrontReady (the flit's ReadyAt is per-cycle state).

@@ -42,7 +42,7 @@ const (
 type Router struct {
 	router.Chassis
 
-	torus topology.Toroidal // non-nil when running a torus (flat or multi-chip)
+	torus *topology.Grid // non-nil when running a torus (flat or multi-chip)
 
 	inArb  [numPorts]arbiter.RoundRobin
 	outArb [numPorts]arbiter.RoundRobin
@@ -55,11 +55,11 @@ type Router struct {
 // New returns a generic router for the given node.
 func New(id int, engine *router.RouteEngine) *Router {
 	r := &Router{}
-	if tor, ok := engine.Topology().(topology.Toroidal); ok {
+	if topo := engine.Topology(); topo.Wraps() {
 		if engine.Algorithm() != routing.XY {
 			panic("generic: the torus extension supports XY routing only")
 		}
-		r.torus = tor
+		r.torus = topo
 	}
 	vcs := make([]*router.VC, 0, numReqs)
 	for p := 0; p < numPorts; p++ {

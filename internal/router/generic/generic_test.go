@@ -64,7 +64,7 @@ func TestCandidateVCClassDiscipline(t *testing.T) {
 }
 
 func TestTorusDatelineClasses(t *testing.T) {
-	engine := router.NewRouteEngine(topology.NewTorus(4, 4), routing.XY, nil)
+	engine := router.NewRouteEngine(topology.NewGrid(1, 1, 4, 4, true), routing.XY, nil)
 	// Router at (3,1): an East hop crosses the X dateline.
 	r := New(7, engine)
 	fresh := &flit.Flit{}

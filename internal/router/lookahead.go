@@ -13,7 +13,7 @@ import (
 // simulator's 2-cycle hop model; RoCo and the Path-Sensitive router exploit
 // the look-ahead result for guided queuing and early ejection.
 type RouteEngine struct {
-	topo topology.Topology
+	topo *topology.Grid
 	alg  routing.Algorithm
 	// routerAt resolves a node ID to its router, giving the engine access
 	// to the neighbor handshake state (fault capability and congestion)
@@ -29,7 +29,7 @@ type RouteEngine struct {
 // NewRouteEngine builds an engine over the given topology and algorithm.
 // routerAt may be nil until the network finishes wiring; adaptive decisions
 // then fall back to dimension order.
-func NewRouteEngine(topo topology.Topology, alg routing.Algorithm, routerAt func(id int) Router) *RouteEngine {
+func NewRouteEngine(topo *topology.Grid, alg routing.Algorithm, routerAt func(id int) Router) *RouteEngine {
 	return &RouteEngine{topo: topo, alg: alg, routerAt: routerAt}
 }
 
@@ -53,7 +53,7 @@ func (e *RouteEngine) NewVC(index, depth int) *VC {
 func (e *RouteEngine) Algorithm() routing.Algorithm { return e.alg }
 
 // Topology returns the engine's topology.
-func (e *RouteEngine) Topology() topology.Topology { return e.topo }
+func (e *RouteEngine) Topology() *topology.Grid { return e.topo }
 
 // RouterAt resolves a node ID to its router (nil until the network finishes
 // wiring). The reliability protocol's reachability oracle uses it to consult
@@ -75,11 +75,11 @@ func (e *RouteEngine) RouteAt(node int, from topology.Direction, f *flit.Flit) t
 	if cur == dst {
 		return topology.Local
 	}
-	if tor, ok := e.topo.(topology.Toroidal); ok {
+	if e.topo.Wraps() {
 		// Torus extension (flat or multi-chip): dimension order around the
 		// shortest way; the engine is restricted to XY on tori (see
 		// DESIGN.md).
-		return routing.TorusDimensionOrder(tor.Width(), tor.Height(), cur, dst)
+		return routing.TorusDimensionOrder(e.topo.Width(), e.topo.Height(), cur, dst)
 	}
 	switch e.alg {
 	case routing.XY:

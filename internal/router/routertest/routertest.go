@@ -15,7 +15,7 @@ import (
 
 // Harness is a w x h mesh of routers of type R, ticked by hand.
 type Harness[R router.Router] struct {
-	Topo    *topology.Mesh
+	Topo    *topology.Grid
 	Engine  *router.RouteEngine
 	Routers []R
 	// Sunk collects every flit delivered to a PE, in delivery order.

@@ -293,9 +293,6 @@ func (v *VC) Condemn() {
 	v.DoomResidents()
 }
 
-// Condemned reports whether the channel has been poisoned by Condemn.
-func (v *VC) Condemned() bool { return v.condemned }
-
 // MarkStreamed records that the front packet has begun streaming flits out
 // of this router (switch traversal); recovery consults it before releasing
 // a cancelled grant's downstream claim.

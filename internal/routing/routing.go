@@ -185,32 +185,6 @@ func (q Quadrant) Outputs() [2]topology.Direction {
 	}
 }
 
-// QuadrantOf returns the quadrant of dst relative to cur. Destinations on
-// an axis are folded deterministically: pure-east and pure-north go to NE,
-// pure-west to NW, pure-south to SE. cur == dst also reports NE; callers
-// handle ejection before consulting the quadrant.
-func QuadrantOf(cur, dst topology.Coord) Quadrant {
-	east := dst.X > cur.X
-	west := dst.X < cur.X
-	north := dst.Y > cur.Y
-	south := dst.Y < cur.Y
-	switch {
-	case north && west:
-		return NW
-	case south && east:
-		return SE
-	case south && west:
-		return SW
-	case west:
-		return NW
-	case south:
-		return SE
-	default:
-		// north-east proper, pure east, pure north, and cur == dst.
-		return NE
-	}
-}
-
 // PacketQuadrant returns the path set a packet travels in for its whole
 // journey: the quadrant of its destination relative to its SOURCE. Every
 // minimal move stays inside this quadrant, so the packet never changes

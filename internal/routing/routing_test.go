@@ -304,7 +304,7 @@ func TestTorusDimensionOrderShortestWay(t *testing.T) {
 }
 
 func TestTorusDimensionOrderConverges(t *testing.T) {
-	topo := topology.NewTorus(8, 8)
+	topo := topology.NewGrid(1, 1, 8, 8, true)
 	for src := 0; src < topo.Nodes(); src += 5 {
 		for dst := 0; dst < topo.Nodes(); dst += 3 {
 			cur := topo.Coord(src)

@@ -40,7 +40,6 @@ type Options struct {
 // told to stop.
 type Server struct {
 	srv  *http.Server
-	ln   net.Listener
 	errc chan error
 	opts Options
 }
@@ -55,17 +54,12 @@ func Start(ln net.Listener, h http.Handler, opts Options) *Server {
 	}
 	s := &Server{
 		srv:  &http.Server{Handler: h},
-		ln:   ln,
 		errc: make(chan error, 1),
 		opts: opts,
 	}
 	go func() { s.errc <- s.srv.Serve(ln) }()
 	return s
 }
-
-// Addr returns the listener's resolved address (useful when the caller
-// asked for port 0).
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Wait blocks until SIGINT/SIGTERM arrives or Options.Stop fires, runs
 // BeforeDrain, then shuts the server down gracefully: no new

@@ -117,9 +117,6 @@ func (h *Histogram) Add(x float64) {
 	h.counts[i]++
 }
 
-// Count returns the number of samples recorded.
-func (h *Histogram) Count() int64 { return h.total }
-
 // Mean returns the exact (not binned) mean of the samples.
 func (h *Histogram) Mean() float64 { return h.running.Mean() }
 
@@ -161,9 +158,6 @@ func (s *Series) Append(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
 }
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
 
 // YAt returns the y value for the given x, or NaN when x is absent.
 func (s *Series) YAt(x float64) float64 {

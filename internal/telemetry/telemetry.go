@@ -232,9 +232,6 @@ func New(cfg Config) *Collector {
 	return c
 }
 
-// Every returns the configured epoch length.
-func (c *Collector) Every() int64 { return c.cfg.Every }
-
 // Sample closes the epoch ending at cycle: it reads every router's
 // event counters (deltas against the previous epoch), snapshots VC
 // occupancy, prices the epoch's energy, and folds the network ledger

@@ -7,12 +7,12 @@ import "testing"
 // flat grid's, chiplets only reclassify links.
 func TestMultichipMatchesFlatGrid(t *testing.T) {
 	mesh := NewMesh(8, 6)
-	mc := NewMultiChipMesh(4, 2, 2, 3)
-	torus := NewTorus(8, 6)
-	mct := NewMultiChipTorus(4, 2, 2, 3)
+	mc := NewGrid(4, 2, 2, 3, false)
+	torus := NewGrid(1, 1, 8, 6, true)
+	mct := NewGrid(4, 2, 2, 3, true)
 	for _, pair := range []struct {
 		name       string
-		flat, chip Topology
+		flat, chip *Grid
 	}{{"mesh", mesh, mc}, {"torus", torus, mct}} {
 		if pair.flat.Nodes() != pair.chip.Nodes() {
 			t.Fatalf("%s: node counts differ", pair.name)
@@ -34,7 +34,7 @@ func TestMultichipMatchesFlatGrid(t *testing.T) {
 }
 
 func TestMultichipChipOf(t *testing.T) {
-	m := NewMultiChipMesh(2, 2, 4, 4)
+	m := NewGrid(2, 2, 4, 4, false)
 	cases := []struct {
 		id   int
 		chip Coord
@@ -52,12 +52,14 @@ func TestMultichipChipOf(t *testing.T) {
 // TestMultichipLinkClass checks that exactly the boundary-crossing links
 // are D2D, against a brute-force chip comparison.
 func TestMultichipLinkClass(t *testing.T) {
+	folded := NewGrid(1, 2, 4, 3, true)
 	for _, tc := range []struct {
 		name string
-		topo Chiplet
+		topo *Grid
 	}{
-		{"mesh", NewMultiChipMesh(3, 2, 2, 3)},
-		{"torus", NewMultiChipTorus(3, 2, 2, 3)},
+		{"mesh", NewGrid(3, 2, 2, 3, false)},
+		{"torus", NewGrid(3, 2, 2, 3, true)},
+		{"folded-wrap", folded},
 	} {
 		var d2d int
 		for id := 0; id < tc.topo.Nodes(); id++ {
@@ -77,12 +79,24 @@ func TestMultichipLinkClass(t *testing.T) {
 			t.Errorf("%s: no D2D links found; test is vacuous", tc.name)
 		}
 	}
+	// One chiplet wide, two high: the X wraps fold back onto the same die
+	// and stay on-die, the Y wraps cross to the other chiplet.
+	for y := 0; y < folded.Height(); y++ {
+		if folded.LinkClass(folded.ID(Coord{0, y}), West) != OnDie || folded.LinkClass(folded.ID(Coord{3, y}), East) != OnDie {
+			t.Errorf("folded-wrap: X wrap on row %d is not on-die", y)
+		}
+	}
+	for x := 0; x < folded.Width(); x++ {
+		if folded.LinkClass(folded.ID(Coord{x, 0}), South) != D2D || folded.LinkClass(folded.ID(Coord{x, 5}), North) != D2D {
+			t.Errorf("folded-wrap: Y wrap on column %d is not D2D", x)
+		}
+	}
 }
 
 // TestMultichipSingleChipHasNoD2D: a 1x1 chiplet grid is the flat
 // topology — every link on-die, even the torus wraps.
 func TestMultichipSingleChipHasNoD2D(t *testing.T) {
-	for _, topo := range []Chiplet{NewMultiChipMesh(1, 1, 6, 6), NewMultiChipTorus(1, 1, 6, 6)} {
+	for _, topo := range []*Grid{NewMesh(6, 6), NewGrid(1, 1, 6, 6, true)} {
 		for id := 0; id < topo.Nodes(); id++ {
 			for _, d := range CardinalDirections {
 				if topo.LinkClass(id, d) != OnDie {
@@ -99,7 +113,7 @@ func TestMultichipSingleChipHasNoD2D(t *testing.T) {
 }
 
 func TestMultichipInterfaceNodes(t *testing.T) {
-	m := NewMultiChipMesh(2, 2, 4, 4)
+	m := NewGrid(2, 2, 4, 4, false)
 	// Chip (0,0)'s east interface: the x=3 column, y=0..3.
 	want := []int{3, 8 + 3, 16 + 3, 24 + 3}
 	got := m.InterfaceNodes(Coord{0, 0}, East)
@@ -117,15 +131,27 @@ func TestMultichipInterfaceNodes(t *testing.T) {
 	}
 	// On the torus the same west side wraps to chip (1,0): a real D2D
 	// interface.
-	tor := NewMultiChipTorus(2, 2, 4, 4)
+	tor := NewGrid(2, 2, 4, 4, true)
 	if ns := tor.InterfaceNodes(Coord{0, 0}, West); len(ns) != 4 {
 		t.Fatalf("torus west wrap interface: got %v, want 4 nodes", ns)
 	}
+	// One chiplet wide with wrap: no East/West interface, since those
+	// wraps stay on the die, but full North/South ones across the Y wraps.
+	folded := NewGrid(1, 2, 4, 3, true)
+	for y := 0; y < 2; y++ {
+		chip := Coord{0, y}
+		if e, w := folded.InterfaceNodes(chip, East), folded.InterfaceNodes(chip, West); e != nil || w != nil {
+			t.Fatalf("folded-wrap: chip %v reports East %v / West %v interface nodes", chip, e, w)
+		}
+		if n, s := folded.InterfaceNodes(chip, North), folded.InterfaceNodes(chip, South); len(n) != 4 || len(s) != 4 {
+			t.Fatalf("folded-wrap: chip %v North %v / South %v interface, want 4 nodes each", chip, n, s)
+		}
+	}
 	// Every interface node's link in the interface direction is D2D.
 	for _, tc := range []struct {
-		topo Chiplet
+		topo *Grid
 		name string
-	}{{m, "mesh"}, {tor, "torus"}} {
+	}{{m, "mesh"}, {tor, "torus"}, {folded, "folded-wrap"}} {
 		cx, cy := tc.topo.Chips()
 		for x := 0; x < cx; x++ {
 			for y := 0; y < cy; y++ {

@@ -1,7 +1,8 @@
 // Package topology provides the geometric substrate for on-chip networks:
-// port directions, node coordinates, and regular grid topologies (2D mesh
-// and torus). Routers and routing algorithms are expressed in terms of the
-// Direction and Topology types defined here.
+// port directions, node coordinates, and Grid, the one topology type. A
+// Grid is a 2D mesh or torus, optionally tiled into chiplets whose
+// boundary links are die-to-die (D2D). Routers and routing algorithms are
+// expressed in terms of the Direction and Grid types defined here.
 package topology
 
 import "fmt"
@@ -20,9 +21,6 @@ const (
 	// Invalid is the zero-content sentinel for "no direction".
 	Invalid
 )
-
-// NumPorts is the number of ports of a full 5-port router (4 links + PE).
-const NumPorts = 5
 
 // CardinalDirections lists the four link directions in a fixed order.
 var CardinalDirections = [4]Direction{North, East, South, West}
@@ -84,146 +82,6 @@ type Coord struct {
 
 // String formats the coordinate as "(x,y)".
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
-
-// Topology describes a regular grid of routers.
-type Topology interface {
-	// Nodes returns the number of routers.
-	Nodes() int
-	// Coord returns the position of node id. It panics if id is out of
-	// range.
-	Coord(id int) Coord
-	// ID returns the node at position c. It panics if c is outside the
-	// grid.
-	ID(c Coord) int
-	// Neighbor returns the node reached by leaving id through d, and
-	// whether such a link exists (mesh edges have no wrap-around links).
-	Neighbor(id int, d Direction) (int, bool)
-	// Width and Height return the grid dimensions.
-	Width() int
-	Height() int
-}
-
-// Mesh is a W x H 2D mesh: nodes are connected to their immediate
-// neighbors, with no wrap-around links at the edges. It is the topology the
-// paper evaluates (8 x 8).
-type Mesh struct {
-	w, h int
-}
-
-// NewMesh returns a width x height mesh. Both dimensions must be at least 2.
-func NewMesh(width, height int) *Mesh {
-	if width < 2 || height < 2 {
-		panic(fmt.Sprintf("topology: mesh dimensions must be >= 2, got %dx%d", width, height))
-	}
-	return &Mesh{w: width, h: height}
-}
-
-// Nodes returns width * height.
-func (m *Mesh) Nodes() int { return m.w * m.h }
-
-// Width returns the X dimension of the mesh.
-func (m *Mesh) Width() int { return m.w }
-
-// Height returns the Y dimension of the mesh.
-func (m *Mesh) Height() int { return m.h }
-
-// Coord returns the position of node id in row-major order.
-func (m *Mesh) Coord(id int) Coord {
-	if id < 0 || id >= m.Nodes() {
-		panic(fmt.Sprintf("topology: node id %d out of range [0,%d)", id, m.Nodes()))
-	}
-	return Coord{X: id % m.w, Y: id / m.w}
-}
-
-// ID returns the node at position c.
-func (m *Mesh) ID(c Coord) int {
-	if c.X < 0 || c.X >= m.w || c.Y < 0 || c.Y >= m.h {
-		panic(fmt.Sprintf("topology: coordinate %v outside %dx%d mesh", c, m.w, m.h))
-	}
-	return c.Y*m.w + c.X
-}
-
-// Neighbor returns the node adjacent to id in direction d. The boolean is
-// false at mesh edges and for Local/Invalid directions.
-func (m *Mesh) Neighbor(id int, d Direction) (int, bool) {
-	c := m.Coord(id)
-	switch d {
-	case North:
-		c.Y++
-	case East:
-		c.X++
-	case South:
-		c.Y--
-	case West:
-		c.X--
-	default:
-		return 0, false
-	}
-	if c.X < 0 || c.X >= m.w || c.Y < 0 || c.Y >= m.h {
-		return 0, false
-	}
-	return m.ID(c), true
-}
-
-// Torus is a W x H 2D torus: like Mesh, but with wrap-around links at the
-// edges. The paper's evaluation uses a mesh; the torus is provided as an
-// extension for experiments beyond the paper.
-type Torus struct {
-	w, h int
-}
-
-// NewTorus returns a width x height torus. Both dimensions must be at
-// least 2.
-func NewTorus(width, height int) *Torus {
-	if width < 2 || height < 2 {
-		panic(fmt.Sprintf("topology: torus dimensions must be >= 2, got %dx%d", width, height))
-	}
-	return &Torus{w: width, h: height}
-}
-
-// Nodes returns width * height.
-func (t *Torus) Nodes() int { return t.w * t.h }
-
-// Width returns the X dimension of the torus.
-func (t *Torus) Width() int { return t.w }
-
-// Height returns the Y dimension of the torus.
-func (t *Torus) Height() int { return t.h }
-
-// Coord returns the position of node id in row-major order.
-func (t *Torus) Coord(id int) Coord {
-	if id < 0 || id >= t.Nodes() {
-		panic(fmt.Sprintf("topology: node id %d out of range [0,%d)", id, t.Nodes()))
-	}
-	return Coord{X: id % t.w, Y: id / t.w}
-}
-
-// ID returns the node at position c.
-func (t *Torus) ID(c Coord) int {
-	if c.X < 0 || c.X >= t.w || c.Y < 0 || c.Y >= t.h {
-		panic(fmt.Sprintf("topology: coordinate %v outside %dx%d torus", c, t.w, t.h))
-	}
-	return c.Y*t.w + c.X
-}
-
-// Neighbor returns the node adjacent to id in direction d, wrapping around
-// at the edges. The boolean is false only for Local/Invalid directions.
-func (t *Torus) Neighbor(id int, d Direction) (int, bool) {
-	c := t.Coord(id)
-	switch d {
-	case North:
-		c.Y = (c.Y + 1) % t.h
-	case East:
-		c.X = (c.X + 1) % t.w
-	case South:
-		c.Y = (c.Y - 1 + t.h) % t.h
-	case West:
-		c.X = (c.X - 1 + t.w) % t.w
-	default:
-		return 0, false
-	}
-	return t.ID(c), true
-}
 
 // ManhattanDistance returns the minimal hop count between two coordinates
 // on a mesh.

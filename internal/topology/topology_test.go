@@ -95,7 +95,7 @@ func TestMeshNeighborSymmetry(t *testing.T) {
 }
 
 func TestTorusWrapAround(t *testing.T) {
-	tr := NewTorus(4, 4)
+	tr := NewGrid(1, 1, 4, 4, true)
 	nb, ok := tr.Neighbor(tr.ID(Coord{0, 0}), West)
 	if !ok || tr.Coord(nb) != (Coord{3, 0}) {
 		t.Errorf("torus west wrap = %v, want (3,0)", tr.Coord(nb))
@@ -115,7 +115,7 @@ func TestTorusWrapAround(t *testing.T) {
 }
 
 func TestTorusNeighborSymmetry(t *testing.T) {
-	tr := NewTorus(3, 5)
+	tr := NewGrid(1, 1, 3, 5, true)
 	for id := 0; id < tr.Nodes(); id++ {
 		for _, d := range CardinalDirections {
 			nb, _ := tr.Neighbor(id, d)

@@ -40,9 +40,6 @@ const (
 	DropInFlight
 	// DropDeadNode: a router that died whole drained the arriving flit.
 	DropDeadNode
-
-	// NumDropReasons sizes per-reason counters.
-	NumDropReasons
 )
 
 // String names the reason.

@@ -82,7 +82,7 @@ type Config struct {
 
 // New builds the per-node generators for every node of topo. rng seeds one
 // independent stream per node.
-func New(cfg Config, topo topology.Topology, rng *stats.RNG) []Generator {
+func New(cfg Config, topo *topology.Grid, rng *stats.RNG) []Generator {
 	if cfg.FlitsPerPacket < 1 {
 		panic("traffic: FlitsPerPacket must be >= 1")
 	}

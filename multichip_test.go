@@ -38,37 +38,48 @@ func TestMultichipOneChipEqualsFlat(t *testing.T) {
 }
 
 // TestMultichipKernelIdentity: the gated kernel, sequential and sharded,
-// produces results bit-identical to the reference kernel on a chiplet
-// topology with multi-cycle serialized boundary links and a runtime
-// die-to-die interface fault under Reliable.
+// produces results bit-identical to the reference kernel on chiplet
+// topologies with multi-cycle serialized boundary links and a runtime
+// die-to-die interface fault under Reliable: a multi-chip mesh, and a
+// multi-chip torus faulted on its wrap seam.
 func TestMultichipKernelIdentity(t *testing.T) {
-	base := multichipConfig(RoCo, XY, 0.2)
-	base.Reliable = true
-	base.AuditEvery = 32
-	base.FaultSchedule = []TimedFault{
-		{Cycle: 1500, Fault: Fault{Node: 0, Component: D2DInterface, Side: SideEast}},
+	faulted := func(k RouterKind, torus bool, side Side) Config {
+		cfg := multichipConfig(k, XY, 0.2)
+		cfg.Torus = torus
+		cfg.Reliable = true
+		cfg.AuditEvery = 32
+		cfg.FaultSchedule = []TimedFault{
+			{Cycle: 1500, Fault: Fault{Node: 0, Component: D2DInterface, Side: side}},
+		}
+		return cfg
 	}
-
-	ref := base
-	ref.ReferenceKernel = true
-	want := Run(ref)
-	if want.D2DFlits == 0 {
-		t.Fatal("no flits crossed the boundary links; test is vacuous")
-	}
-	if len(want.FaultEvents) != 1 {
-		t.Fatalf("expected one fault event, got %d", len(want.FaultEvents))
-	}
-
 	variants := map[string]func(*Config){
 		"gated":     func(*Config) {},
 		"sharded":   func(c *Config) { c.Shards = 4 },
 		"sharded-3": func(c *Config) { c.Shards = 3 },
 	}
-	for name, tweak := range variants {
-		cfg := base
-		tweak(&cfg)
-		if got := Run(cfg); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s kernel diverged from reference on multichip\n got: %v\nwant: %v", name, got, want)
+	for _, tc := range []struct {
+		name string
+		base Config
+	}{
+		{"mesh", faulted(RoCo, false, SideEast)},
+		{"torus", faulted(Generic, true, SideWest)},
+	} {
+		ref := tc.base
+		ref.ReferenceKernel = true
+		want := Run(ref)
+		if want.D2DFlits == 0 {
+			t.Fatalf("%s: no flits crossed the boundary links; test is vacuous", tc.name)
+		}
+		if len(want.FaultEvents) != 1 {
+			t.Fatalf("%s: expected one fault event, got %d", tc.name, len(want.FaultEvents))
+		}
+		for name, tweak := range variants {
+			cfg := tc.base
+			tweak(&cfg)
+			if got := Run(cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s kernel diverged from reference on multichip\n got: %v\nwant: %v", tc.name, name, got, want)
+			}
 		}
 	}
 }

@@ -41,9 +41,10 @@ go test -race -run '^FuzzGrantMask$' ./internal/arbiter
 # sequences against a slice-based reference book
 # (`go test -fuzz=FuzzOutVCBook ./internal/router` explores further).
 go test -race -run '^FuzzOutVCBook$' ./internal/router
-# Smoke the end-to-end benchmark (its own module, so ./... skips it):
-# statistics tests plus every workload at smoke scale, traced and untraced.
-(cd cmd/rocoperf && go test .)
+# Vet and smoke the end-to-end benchmark (its own module, so ./... skips
+# it): statistics tests plus every workload at smoke scale, traced and
+# untraced.
+(cd cmd/rocoperf && go vet . && go test .)
 # Smoke the CLI's JSON output: a tiny reliable run under a fault must emit
 # parseable JSON with the reliability counters present.
 go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 200 -measure 2000 \

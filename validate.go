@@ -18,7 +18,6 @@ func (c Config) Validate() error {
 	if c.Width < 2 || c.Height < 2 {
 		errs = append(errs, fmt.Errorf("mesh %dx%d too small (need at least 2x2)", c.Width, c.Height))
 	}
-	multichipOK := false
 	if c.multichip() {
 		switch {
 		case c.ChipsX < 1 || c.ChipsY < 1 || c.ChipW < 1 || c.ChipH < 1:
@@ -27,11 +26,13 @@ func (c Config) Validate() error {
 		case c.Width != c.ChipsX*c.ChipW || c.Height != c.ChipsY*c.ChipH:
 			errs = append(errs, fmt.Errorf("grid %dx%d does not match the %dx%d chiplet grid of %dx%d-node chips (leave Width/Height zero to derive them)",
 				c.Width, c.Height, c.ChipsX, c.ChipsY, c.ChipW, c.ChipH))
-		default:
-			multichipOK = true
 		}
 	} else if c.D2DClass != D2DParallel || c.D2DLatency != 0 || c.D2DGap != 0 {
 		errs = append(errs, errors.New("die-to-die knobs (D2DClass/D2DLatency/D2DGap) set without a chiplet grid"))
+	}
+	var grid *topology.Grid // built only from a geometry that checked out
+	if len(errs) == 0 {
+		grid = buildTopology(c)
 	}
 	if c.D2DClass < D2DParallel || c.D2DClass > D2DSerial {
 		errs = append(errs, fmt.Errorf("unknown die-to-die class %d", int(c.D2DClass)))
@@ -71,16 +72,9 @@ func (c Config) Validate() error {
 			errs = append(errs, fmt.Errorf("hotspot fraction %v outside [0,1]", c.HotspotFraction))
 		}
 	}
-	// D2DInterface faults are checked against the actual chiplet geometry:
-	// the named node's chiplet must have an interface on the named side.
-	var chip topology.Chiplet
-	if multichipOK && c.Width >= 2 && c.Height >= 2 {
-		if c.Torus {
-			chip = topology.NewMultiChipTorus(c.ChipsX, c.ChipsY, c.ChipW, c.ChipH)
-		} else {
-			chip = topology.NewMultiChipMesh(c.ChipsX, c.ChipsY, c.ChipW, c.ChipH)
-		}
-	}
+	// D2DInterface faults are checked against the actual grid: the named
+	// node's chiplet must have an interface on the named side (a single die
+	// has none).
 	checkFault := func(what string, i int, f Fault) {
 		nodeOK := f.Node >= 0 && f.Node < c.Width*c.Height
 		if !nodeOK {
@@ -93,11 +87,9 @@ func (c Config) Validate() error {
 			return
 		}
 		switch {
-		case chip == nil:
-			errs = append(errs, fmt.Errorf("%s %d: a D2DInterface fault needs a chiplet topology (set ChipsX et al.)", what, i))
 		case f.Side < SideNorth || f.Side > SideWest:
 			errs = append(errs, fmt.Errorf("%s %d has unknown side %d", what, i, int(f.Side)))
-		case nodeOK && len(chip.InterfaceNodes(chip.ChipOf(f.Node), topology.Direction(f.Side))) == 0:
+		case nodeOK && grid != nil && len(grid.InterfaceNodes(grid.ChipOf(f.Node), topology.Direction(f.Side))) == 0:
 			errs = append(errs, fmt.Errorf("%s %d: node %d's chiplet has no die-to-die interface toward %s", what, i, f.Node, f.Side))
 		}
 	}
