@@ -143,14 +143,13 @@ func runTelemetry(tc telemetryConfig) {
 		Seed:           tc.seed,
 		TelemetryEvery: tc.every,
 	}
-	var ok bool
-	if cfg.Router, ok = parseRouter(tc.router); !ok {
+	if cfg.Router.UnmarshalText([]byte(tc.router)) != nil {
 		fatalf("unknown router %q (want generic, pathsensitive, roco, pdr)", tc.router)
 	}
-	if cfg.Algorithm, ok = parseRouting(tc.routing); !ok {
+	if cfg.Algorithm.UnmarshalText([]byte(tc.routing)) != nil {
 		fatalf("unknown routing %q (want xy, xyyx, adaptive)", tc.routing)
 	}
-	if cfg.Traffic, ok = parseRocoTraffic(tc.traffic); !ok {
+	if cfg.Traffic.UnmarshalText([]byte(tc.traffic)) != nil {
 		fatalf("unknown traffic %q", tc.traffic)
 	}
 	if tc.every <= 0 {
@@ -181,50 +180,6 @@ func runTelemetry(tc telemetryConfig) {
 	default:
 		fatalf("unknown format %q (want csv, nodes, json, heatmap)", tc.format)
 	}
-}
-
-func parseRouter(s string) (roco.RouterKind, bool) {
-	switch strings.ToLower(s) {
-	case "generic", "gen":
-		return roco.Generic, true
-	case "pathsensitive", "path-sensitive", "ps":
-		return roco.PathSensitive, true
-	case "roco":
-		return roco.RoCo, true
-	case "pdr":
-		return roco.PDR, true
-	}
-	return 0, false
-}
-
-func parseRouting(s string) (roco.Algorithm, bool) {
-	switch strings.ToLower(s) {
-	case "xy", "dor":
-		return roco.XY, true
-	case "xyyx", "xy-yx":
-		return roco.XYYX, true
-	case "adaptive", "oddeven", "odd-even":
-		return roco.Adaptive, true
-	}
-	return 0, false
-}
-
-func parseRocoTraffic(s string) (roco.TrafficPattern, bool) {
-	switch strings.ToLower(s) {
-	case "uniform":
-		return roco.Uniform, true
-	case "transpose":
-		return roco.Transpose, true
-	case "selfsimilar", "self-similar", "web":
-		return roco.SelfSimilar, true
-	case "mpeg2", "mpeg", "video":
-		return roco.MPEG2, true
-	case "bitcomplement", "bit-complement":
-		return roco.BitComplement, true
-	case "hotspot":
-		return roco.Hotspot, true
-	}
-	return 0, false
 }
 
 func fatalf(format string, args ...any) {

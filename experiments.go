@@ -398,13 +398,14 @@ func RunFaultExperiment(opts Options, class FaultClass, alg Algorithm) FaultExpe
 	if trials < 1 {
 		trials = 1
 	}
+	width, height := opts.dims()
 	var cfgs []Config
 	for _, k := range RouterKinds {
 		for _, count := range FaultCounts {
 			for t := 0; t < trials; t++ {
 				cfg := opts.baseConfig(k, alg, Uniform, FaultInjectionRate)
 				// All routers see the same fault placements per trial.
-				cfg.Faults = RandomFaults(class, count, opts.Width, opts.Height, opts.Seed+uint64(t)*1000+uint64(count))
+				cfg.Faults = RandomFaults(class, count, width, height, opts.Seed+uint64(t)*1000+uint64(count))
 				cfg.MaxCycles = 60 * (opts.Warmup + opts.Measure)
 				cfgs = append(cfgs, cfg)
 			}

@@ -65,3 +65,24 @@ func TestRunAllSharedBudget(t *testing.T) {
 		t.Fatal("sharded runs under a shared worker budget diverged from serial unsharded runs")
 	}
 }
+
+// TestFaultExperimentOnChiplets runs the fault experiment on a chiplet
+// grid, whose size comes from the chiplet options rather than Width and
+// Height: the faults must be drawn over the grid's own 4x4 nodes.
+func TestFaultExperimentOnChiplets(t *testing.T) {
+	opts := QuickOptions()
+	opts.Warmup, opts.Measure = 100, 600
+	opts.FaultTrials = 1
+	opts.ChipsX, opts.ChipsY, opts.ChipW, opts.ChipH = 2, 2, 2, 2
+	exp := RunFaultExperiment(opts, CriticalFaults, XY)
+	for _, k := range RouterKinds {
+		if len(exp.Completion[k]) != len(FaultCounts) {
+			t.Fatalf("%v: %d completion points, want %d", k, len(exp.Completion[k]), len(FaultCounts))
+		}
+		for i, c := range exp.Completion[k] {
+			if c <= 0 || c > 1 {
+				t.Errorf("%v with %d faults: completion %v outside (0, 1]", k, FaultCounts[i], c)
+			}
+		}
+	}
+}

@@ -123,17 +123,17 @@ type VCConfig struct {
 	// source channels cannot participate in dependency cycles).
 	Dir [NumVCs]topology.Direction
 
-	// admit precomputes Admits as bitmaps: admit[class][nextOut] has bit
-	// id set iff Class[id] == class and the channel's direction assignment
-	// allows nextOut. Class and Dir are fixed at configuration time, so VA
-	// candidate selection reduces to one table load ANDed with the live
-	// claimable/alive masks. Built by ConfigFor.
+	// admit holds the admissible channels as bitmaps: admit[class][nextOut]
+	// has bit id set iff Class[id] == class and the channel's direction
+	// assignment allows nextOut. Class and Dir are fixed at configuration
+	// time, so VA candidate selection reduces to one table load ANDed with
+	// the live claimable/alive masks. Built by ConfigFor.
 	admit [routing.NumClasses][int(topology.Local) + 1]uint64
 }
 
 // AdmitMask returns the channels that may hold a packet of the given mode
-// making the given transition toward nextOut, as a bitmap — the bulk form
-// of Admits. nextOut must be cardinal.
+// making the given transition toward nextOut, as a bitmap. nextOut must be
+// cardinal.
 func (c *VCConfig) AdmitMask(turn routing.Turn, mode flit.RouteMode, nextOut topology.Direction) uint64 {
 	return c.admit[c.ClassFor(turn, mode)][nextOut]
 }
@@ -224,15 +224,6 @@ func (c *VCConfig) ClassFor(turn routing.Turn, mode flit.RouteMode) routing.Turn
 		return routing.TurnYX
 	}
 	return turn
-}
-
-// Admits reports whether channel id may hold a packet of the given mode
-// making the given transition toward nextOut.
-func (c *VCConfig) Admits(id int, turn routing.Turn, mode flit.RouteMode, nextOut topology.Direction) bool {
-	if c.Class[id] != c.ClassFor(turn, mode) {
-		return false
-	}
-	return c.Dir[id] == topology.Invalid || c.Dir[id] == nextOut
 }
 
 // MinimumVCs returns the number of VCs strictly required for correct

@@ -77,6 +77,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 	}
 	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerSet)
 	r.EarlyEject = true
+	r.Candidates = r.candidates
 	// Guided flit queuing: a flit lands in the module of its output.
 	for _, d := range topology.CardinalDirections {
 		r.GuideQueue(d, moduleVCMask(ModuleOf(d)))
@@ -139,14 +140,8 @@ func (r *Router) CanServe(from, out topology.Direction) bool {
 		return false
 	}
 	turn := routing.TurnOf(from, out)
-	for _, mode := range []flit.RouteMode{flit.XFirst, flit.YFirst} {
-		for id := range r.cfg.Class {
-			if r.cfg.Admits(id, turn, mode, out) && r.Offline&(1<<uint(id)) == 0 {
-				return true
-			}
-		}
-	}
-	return false
+	admit := r.cfg.AdmitMask(turn, flit.XFirst, out) | r.cfg.AdmitMask(turn, flit.YFirst, out)
+	return admit&^r.Offline != 0
 }
 
 // CongestionCost estimates pressure on output out from the credit
@@ -226,11 +221,22 @@ func (r *Router) Tick(cycle int64) {
 	}
 }
 
+// candidates is the RoCo VC candidate rule: the Table 1 channels whose
+// class and direction admit a head of its mode making the transition from
+// out's arrival side at the next router toward nextOut. A head that ejects
+// early at the next router (nextOut not cardinal) needs no channel.
+func (r *Router) candidates(head *flit.Flit, out, nextOut topology.Direction) uint64 {
+	if !nextOut.IsCardinal() {
+		return 0
+	}
+	return r.cfg.AdmitMask(routing.TurnOf(out.Opposite(), nextOut), head.Mode, nextOut)
+}
+
 // allocateVCs runs the two modules' separable VC allocators (they are
 // physically independent; one pass covers both since requests never cross
 // modules). Requesters come off the needVA bitmap with blocked modules
-// masked out; candidate selection intersects the configuration's admit
-// mask with the downstream alive-and-claimable mask.
+// masked out; candidate selection intersects the candidate rule's mask
+// with the downstream alive-and-claimable mask.
 func (r *Router) allocateVCs(cycle int64) {
 	need := r.BeginVA() &^ r.Offline
 	if need == 0 {
@@ -246,8 +252,7 @@ func (r *Router) allocateVCs(cycle int64) {
 		r.ChargeVA(vc)
 		out := vc.OutPort()
 		if nextOut, avail, ok := r.Lookahead(vc, out); ok {
-			turn := routing.TurnOf(out.Opposite(), nextOut)
-			if c, ok := r.pickCandidate(avail, r.Books[out], turn, nextOut, vc.Front()); ok {
+			if c, ok := leastLoaded(r.candidates(vc.Front(), out, nextOut)&avail, r.Books[out]); ok {
 				r.Request(int(out), c, id, nextOut)
 				continue
 			}
@@ -261,13 +266,12 @@ func (r *Router) allocateVCs(cycle int64) {
 	r.GrantVA()
 }
 
-// pickCandidate returns the least-loaded downstream channel among avail
-// (the downstream alive-and-claimable mask) that the packet's class and
-// direction discipline admits, spreading back-to-back packets across
+// leastLoaded returns the channel in mask with the fewest grants queued in
+// book (the lowest on a tie), spreading back-to-back packets across
 // equivalent channels.
-func (r *Router) pickCandidate(avail uint64, book *router.OutVCBook, turn routing.Turn, nextOut topology.Direction, head *flit.Flit) (int, bool) {
+func leastLoaded(mask uint64, book *router.OutVCBook) (int, bool) {
 	best, bestLoad := -1, 0
-	for m := r.cfg.AdmitMask(turn, head.Mode, nextOut) & avail; m != 0; m &= m - 1 {
+	for m := mask; m != 0; m &= m - 1 {
 		id := bits.TrailingZeros64(m)
 		if load := book.QueuedGrants(id); best < 0 || load < bestLoad {
 			best, bestLoad = id, load

@@ -29,26 +29,26 @@ func (r DeadlockReport) String() string {
 	return sb.String()
 }
 
-// DetectDeadlock builds the wait-for graph across all routers that expose
-// it and searches for a cycle. A packet waiting on several alternative
-// channels (an adaptive VA request) blocks only if ALL alternatives are
-// blocked, so edges to any free channel break the wait; the routers only
-// report edges for currently unavailable targets.
+// DetectDeadlock builds the wait-for graph across all routers and searches
+// for a cycle. A packet waiting on several alternative channels (a VA
+// request with several candidates) blocks only if ALL alternatives are
+// blocked, so the routers report a head's edges only while none of its
+// candidates is available.
 //
-// Returns ok=false when no cycle exists among the reported dependencies.
+// The search starts from the waiting channels in the order the routers
+// report them (ascending node, then ascending channel), so one wait graph
+// always yields the same report. Returns ok=false when no cycle exists
+// among the reported dependencies.
 func (n *Network) DetectDeadlock() (DeadlockReport, bool) {
 	type nodeKey struct{ node, vc int }
 	adj := map[nodeKey][]WaitEdge{}
+	var waiting []nodeKey
 	for _, r := range n.routers {
-		src, okSrc := r.(router.WaitGraphSource)
-		if !okSrc {
-			continue
-		}
-		for _, e := range src.WaitEdges() {
-			if e.ToNode < 0 {
-				continue
-			}
+		for _, e := range r.WaitEdges() {
 			k := nodeKey{e.FromNode, e.FromVC}
+			if adj[k] == nil {
+				waiting = append(waiting, k)
+			}
 			adj[k] = append(adj[k], e)
 		}
 	}
@@ -87,7 +87,7 @@ func (n *Network) DetectDeadlock() (DeadlockReport, bool) {
 		color[k] = black
 		return false
 	}
-	for k := range adj {
+	for _, k := range waiting {
 		if color[k] == white && dfs(k) {
 			return DeadlockReport{Cycle: cycle}, true
 		}

@@ -118,6 +118,13 @@ func FuzzDynamicFaults(f *testing.F) {
 	f.Add(uint64(7), uint8(2), uint16(50), uint8(5), uint8(0), uint8(1), uint8(1), uint8(0))
 	f.Add(uint64(42), uint8(1), uint16(900), uint8(0), uint8(5), uint8(3), uint8(2), uint8(3))
 	f.Add(uint64(99), uint8(3), uint16(1), uint8(15), uint8(2), uint8(129), uint8(3), uint8(255))
+	// Reliable runs that wedge with a deliverable flow stuck: generic with
+	// VA faults at nodes 4 and 10, PDR with an RC fault at node 7, and
+	// path-sensitive with a MUX/DEMUX fault at node 5. None of their
+	// watchdog reports holds a wait-for cycle.
+	f.Add(uint64(33), uint8(0x10), uint16(214), uint8(4), uint8(0x80), uint8(1), uint8(0xf9), uint8(0x90))
+	f.Add(uint64(7), uint8(0x77), uint16(41), uint8(7), uint8(0), uint8(0x3d), uint8(0x13), uint8(0x1a))
+	f.Add(uint64(170), uint8(0xf5), uint16(194), uint8(0x25), uint8(5), uint8(5), uint8(0x2a), uint8(0x0f))
 
 	builders := []struct {
 		name  string

@@ -52,9 +52,7 @@ func (n *Network) buildWatchdog() *WatchdogReport {
 	}
 	for _, r := range n.routers {
 		w.BufferedFlits += int64(r.BufferedFlits())
-		if src, ok := r.(router.StallSource); ok {
-			w.Stuck = append(w.Stuck, src.StallScan(n.cycle)...)
-		}
+		w.Stuck = append(w.Stuck, r.StallScan(n.cycle)...)
 	}
 	w.TotalStuck = len(w.Stuck)
 	sort.Slice(w.Stuck, func(i, j int) bool { return w.Stuck[i].StallAge > w.Stuck[j].StallAge })

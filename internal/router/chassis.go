@@ -29,15 +29,15 @@ const loopbackVC = -2
 
 // Chassis is the wormhole/credit/VC substrate every router kind shares.
 // It owns the channels and their claims, the links, the credit books and
-// the neighbour handshake, fault recovery, the counters, and the tick
-// phases that are the same for every allocation policy: credit return,
-// arrivals, the idle fast path, the recovery scans, the VA prologue and
-// output stage, the SA credit pre-pass and switch traversal. A router
-// embeds it and keeps only its policy — how links map onto channels, its
-// injection and VC candidate rules, and its switch allocation — calling
-// the phases from its own Tick in a fixed order. The calls are plain
-// method calls on the embedded struct, so the hot loop keeps static
-// dispatch.
+// the neighbour handshake, fault recovery, the counters, the wait graph,
+// and the tick phases that are the same for every allocation policy:
+// credit return, arrivals, the idle fast path, the recovery scans, the VA
+// prologue and output stage, the SA credit pre-pass and switch traversal.
+// A router embeds it and keeps only its policy — how links map onto
+// channels, its injection and VC candidate rules, and its switch
+// allocation — calling the phases from its own Tick in a fixed order. The
+// calls are plain method calls on the embedded struct, so the hot loop
+// keeps static dispatch.
 type Chassis struct {
 	// Node is the node the router serves; Engine routes its packets.
 	Node   int
@@ -72,6 +72,12 @@ type Chassis struct {
 	// decoder, and lets VA grant a head that ejects at the downstream
 	// router without a channel.
 	EarlyEject bool
+	// Candidates is the policy's VC candidate rule, set by its
+	// constructor: the downstream channels, in the link's namespace, that
+	// a head leaving through out toward nextOut may request, before any
+	// availability check. VA calls the rule directly; WaitEdges reads it
+	// through this field.
+	Candidates func(head *flit.Flit, out, nextOut topology.Direction) uint64
 	// Act and Cont are the energy model's activity counters and Figure 3's
 	// contention tallies.
 	Act  Activity
@@ -679,12 +685,9 @@ func (c *Chassis) claimDownstream(b, ch int) bool {
 	return nbr != nil && nbr.ClaimInputVC(topology.Direction(b).Opposite(), ch)
 }
 
-// CreditOK reports whether channel i's front flit may stream: it ejects
-// downstream, or the target channel has a free slot and i holds its
-// oldest grant.
-func (c *Chassis) CreditOK(vc *VC, i int) bool { return c.creditOK(vc, i, c.leg(i, vc.OutPort())) }
-
-// creditOK is CreditOK for a front packet leaving through leg.
+// creditOK reports whether channel i's front flit, leaving through leg,
+// may stream: it ejects downstream, or the target channel has a free slot
+// and i holds its oldest grant.
 func (c *Chassis) creditOK(vc *VC, i, leg int) bool {
 	if vc.EjectNext() {
 		return true

@@ -72,6 +72,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 	}
 	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerPort)
 	r.PerPortNamespace(VCsPerPort)
+	r.Candidates = r.candidates
 	return r
 }
 
@@ -114,21 +115,10 @@ func (r *Router) injectionVCs(f *flit.Flit) []int {
 	return []int{0, 1, 2}
 }
 
-// Shared candidate sets for candidateVCs: the callers only iterate, so
-// handing out the same read-only slices keeps VC allocation off the heap.
-var (
-	vcsDateline    = []int{1}
-	vcsPreDateline = []int{0, 2}
-	vcsYFirst      = []int{yFirstVC}
-	vcsXFirst      = []int{xFirstVC, xFirstVC2}
-	vcsAny         = []int{0, 1, 2}
-)
-
-// candidateVCs returns the downstream VC indexes a head flit may be
-// allocated for a hop leaving through out, respecting the class
+// candidates is the generic VC candidate rule: the downstream port's VCs
+// a head leaving through out may be allocated, respecting the class
 // discipline: mode classes under XY-YX, dateline classes on a torus.
-// The returned slice is shared and must not be mutated.
-func (r *Router) candidateVCs(f *flit.Flit, out topology.Direction) []int {
+func (r *Router) candidates(f *flit.Flit, out, _ topology.Direction) uint64 {
 	if r.torus != nil {
 		// Dateline discipline: VCs 0 and 2 carry packets that have not
 		// crossed their current dimension's dateline; VC 1 carries packets
@@ -140,17 +130,17 @@ func (r *Router) candidateVCs(f *flit.Flit, out topology.Direction) []int {
 		}
 		crossed = crossed || routing.TorusHopWraps(r.torus.Width(), r.torus.Height(), r.torus.Coord(r.Node), out)
 		if crossed {
-			return vcsDateline
+			return 1 << 1
 		}
-		return vcsPreDateline
+		return 1<<0 | 1<<2
 	}
 	if r.Engine.Algorithm() == routing.XYYX {
 		if f.Mode == flit.YFirst {
-			return vcsYFirst
+			return 1 << yFirstVC
 		}
-		return vcsXFirst
+		return 1<<xFirstVC | 1<<xFirstVC2
 	}
-	return vcsAny
+	return 1<<VCsPerPort - 1
 }
 
 // Tick advances the router one cycle: the chassis's opening phases, then
@@ -195,19 +185,18 @@ func (r *Router) allocateVCs(cycle int64) {
 		// design with iterative re-arbitration); rotating first-fit
 		// avoids pathological pile-up while keeping the collision
 		// behavior of a plain separable allocator.
-		cands := r.candidateVCs(vc.Front(), out)
-		start := r.vaRotate[id] % len(cands)
-		r.vaRotate[id]++
-		best := -1
-		for i := range cands {
-			c := cands[(start+i)%len(cands)]
-			if usable&(1<<uint(c)) != 0 {
-				best = c
-				break
-			}
+		cands := r.candidates(vc.Front(), out, nextOut)
+		rest := cands // the candidates from the rotating start up
+		for skip := r.vaRotate[id] % bits.OnesCount64(cands); skip > 0; skip-- {
+			rest &= rest - 1
 		}
-		if best >= 0 {
-			r.Request(int(out), best, id, nextOut)
+		r.vaRotate[id]++
+		pick := rest & usable
+		if pick == 0 {
+			pick = cands & usable // wrap around below the start
+		}
+		if pick != 0 {
+			r.Request(int(out), bits.TrailingZeros64(pick), id, nextOut)
 		} else {
 			r.VAFailed |= 1 << uint(id)
 		}

@@ -53,13 +53,11 @@ func TestCandidateVCClassDiscipline(t *testing.T) {
 	r := newTestRouter(routing.XYYX)
 	x := &flit.Flit{Mode: flit.XFirst}
 	y := &flit.Flit{Mode: flit.YFirst}
-	for _, c := range r.candidateVCs(x, topology.East) {
-		if c == yFirstVC {
-			t.Error("X-first packet offered the Y-first channel")
-		}
+	if got := r.candidates(x, topology.East, topology.East); got&(1<<yFirstVC) != 0 {
+		t.Errorf("X-first packet offered the Y-first channel: candidates %03b", got)
 	}
-	if got := r.candidateVCs(y, topology.North); len(got) != 1 || got[0] != yFirstVC {
-		t.Errorf("YFirst candidates = %v", got)
+	if got := r.candidates(y, topology.North, topology.North); got != 1<<yFirstVC {
+		t.Errorf("YFirst candidates = %03b", got)
 	}
 }
 
@@ -67,20 +65,21 @@ func TestTorusDatelineClasses(t *testing.T) {
 	engine := router.NewRouteEngine(topology.NewGrid(1, 1, 4, 4, true), routing.XY, nil)
 	// Router at (3,1): an East hop crosses the X dateline.
 	r := New(7, engine)
+	const dateline, preDateline = 0b010, 0b101
 	fresh := &flit.Flit{}
-	if got := r.candidateVCs(fresh, topology.East); len(got) != 1 || got[0] != 1 {
-		t.Errorf("dateline-crossing hop candidates = %v, want [1]", got)
+	if got := r.candidates(fresh, topology.East, topology.East); got != dateline {
+		t.Errorf("dateline-crossing hop candidates = %03b, want %03b", got, dateline)
 	}
-	if got := r.candidateVCs(fresh, topology.West); len(got) != 2 {
-		t.Errorf("non-crossing hop candidates = %v, want the class-0 pair", got)
+	if got := r.candidates(fresh, topology.West, topology.West); got != preDateline {
+		t.Errorf("non-crossing hop candidates = %03b, want the class-0 pair %03b", got, preDateline)
 	}
 	crossed := &flit.Flit{CrossedX: true}
-	if got := r.candidateVCs(crossed, topology.West); len(got) != 1 || got[0] != 1 {
-		t.Errorf("post-dateline packet candidates = %v, want [1]", got)
+	if got := r.candidates(crossed, topology.West, topology.West); got != dateline {
+		t.Errorf("post-dateline packet candidates = %03b, want %03b", got, dateline)
 	}
 	// A crossed-X packet's Y hops start fresh in class 0.
-	if got := r.candidateVCs(crossed, topology.North); len(got) != 2 {
-		t.Errorf("Y-dimension candidates after X crossing = %v, want the class-0 pair", got)
+	if got := r.candidates(crossed, topology.North, topology.North); got != preDateline {
+		t.Errorf("Y-dimension candidates after X crossing = %03b, want the class-0 pair %03b", got, preDateline)
 	}
 }
 

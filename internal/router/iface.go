@@ -28,6 +28,11 @@ type DropSink func(f *flit.Flit, cycle int64, reason trace.DropReason)
 // switch winners onto its output pipes and returns credits upstream. Pipes
 // advance at cycle boundaries, so routers may be ticked in any order.
 type Router interface {
+	// StallScan and WaitEdges feed the watchdog's diagnostic and the
+	// deadlock detector. Implemented by the embedded Chassis.
+	StallSource
+	WaitGraphSource
+
 	// ID returns the node this router serves.
 	ID() int
 
@@ -107,20 +112,13 @@ type Router interface {
 	NumInputVCs(from topology.Direction) int
 	InputVCDepth(from topology.Direction, vc int) int
 
-	// InputVCClaimable reports whether input VC vc (in the namespace of
-	// side from) is free for a new packet, and ClaimInputVC reserves it.
-	// Upstream VA uses the pair during allocation: guided flit queuing
-	// lets several upstream links feed one channel, so the reservation
-	// must live here at the owning router. ClaimInputVC returns false if
+	// ClaimableMask returns the input VCs of side from that are free for a
+	// new packet, as a bitmap over the side's namespace, and ClaimInputVC
+	// reserves one. Upstream VA fetches the mask once per output per cycle
+	// and ANDs it into candidate masks: guided flit queuing lets several
+	// upstream links feed one channel, so the reservation must live here
+	// at the owning router. ClaimInputVC re-checks, and returns false if
 	// another upstream claimed the channel earlier in the same cycle.
-	InputVCClaimable(from topology.Direction, vc int) bool
-	// ClaimableMask returns every claimable input VC of side from at once,
-	// as a bitmap over the same namespace InputVCClaimable indexes (bit vc
-	// set iff InputVCClaimable(from, vc)). Upstream VA fetches it once per
-	// output per cycle and ANDs it into candidate masks instead of probing
-	// channel by channel. Claims taken after the fetch are the caller's
-	// concern — the grant phase still goes through ClaimInputVC, which
-	// re-checks.
 	ClaimableMask(from topology.Direction) uint64
 	ClaimInputVC(from topology.Direction, vc int) bool
 	// ReleaseInputVC returns a claim previously taken with ClaimInputVC

@@ -85,6 +85,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 	}
 	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerSet)
 	r.EarlyEject = true
+	r.Candidates = r.candidates
 	return r
 }
 
@@ -119,6 +120,14 @@ func (r *Router) TryInject(f *flit.Flit, cycle int64) bool {
 	return r.InjectInto(f, int(q)*VCsPerSet+groupFor(q, topology.Local), cycle)
 }
 
+// candidates is the path-sensitive VC candidate rule: the one channel of
+// the packet's quadrant set at the next router that holds arrivals over
+// the link leaving through out.
+func (r *Router) candidates(head *flit.Flit, out, _ topology.Direction) uint64 {
+	q := r.packetQuadrant(head)
+	return 1 << uint(int(q)*VCsPerSet+groupFor(q, out.Opposite()))
+}
+
 // Tick advances the router one cycle: the chassis's opening phases, then
 // VA and the chained switch allocation.
 func (r *Router) Tick(cycle int64) {
@@ -150,10 +159,8 @@ func (r *Router) allocateVCs(cycle int64) {
 		if !ok {
 			continue
 		}
-		q := r.packetQuadrant(vc.Front())
-		c := int(q)*VCsPerSet + groupFor(q, out.Opposite())
-		if avail&(1<<uint(c)) != 0 {
-			r.Request(int(out), c, id, nextOut)
+		if pick := r.candidates(vc.Front(), out, nextOut) & avail; pick != 0 {
+			r.Request(int(out), bits.TrailingZeros64(pick), id, nextOut)
 		} else {
 			r.VAFailed |= 1 << uint(id)
 		}

@@ -123,6 +123,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 		}
 	}
 	r.AddTransferLeg(transfer, xModuleMask, portMask(portFromX))
+	r.Candidates = r.candidates
 	return r
 }
 
@@ -180,6 +181,13 @@ func moduleOutOf(port int, outPort topology.Direction) (int, int) {
 	}
 }
 
+// candidates is the PDR VC candidate rule for an external link: the
+// channels of the input port that the link leaving through out arrives
+// on at the next router.
+func (r *Router) candidates(_ *flit.Flit, out, _ topology.Direction) uint64 {
+	return portMask(arrivalPort(out.Opposite()))
+}
+
 // Tick advances the router one cycle: the chassis's opening phases, then
 // VA over both legs and the two modules' switch allocation.
 func (r *Router) Tick(cycle int64) {
@@ -226,8 +234,7 @@ func (r *Router) allocateVCs(cycle int64) {
 		if !ok {
 			continue
 		}
-		// Candidates: the downstream VCs of the arrival port for this link.
-		if avail &= portMask(arrivalPort(out.Opposite())); avail != 0 {
+		if avail &= r.candidates(vc.Front(), out, nextOut); avail != 0 {
 			r.Request(int(out), bits.TrailingZeros64(avail), id, nextOut)
 		} else {
 			r.VAFailed |= 1 << uint(id)

@@ -71,8 +71,9 @@ type StuckFlit struct {
 	Doomed bool
 }
 
-// StallSource is implemented by routers that can enumerate their stalled
-// buffered packets for the livelock/starvation watchdog.
+// StallSource enumerates a router's stalled buffered packets for the
+// livelock/starvation watchdog. Every router implements it through the
+// embedded Chassis; Router embeds it.
 type StallSource interface {
 	StallScan(cycle int64) []StuckFlit
 }
