@@ -16,9 +16,9 @@ import (
 	"github.com/rocosim/roco/internal/traffic"
 )
 
-// buildNetwork constructs a wired simulation instance plus the
-// router-kind power profile; Run, RunDetailed and RunTraced share it.
-func buildNetwork(cfg Config, traceEvery uint64) (*network.Network, power.Profile) {
+// buildNetwork constructs the wired network of a validated configuration
+// plus the router-kind power profile; NewSim is its one caller.
+func buildNetwork(cfg Config) (*network.Network, power.Profile) {
 	build, structure := builderFor(cfg.Router)
 	if cfg.DisableMirrorSA && cfg.Router == RoCo {
 		inner := build
@@ -64,7 +64,6 @@ func buildNetwork(cfg Config, traceEvery uint64) (*network.Network, power.Profil
 		MaxCycles:         cfg.MaxCycles,
 		InactivityLimit:   cfg.InactivityLimit,
 		Seed:              cfg.Seed,
-		TraceEvery:        traceEvery,
 		ReferenceKernel:   cfg.ReferenceKernel,
 		Shards:            cfg.Shards,
 		Workers:           cfg.Workers,
@@ -90,13 +89,6 @@ func buildTopology(cfg Config) *topology.Grid {
 		cx, cy, cw, ch = cfg.ChipsX, cfg.ChipsY, cfg.ChipW, cfg.ChipH
 	}
 	return topology.NewGrid(cx, cy, cw, ch, cfg.Torus)
-}
-
-// runNetwork executes one simulation and returns the raw network result
-// together with the router-kind power profile.
-func runNetwork(cfg Config) (network.Result, power.Profile) {
-	net, profile := buildNetwork(cfg, 0)
-	return net.Run(), profile
 }
 
 // TraceEvent is one observation of a traced packet's journey.
@@ -130,24 +122,31 @@ func (t PacketTrace) String() string {
 	return s
 }
 
-// RunTraced executes one simulation while sampling approximately the given
-// number of packet journeys, spread evenly over the run.
-func RunTraced(cfg Config, samples int) (Result, []PacketTrace) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("roco: invalid config: %v", err))
+// TracePackets samples about n packet journeys spread evenly over the
+// run: every (WarmupPackets+MeasurePackets)/n-th packet by ID, or every
+// packet when that spacing is below 2 (n < 1 samples none). Read them
+// with Traces. Sampling by packet ID makes a resumed Sim given the same
+// n trace the same packets as the run that wrote its snapshot. It must
+// be called before the Sim runs, and panics after that.
+func (s *Sim) TracePackets(n int) {
+	if s.last != nil {
+		panic("roco: TracePackets on a Sim that already ran")
+	}
+	if n < 1 {
+		return
 	}
 	every := uint64(1)
-	if samples > 0 {
-		total := cfg.WarmupPackets + cfg.MeasurePackets
-		if n := uint64(total) / uint64(samples); n > 1 {
-			every = n
-		}
+	if k := uint64(s.cfg.WarmupPackets+s.cfg.MeasurePackets) / uint64(n); k > 1 {
+		every = k
 	}
-	net, profile := buildNetwork(cfg, every)
-	res := net.Run()
+	s.net.SampleTraces(every)
+}
+
+// Traces returns the packet journeys sampled so far (see TracePackets),
+// in packet-ID order.
+func (s *Sim) Traces() []PacketTrace {
 	var traces []PacketTrace
-	for _, rec := range net.Traces() {
+	for _, rec := range s.net.Traces() {
 		t := PacketTrace{
 			PacketID:  rec.PacketID,
 			Src:       rec.Src,
@@ -159,7 +158,7 @@ func RunTraced(cfg Config, samples int) (Result, []PacketTrace) {
 		}
 		traces = append(traces, t)
 	}
-	return summarize(cfg, res, profile), traces
+	return traces
 }
 
 // NodeStats summarizes one router's measured-window activity for spatial
@@ -174,12 +173,18 @@ type NodeStats struct {
 	Dropped int64
 }
 
-// EnergyBreakdown splits a run's energy by component group (nJ totals
-// over the measurement window).
+// EnergyBreakdown splits energy by component group, in nJ: a run's
+// measurement-window totals (Detailed.Energy) or one telemetry span's
+// (TelemetryEpoch.Energy, TelemetryTotals.Energy).
 type EnergyBreakdown struct {
 	BuffersNJ, CrossbarNJ, LinksNJ float64
 	ArbitrationNJ, RoutingNJ       float64
 	EjectionNJ, LeakageNJ          float64
+}
+
+// TotalNJ sums the groups.
+func (e EnergyBreakdown) TotalNJ() float64 {
+	return e.BuffersNJ + e.CrossbarNJ + e.LinksNJ + e.ArbitrationNJ + e.RoutingNJ + e.EjectionNJ + e.LeakageNJ
 }
 
 // Detailed extends Result with per-node spatial statistics and the
@@ -198,16 +203,17 @@ type Detailed struct {
 	MeasuredCycles int64
 }
 
-// RunDetailed executes one simulation and keeps the per-node activity
-// split, for congestion heatmaps and spatial debugging.
-func RunDetailed(cfg Config) Detailed {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("roco: invalid config: %v", err))
+// Detailed returns the per-node activity split and the per-component
+// energy split as of the last Run or RunCheckpointed return, for
+// congestion heatmaps and spatial debugging. It panics before the first
+// return.
+func (s *Sim) Detailed() Detailed {
+	res, cfg := s.last, s.cfg
+	if res == nil {
+		panic("roco: Detailed on a Sim that has not run")
 	}
-	res, profile := runNetwork(cfg)
 	d := Detailed{
-		Result:         summarize(cfg, res, profile),
+		Result:         summarize(cfg, *res, s.profile),
 		Width:          cfg.Width,
 		Height:         cfg.Height,
 		ChipsX:         cfg.ChipsX,
@@ -217,6 +223,7 @@ func RunDetailed(cfg Config) Detailed {
 		Torus:          cfg.Torus,
 		MeasuredCycles: res.MeasuredCycles,
 		Nodes:          make([]NodeStats, len(res.PerRouter)),
+		Energy:         convertEnergy(power.AccountDetailed(s.profile, &res.Activity)),
 	}
 	for i, a := range res.PerRouter {
 		d.Nodes[i] = NodeStats{
@@ -224,12 +231,6 @@ func RunDetailed(cfg Config) Detailed {
 			Delivered:      a.Ejections + a.EarlyEjections,
 			Dropped:        a.DroppedFlits,
 		}
-	}
-	split := power.AccountDetailed(profile, &res.Activity)
-	d.Energy = EnergyBreakdown{
-		BuffersNJ: split.BuffersNJ, CrossbarNJ: split.CrossbarNJ, LinksNJ: split.LinksNJ,
-		ArbitrationNJ: split.ArbitrationNJ, RoutingNJ: split.RoutingNJ,
-		EjectionNJ: split.EjectionNJ, LeakageNJ: split.LeakageNJ,
 	}
 	return d
 }
@@ -282,7 +283,7 @@ func (d Detailed) RenderHeatmap(w io.Writer) {
 }
 
 // summarize converts a raw network result plus power profile into the
-// public Result (shared by Run and RunDetailed).
+// public Result.
 func summarize(cfg Config, res network.Result, profile power.Profile) Result {
 	energy := power.Account(profile, &res.Activity)
 	// Account prices every link flit at the on-die transfer energy; add the
@@ -433,15 +434,11 @@ type WindowPoint struct {
 // per-window delivery counts and latencies (window width in cycles) — the
 // view that makes warm-up convergence and traffic burstiness visible.
 func RunWindowed(cfg Config, windowCycles int64) (Result, []WindowPoint) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("roco: invalid config: %v", err))
-	}
-	net, profile := buildNetwork(cfg, 0)
-	res, pts := net.RunWindows(windowCycles)
+	s := NewSim(cfg)
+	res, pts := s.net.RunWindows(windowCycles)
 	out := make([]WindowPoint, len(pts))
 	for i, p := range pts {
 		out[i] = WindowPoint{StartCycle: p.StartCycle, Delivered: p.Delivered, AvgLatency: p.AvgLatency, Dropped: p.Dropped}
 	}
-	return summarize(cfg, res, profile), out
+	return summarize(s.cfg, res, s.profile), out
 }

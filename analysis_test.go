@@ -5,9 +5,25 @@ import (
 	"testing"
 )
 
+// runDetailed runs cfg to termination on a Sim and returns its Detailed
+// view.
+func runDetailed(cfg Config) Detailed {
+	sim := NewSim(cfg)
+	sim.Run()
+	return sim.Detailed()
+}
+
+// runTraced runs cfg to termination on a Sim sampling about n packet
+// journeys.
+func runTraced(cfg Config, n int) (Result, []PacketTrace) {
+	sim := NewSim(cfg)
+	sim.TracePackets(n)
+	return sim.Run(), sim.Traces()
+}
+
 func TestRunDetailedUtilization(t *testing.T) {
 	cfg := quickConfig(RoCo, XY, Uniform, 0.25)
-	d := RunDetailed(cfg)
+	d := runDetailed(cfg)
 	if d.Completion != 1 {
 		t.Fatalf("completion %.3f", d.Completion)
 	}
@@ -32,14 +48,14 @@ func TestRunDetailedUtilization(t *testing.T) {
 func TestRunDetailedMatchesRun(t *testing.T) {
 	cfg := quickConfig(Generic, XY, Uniform, 0.2)
 	a := Run(cfg)
-	b := RunDetailed(cfg)
+	b := runDetailed(cfg)
 	if a.AvgLatency != b.AvgLatency || a.EnergyPerPacketNJ != b.EnergyPerPacketNJ {
-		t.Error("RunDetailed must reproduce Run's measurements exactly")
+		t.Error("Detailed must reproduce Run's measurements exactly")
 	}
 }
 
 func TestRenderHeatmap(t *testing.T) {
-	d := RunDetailed(quickConfig(RoCo, XY, Uniform, 0.2))
+	d := runDetailed(quickConfig(RoCo, XY, Uniform, 0.2))
 	var sb strings.Builder
 	d.RenderHeatmap(&sb)
 	out := sb.String()
@@ -52,7 +68,7 @@ func TestDetailedDropsUnderFaults(t *testing.T) {
 	cfg := quickConfig(Generic, XY, Uniform, 0.25)
 	cfg.Faults = []Fault{{Node: 27, Component: Crossbar}}
 	cfg.InactivityLimit = 1500
-	d := RunDetailed(cfg)
+	d := runDetailed(cfg)
 	var dropped int64
 	for _, n := range d.Nodes {
 		dropped += n.Dropped
@@ -95,7 +111,7 @@ func TestIntervalSingleRun(t *testing.T) {
 }
 
 func TestEnergyBreakdownTotals(t *testing.T) {
-	d := RunDetailed(quickConfig(RoCo, XY, Uniform, 0.2))
+	d := runDetailed(quickConfig(RoCo, XY, Uniform, 0.2))
 	e := d.Energy
 	total := e.BuffersNJ + e.CrossbarNJ + e.LinksNJ + e.ArbitrationNJ + e.RoutingNJ + e.EjectionNJ + e.LeakageNJ
 	want := d.DynamicNJ + d.LeakageNJ

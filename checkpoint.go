@@ -1,11 +1,11 @@
-// Checkpoint/resume: crash-safe snapshots of a running simulation with
-// bit-identical continuation. A Sim wraps a live network; Checkpoint
-// serializes its complete state behind a config fingerprint, Resume
-// restores it under the same configuration (kernel-selection knobs are
-// free to differ — snapshots are kernel-canonical), and RunCheckpointed
-// drives a run with periodic atomic snapshot files plus a final flush on
-// an external stop signal. A resumed run finishes with exactly the
-// Result, fault log, and telemetry series of one that never stopped.
+// Checkpoint/resume: crash-safe snapshots of a running Sim with
+// bit-identical continuation. Checkpoint serializes the Sim's complete
+// state behind a config fingerprint, Resume restores it under the same
+// configuration (kernel-selection knobs are free to differ — snapshots
+// are kernel-canonical), and RunCheckpointed drives a run with periodic
+// atomic snapshot files plus a final flush on an external stop signal. A
+// resumed run finishes with exactly the Result, fault log, telemetry
+// series and packet traces of one that never stopped.
 package roco
 
 import (
@@ -18,8 +18,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"github.com/rocosim/roco/internal/network"
-	"github.com/rocosim/roco/internal/power"
 	"github.com/rocosim/roco/internal/snapshot"
 )
 
@@ -45,41 +43,6 @@ var ErrConfigMismatch = errors.New("roco: configuration does not match snapshot"
 // snapshotPattern names checkpoint files; the zero-padded cycle number
 // makes lexical order temporal order, which Latest relies on.
 const snapshotPattern = "ckpt-*.rocosnap"
-
-// Sim is a simulation instance that can be checkpointed. Unlike Run,
-// which owns its network for the whole call, a Sim exposes the run's
-// lifecycle: step it to completion with Run or RunCheckpointed, snapshot
-// it at any cycle boundary with Checkpoint.
-type Sim struct {
-	cfg     Config
-	net     *network.Network
-	profile power.Profile
-	// sweptDir remembers the checkpoint directory already swept of stale
-	// temp files, so CheckpointFile sweeps once per directory, not once
-	// per snapshot.
-	sweptDir string
-}
-
-// NewSim builds a checkpoint-capable simulation. Panics on an invalid
-// configuration, like Run.
-func NewSim(cfg Config) *Sim {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("roco: invalid config: %v", err))
-	}
-	net, profile := buildNetwork(cfg, 0)
-	return &Sim{cfg: cfg, net: net, profile: profile}
-}
-
-// Cycle returns the current simulation time.
-func (s *Sim) Cycle() int64 { return s.net.Cycle() }
-
-// Run executes the simulation to termination and returns the
-// measurements. A resumed Sim continues from its snapshot and produces
-// a Result bit-identical to an uninterrupted run.
-func (s *Sim) Run() Result {
-	return summarize(s.cfg, s.net.Run(), s.profile)
-}
 
 // Checkpoint writes one snapshot frame — config fingerprint plus the
 // network's complete state — to w. It must be called at a cycle
@@ -197,7 +160,7 @@ func (s *Sim) RunCheckpointed(opts CheckpointOptions) (Result, bool, error) {
 		}
 		return stop
 	})
-	return summarize(s.cfg, res, s.profile), interrupted, werr
+	return s.finish(res), interrupted, werr
 }
 
 // Resume restores a simulation from one snapshot frame. cfg must be the
@@ -222,12 +185,12 @@ func Resume(r io.Reader, cfg Config) (*Sim, error) {
 	if want := fingerprint(cfg); got != want {
 		return nil, fmt.Errorf("%w: snapshot fingerprint %016x, configuration %016x", ErrConfigMismatch, got, want)
 	}
-	net, profile := buildNetwork(cfg, 0)
-	net.LoadState(d)
+	sim := NewSim(cfg)
+	sim.net.LoadState(d)
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	return &Sim{cfg: cfg, net: net, profile: profile}, nil
+	return sim, nil
 }
 
 // ResumeLatest resumes from the newest valid snapshot in dir, skipping

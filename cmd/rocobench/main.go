@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"github.com/rocosim/roco"
+	"github.com/rocosim/roco/internal/topology"
 )
 
 var experiments = []string{
@@ -85,11 +86,11 @@ func main() {
 	}
 	if *chips != "" {
 		var err error
-		if opts.ChipsX, opts.ChipsY, err = parseGrid(*chips); err != nil {
+		if opts.ChipsX, opts.ChipsY, err = topology.ParseGrid(*chips); err != nil {
 			fmt.Fprintf(os.Stderr, "rocobench: -chips: %v\n", err)
 			os.Exit(1)
 		}
-		if opts.ChipW, opts.ChipH, err = parseGrid(*chipSize); err != nil {
+		if opts.ChipW, opts.ChipH, err = topology.ParseGrid(*chipSize); err != nil {
 			fmt.Fprintf(os.Stderr, "rocobench: -chip-size: %v\n", err)
 			os.Exit(1)
 		}
@@ -203,25 +204,6 @@ func main() {
 	if *jsonOut != "" {
 		writeResults(*jsonOut, jsonResults)
 	}
-}
-
-// parseGrid parses a "WxH" dimension pair.
-func parseGrid(s string) (int, int, error) {
-	a, b, ok := strings.Cut(strings.ToLower(strings.TrimSpace(s)), "x")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad grid %q (want WxH, e.g. 2x2)", s)
-	}
-	var w, h int
-	if _, err := fmt.Sscanf(strings.TrimSpace(a), "%d", &w); err != nil {
-		return 0, 0, fmt.Errorf("bad grid %q (want positive WxH)", s)
-	}
-	if _, err := fmt.Sscanf(strings.TrimSpace(b), "%d", &h); err != nil {
-		return 0, 0, fmt.Errorf("bad grid %q (want positive WxH)", s)
-	}
-	if w < 1 || h < 1 {
-		return 0, 0, fmt.Errorf("bad grid %q (want positive WxH)", s)
-	}
-	return w, h, nil
 }
 
 func writeResults(path string, jsonResults map[string]any) {

@@ -14,6 +14,7 @@
 //	rocosim -topology multichipmesh -chips 2x2 -chip-size 4x4 -d2d-fault 3:east@5000 -reliable -v
 //	rocosim -router roco -telemetry-every 256 -json
 //	rocosim -router roco -rate 0.30 -serve 127.0.0.1:9090
+//	rocosim -router roco -trace 3 -heatmap -v -checkpoint-every 500 -checkpoint-dir snaps
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 
 	"github.com/rocosim/roco"
 	"github.com/rocosim/roco/internal/serve"
+	"github.com/rocosim/roco/internal/topology"
 )
 
 // Exit codes: 0 success, 2 usage or runtime error, 3 livelock watchdog
@@ -162,10 +164,10 @@ func main() {
 			fatalf("-topology %s needs -chips and -chip-size", *topoName)
 		}
 		var err error
-		if cfg.ChipsX, cfg.ChipsY, err = parseGrid(*chips); err != nil {
+		if cfg.ChipsX, cfg.ChipsY, err = topology.ParseGrid(*chips); err != nil {
 			fatalf("-chips: %v", err)
 		}
-		if cfg.ChipW, cfg.ChipH, err = parseGrid(*chipSize); err != nil {
+		if cfg.ChipW, cfg.ChipH, err = topology.ParseGrid(*chipSize); err != nil {
 			fatalf("-chip-size: %v", err)
 		}
 		if err := cfg.D2DClass.UnmarshalText([]byte(*d2dClass)); err != nil {
@@ -260,30 +262,36 @@ func main() {
 		}
 	}
 
+	if *serveAddr != "" && cfg.TelemetryEvery == 0 {
+		// A served run without telemetry would have nothing on /metrics.
+		cfg.TelemetryEvery = 256
+	}
 	checkpointing := *ckptEvery > 0 || *ckptDir != "" || *resumeRun
+	if checkpointing && *ckptDir == "" {
+		fatalf("-checkpoint-every and -resume need -checkpoint-dir")
+	}
 
+	// One Sim serves every flag combination: traces, the per-node view and
+	// the live endpoint all read the same run, checkpointed or not.
+	var sim *roco.Sim
+	if *resumeRun {
+		var err error
+		if sim, err = roco.ResumeLatest(*ckptDir, cfg); err != nil {
+			fatalf("resume: %v", err)
+		}
+		fmt.Fprintf(os.Stderr, "rocosim: resumed from %s at cycle %d\n", *ckptDir, sim.Cycle())
+	} else {
+		sim = roco.NewSim(cfg)
+	}
+	sim.TracePackets(*tracePkts)
+	if *serveAddr != "" {
+		serveMetrics(sim, *serveAddr)
+	}
 	var res roco.Result
-	var detail roco.Detailed
-	var traces []roco.PacketTrace
-	needDetail := (*heatmap || *verbose) && *serveAddr == "" && !checkpointing
-	switch {
-	case checkpointing:
-		if *serveAddr != "" || *tracePkts > 0 || *heatmap {
-			fatalf("-checkpoint-every/-checkpoint-dir/-resume are incompatible with -serve, -trace and -heatmap")
-		}
-		res = runCheckpointed(cfg, *ckptDir, *ckptEvery, *resumeRun, *jsonOut)
-	case *serveAddr != "":
-		if *tracePkts > 0 || *heatmap {
-			fatalf("-serve is incompatible with -trace and -heatmap")
-		}
-		res = runServed(cfg, *serveAddr)
-	case *tracePkts > 0:
-		res, traces = roco.RunTraced(cfg, *tracePkts)
-	case needDetail:
-		detail = roco.RunDetailed(cfg)
-		res = detail.Result
-	default:
-		res = roco.Run(cfg)
+	if checkpointing {
+		res = runCheckpointed(sim, *ckptDir, *ckptEvery, *jsonOut)
+	} else {
+		res = sim.Run()
 	}
 	if *jsonOut {
 		// The Result carries everything downstream tools need: summary
@@ -296,6 +304,10 @@ func main() {
 		exitIfWatchdog(res)
 		lingerIfServing(*serveAddr)
 		return
+	}
+	var detail roco.Detailed
+	if *verbose || *heatmap {
+		detail = sim.Detailed()
 	}
 	shape := fmt.Sprintf("%dx%d %s", gridW, gridH, strings.ToLower(*topoName))
 	if multichip {
@@ -320,11 +332,9 @@ func main() {
 		fmt.Printf("  leakage energy   %10.2f nJ\n", res.LeakageNJ)
 		fmt.Printf("  delivered        %10d / %d packets\n", res.DeliveredPackets, res.GeneratedPackets)
 		fmt.Printf("  simulated        %10d cycles (saturated=%v)\n", res.Cycles, res.Saturated)
-		if needDetail {
-			e := detail.Energy
-			fmt.Printf("  energy split: buffers %.0f, crossbar %.0f, links %.0f, arbitration %.0f, routing %.0f, ejection %.0f, leakage %.0f nJ\n",
-				e.BuffersNJ, e.CrossbarNJ, e.LinksNJ, e.ArbitrationNJ, e.RoutingNJ, e.EjectionNJ, e.LeakageNJ)
-		}
+		e := detail.Energy
+		fmt.Printf("  energy split: buffers %.0f, crossbar %.0f, links %.0f, arbitration %.0f, routing %.0f, ejection %.0f, leakage %.0f nJ\n",
+			e.BuffersNJ, e.CrossbarNJ, e.LinksNJ, e.ArbitrationNJ, e.RoutingNJ, e.EjectionNJ, e.LeakageNJ)
 	}
 	for _, ev := range res.FaultEvents {
 		status := "never recovered"
@@ -352,11 +362,11 @@ func main() {
 		fmt.Printf("  telemetry        %10d epochs x %d cycles (%d retained, %d evicted)\n",
 			t.Totals.Epochs, t.Every, len(t.Epochs), t.EvictedEpochs)
 	}
-	if *heatmap && *tracePkts == 0 && detail.Nodes != nil {
+	if *heatmap {
 		fmt.Println()
 		detail.RenderHeatmap(os.Stdout)
 	}
-	if len(traces) > 0 {
+	if traces := sim.Traces(); len(traces) > 0 {
 		fmt.Println()
 		for _, t := range traces {
 			fmt.Println(t)
@@ -378,25 +388,10 @@ func exitIfWatchdog(res roco.Result) {
 	os.Exit(exitWatchdog)
 }
 
-// runCheckpointed executes (or resumes) the run with periodic crash-safe
-// snapshots in dir, flushing a final snapshot and exiting 128+signum on
-// SIGINT/SIGTERM so an interrupted run is resumable with -resume.
-func runCheckpointed(cfg roco.Config, dir string, every int64, resume, jsonOut bool) roco.Result {
-	if dir == "" {
-		fatalf("-checkpoint-every and -resume need -checkpoint-dir")
-	}
-	var sim *roco.Sim
-	if resume {
-		s, err := roco.ResumeLatest(dir, cfg)
-		if err != nil {
-			fatalf("resume: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "rocosim: resumed from %s at cycle %d\n", dir, s.Cycle())
-		sim = s
-	} else {
-		sim = roco.NewSim(cfg)
-	}
-
+// runCheckpointed runs sim with periodic crash-safe snapshots in dir,
+// flushing a final snapshot and exiting 128+signum on SIGINT/SIGTERM so
+// an interrupted run is resumable with -resume.
+func runCheckpointed(sim *roco.Sim, dir string, every int64, jsonOut bool) roco.Result {
 	stop := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -427,17 +422,16 @@ func runCheckpointed(cfg roco.Config, dir string, every int64, resume, jsonOut b
 	return res
 }
 
-// liveServer is the -serve endpoint, started by runServed and drained
+// liveServer is the -serve endpoint, started by serveMetrics and drained
 // by lingerIfServing on SIGINT/SIGTERM.
 var liveServer *serve.Server
 
-// runServed executes the simulation as a LiveRun with the telemetry HTTP
-// endpoint mounted for its whole duration. expvar and net/http/pprof
-// register themselves on the default mux via their imports, so the one
-// listener also serves /debug/vars and /debug/pprof.
-func runServed(cfg roco.Config, addr string) roco.Result {
-	live := roco.NewLiveRun(cfg)
-	http.Handle("/metrics", live.MetricsHandler())
+// serveMetrics mounts sim's telemetry HTTP endpoint before the run, so
+// it serves for the run's whole duration and after. expvar and
+// net/http/pprof register themselves on the default mux via their
+// imports, so the one listener also serves /debug/vars and /debug/pprof.
+func serveMetrics(sim *roco.Sim, addr string) {
+	http.Handle("/metrics", sim.MetricsHandler())
 	http.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("ok\n"))
@@ -453,7 +447,6 @@ func runServed(cfg roco.Config, addr string) roco.Result {
 			fmt.Fprintf(os.Stderr, "rocosim: "+format+"\n", args...)
 		},
 	})
-	return live.Run()
 }
 
 // lingerIfServing keeps a -serve process alive after the run so the
@@ -506,20 +499,6 @@ func flagWasSet(name string) bool {
 		}
 	})
 	return set
-}
-
-// parseGrid parses a "WxH" dimension pair.
-func parseGrid(s string) (int, int, error) {
-	a, b, ok := strings.Cut(strings.ToLower(strings.TrimSpace(s)), "x")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad grid %q (want WxH, e.g. 2x2)", s)
-	}
-	w, err1 := strconv.Atoi(strings.TrimSpace(a))
-	h, err2 := strconv.Atoi(strings.TrimSpace(b))
-	if err1 != nil || err2 != nil || w < 1 || h < 1 {
-		return 0, 0, fmt.Errorf("bad grid %q (want positive WxH)", s)
-	}
-	return w, h, nil
 }
 
 // parseD2DFault parses one node:side[@cycle] interface-fault spec. The

@@ -2,7 +2,7 @@
 // journeys, a link-utilization heatmap, the per-component energy split,
 // a windowed delivery time series that makes self-similar burstiness
 // visible, and the epoch telemetry layer: Result.Telemetry time series
-// plus the live Prometheus /metrics endpoint of a LiveRun.
+// plus the live Prometheus /metrics endpoint of a Sim.
 package main
 
 import (
@@ -29,14 +29,18 @@ func main() {
 	fmt.Println("== Sampled packet journeys (uniform traffic) ==")
 	cfg := base
 	cfg.Traffic = roco.Uniform
-	_, traces := roco.RunTraced(cfg, 5)
-	for _, tr := range traces {
+	// One Sim gives every view of a run: arm journey sampling before it
+	// runs, then read the journeys and the per-node detail after.
+	sim := roco.NewSim(cfg)
+	sim.TracePackets(5)
+	sim.Run()
+	for _, tr := range sim.Traces() {
 		fmt.Println(" ", tr)
 	}
 
 	fmt.Println()
 	fmt.Println("== Link utilization and energy split ==")
-	d := roco.RunDetailed(cfg)
+	d := sim.Detailed()
 	d.RenderHeatmap(os.Stdout)
 	e := d.Energy
 	fmt.Printf("energy: buffers %.0f nJ, crossbars %.0f nJ, links %.0f nJ, leakage %.0f nJ\n",
@@ -85,13 +89,14 @@ func main() {
 	mid := &tel.Epochs[len(tel.Epochs)/2]
 	tel.RenderHeatmap(os.Stdout, mid)
 
-	// The same series streams live: a LiveRun exposes the collector as a
-	// Prometheus /metrics handler while the simulation executes (rocosim
-	// -serve wraps exactly this). Here an httptest server stands in for
-	// a real listener and is scraped after the run completes.
+	// The same series streams live: a Sim with telemetry exposes the
+	// collector as a Prometheus /metrics handler while it runs (rocosim
+	// -serve mounts exactly this, on checkpointed and resumed runs too).
+	// Here an httptest server stands in for a real listener and is
+	// scraped after the run completes.
 	fmt.Println()
-	fmt.Println("== Live /metrics (LiveRun + Prometheus text format) ==")
-	live := roco.NewLiveRun(cfg)
+	fmt.Println("== Live /metrics (Sim.MetricsHandler, Prometheus text format) ==")
+	live := roco.NewSim(cfg)
 	srv := httptest.NewServer(live.MetricsHandler())
 	defer srv.Close()
 	live.Run()

@@ -66,9 +66,6 @@ type Config struct {
 	InactivityLimit int64
 	// Seed drives all randomness in the run.
 	Seed uint64
-	// TraceEvery samples packet journeys: every TraceEvery-th generated
-	// packet gets a trace record (0 disables tracing).
-	TraceEvery uint64
 	// ReferenceKernel selects the ungated cycle loop: every router ticked
 	// and every pipe advanced every cycle, flits freshly allocated. It is
 	// the determinism oracle and benchmark baseline for the activity-gated
@@ -159,8 +156,9 @@ type Result struct {
 	// degradation measured around it (paper Figure 13 style).
 	FaultLog []FaultRecord
 	// Telemetry is the epoch time-series snapshot (nil unless
-	// Config.TelemetryEvery was set). The final partial epoch is flushed
-	// at collection time. Deliberately excluded from the bit-identity
+	// Config.TelemetryEvery was set). A run that ended flushes its final
+	// partial epoch at collection time; one a hook stopped leaves it open
+	// for the continuation. Deliberately excluded from the bit-identity
 	// contract between telemetry-on and telemetry-off runs; every other
 	// field is covered by it.
 	Telemetry *telemetry.Series
@@ -311,7 +309,10 @@ type Network struct {
 	// bit.
 	lastProgress int64
 
-	tracer *trace.Collector
+	// tracer holds the sampled packet journeys: every traceEvery-th
+	// generated packet gets a record (0 samples none; see SampleTraces).
+	tracer     *trace.Collector
+	traceEvery uint64
 
 	measuring      bool
 	measureStart   int64
@@ -439,14 +440,10 @@ func New(cfg Config) *Network {
 		// ApplyFault; this covers install orderings where the faulted
 		// router has not been handed the registry yet).
 		n.broken.MarkFaulty()
-		if flt.Component == fault.D2DIf {
-			// Pre-wiring sever: SeverPort only marks port masks (nothing is
-			// resident yet), and the wiring loop below reads the degraded
-			// depths through InputVCDepth like any other static fault.
-			n.severInterface(flt)
-			continue
-		}
-		n.routers[flt.Node].ApplyFault(flt)
+		// Nothing is resident yet, so a pre-wiring sever only marks port
+		// masks, and the wiring loop below reads every degraded depth
+		// through InputVCDepth.
+		n.strike(flt, n.faultTargets(flt))
 	}
 	for _, ev := range cfg.Schedule.Events() {
 		n.validateFault(ev.Fault, nodes)
@@ -736,7 +733,7 @@ func (n *Network) generate() {
 		n.generated++
 		head := len(p.backlog)
 		p.backlog = flit.AppendSegment(p.backlog, pkt, n.poolFor(p.id))
-		if n.cfg.TraceEvery > 0 && pkt.ID%n.cfg.TraceEvery == 0 {
+		if n.traceEvery > 0 && pkt.ID%n.traceEvery == 0 {
 			p.backlog[head].Rec = n.tracer.NewRecord(pkt.ID, pkt.Src, pkt.Dst, pkt.CreatedAt)
 		}
 		n.genFlits += int64(fpp)
@@ -981,100 +978,68 @@ func (n *Network) validateFault(flt fault.Fault, nodes int) {
 	}
 }
 
-// severInterface cuts every boundary link of one die-to-die interface in
-// both directions: the fault's node selects the chiplet, its Port the
-// interface side, and both endpoint routers of each boundary link sever
-// their facing ports. Returns the routers touched (pairs of endpoints).
-func (n *Network) severInterface(flt fault.Fault) []int {
-	var touched []int
+// faultTargets lists the routers a fault strikes: the afflicted node of
+// a component fault, or both ends of every boundary link of a die-to-die
+// interface fault, as (inside, outside) pairs.
+func (n *Network) faultTargets(flt fault.Fault) []int {
+	if flt.Component != fault.D2DIf {
+		return []int{flt.Node}
+	}
+	var targets []int
 	for _, u := range n.topo.InterfaceNodes(n.topo.ChipOf(flt.Node), flt.Port) {
-		v, ok := n.topo.Neighbor(u, flt.Port)
-		if !ok {
-			continue
+		if v, ok := n.topo.Neighbor(u, flt.Port); ok {
+			targets = append(targets, u, v)
 		}
-		n.routers[u].SeverPort(flt.Port)
-		n.routers[v].SeverPort(flt.Port.Opposite())
-		touched = append(touched, u, v)
 	}
-	return touched
+	return targets
 }
 
-// installInterfaceFault applies one scheduled die-to-die interface fault to
-// a live network: the whole interface severs at once (every boundary link,
-// both directions), resident traffic routed through it is doomed by the
-// endpoint routers, and the neighbor handshake re-propagates around the
-// cut. One fault log entry covers the entire interface.
-func (n *Network) installInterfaceFault(ev fault.Event) {
-	ifNodes := n.topo.InterfaceNodes(n.topo.ChipOf(ev.Fault.Node), ev.Fault.Port)
-	if n.gatedKernel() {
-		// Replay sleep under pre-fault rules and wake for this very cycle:
-		// both endpoints of every boundary link (their port masks change)
-		// and their upstream neighbors (propagateHandshake mutates their
-		// credit books), mirroring the per-node install below.
-		settled := make(map[int]bool)
-		touch := func(id int) {
-			if settled[id] {
-				return
-			}
-			settled[id] = true
-			n.settleTo(id, n.cycle-1)
-			n.wakeNow(id)
-		}
-		for _, u := range ifNodes {
-			v, ok := n.topo.Neighbor(u, ev.Fault.Port)
-			if !ok {
-				continue
-			}
-			touch(u)
-			touch(v)
-			for _, l := range n.links {
-				if l.down == u || l.down == v {
-					touch(l.up)
-				}
-			}
-		}
+// strike applies a fault to its faultTargets: ApplyFault on the afflicted
+// router, or SeverPort on both ends of each boundary link, so the whole
+// interface dies in both directions at once.
+func (n *Network) strike(flt fault.Fault, targets []int) {
+	if flt.Component != fault.D2DIf {
+		n.routers[flt.Node].ApplyFault(flt)
+		return
 	}
-	n.broken.MarkFaulty()
-	for _, u := range n.severInterface(ev.Fault) {
-		n.propagateHandshake(u)
-	}
-	n.faultLog = append(n.faultLog, ev)
-	n.faultDrops = append(n.faultDrops, DropBreakdown{})
-	if n.oracle != nil {
-		n.oracle.Invalidate()
+	for i := 0; i < len(targets); i += 2 {
+		n.routers[targets[i]].SeverPort(flt.Port)
+		n.routers[targets[i+1]].SeverPort(flt.Port.Opposite())
 	}
 }
 
-// installDueFaults applies the runtime fault events scheduled for this
-// cycle, then re-propagates the neighbor handshake: every upstream router
-// of an afflicted node re-reads its input-VC depths so credit books (and
-// through them VA and adaptive routing) see the degradation immediately.
+// installDueFaults strikes the live network with the runtime fault events
+// scheduled for this cycle, then re-propagates the neighbor handshake:
+// every upstream router of a struck node re-reads its input-VC depths so
+// credit books (and through them VA and adaptive routing) see the
+// degradation immediately. Resident traffic routed through a dead
+// component or severed port is doomed by the struck routers. One fault
+// log entry covers each event, a whole interface included.
 func (n *Network) installDueFaults() {
 	for _, ev := range n.schedule.Due(n.cycle) {
-		if ev.Fault.Component == fault.D2DIf {
-			n.installInterfaceFault(ev)
-			continue
-		}
-		node := ev.Fault.Node
+		targets := n.faultTargets(ev.Fault)
 		if n.gatedKernel() {
-			// Replay the node's sleep under pre-fault rules before the
-			// fault changes them, then wake it and its upstream neighbors
-			// for this very cycle so reactions are not delayed.
-			n.settleTo(node, n.cycle-1)
-			n.wakeNow(node)
-			for _, l := range n.links {
-				if l.down == node {
-					// propagateHandshake is about to mutate the upstream
-					// credit book; replay that router's sleep first so the
-					// replayed ticks happen under pre-fault state.
-					n.settleTo(l.up, n.cycle-1)
-					n.wakeNow(l.up)
+			// Replay the sleep of each struck router, and of each upstream
+			// neighbor whose credit book propagateHandshake is about to
+			// mutate, under pre-fault rules; then wake them for this very
+			// cycle so reactions are not delayed. Both calls are
+			// idempotent, so a router reached twice settles once.
+			for _, id := range targets {
+				n.settleTo(id, n.cycle-1)
+				n.wakeNow(id)
+				for _, l := range n.links {
+					if l.down == id {
+						n.settleTo(l.up, n.cycle-1)
+						n.wakeNow(l.up)
+					}
 				}
 			}
 		}
 		n.broken.MarkFaulty()
-		n.routers[node].ApplyFault(ev.Fault)
-		n.propagateHandshake(node)
+		n.strike(ev.Fault, targets)
+		for _, id := range targets {
+			n.propagateHandshake(id)
+		}
 		n.faultLog = append(n.faultLog, ev)
 		n.faultDrops = append(n.faultDrops, DropBreakdown{})
 		if n.oracle != nil {
@@ -1165,7 +1130,7 @@ func (n *Network) RunHooked(hook func() (stop bool)) (Result, bool) {
 	for {
 		n.Step()
 		if hook != nil && hook() {
-			return n.collect(false), true
+			return n.collect(false, false), true
 		}
 		if n.generated >= n.targetPackets() {
 			if n.drained() {
@@ -1189,7 +1154,7 @@ func (n *Network) RunHooked(hook func() (stop bool)) (Result, bool) {
 			break
 		}
 	}
-	return n.collect(saturated), false
+	return n.collect(saturated, true), false
 }
 
 // RunCycles advances exactly c cycles (tests and fixed-horizon experiments
@@ -1201,18 +1166,22 @@ func (n *Network) RunCycles(c int64) Result {
 	for i := int64(0); i < c; i++ {
 		n.Step()
 	}
-	return n.collect(false)
+	return n.collect(false, true)
 }
 
-// collect aggregates measurements into a Result.
-func (n *Network) collect(saturated bool) Result {
+// collect aggregates measurements into a Result. ended marks a run that
+// terminated, as opposed to one a RunHooked hook stopped at a cycle
+// boundary: only an ended run closes the partial telemetry epoch, so a
+// stopped network continues (in process or from a checkpoint taken at
+// the stop) exactly as if it had never stopped.
+func (n *Network) collect(saturated, ended bool) Result {
 	n.stopWorkers()
 	// Replay any outstanding sleep so per-router activity is complete.
 	for id := range n.lastRun {
 		n.settleTo(id, n.cycle-1)
 	}
 	n.audit() // conservation always holds at termination
-	if n.tele != nil {
+	if n.tele != nil && ended {
 		// Flush the final partial epoch (idempotent when the clock sits
 		// exactly on an epoch boundary).
 		n.tele.Sample(n.cycle, n.routers, n.telemetryCounters())
@@ -1335,7 +1304,15 @@ func (n *Network) RunWindows(windowCycles int64) (Result, []WindowPoint) {
 	return res, points
 }
 
-// Traces returns the sampled packet journeys (empty without TraceEvery).
+// SampleTraces arms packet-journey sampling: from the next generated
+// packet on, every packet whose ID is a multiple of every gets a trace
+// record (0 stops sampling). Sampling is by packet ID, so a network
+// resumed from a snapshot and armed alike traces the same packets as the
+// run that wrote it.
+func (n *Network) SampleTraces(every uint64) { n.traceEvery = every }
+
+// Traces returns the sampled packet journeys (empty unless SampleTraces
+// armed sampling).
 func (n *Network) Traces() []*trace.Record { return n.tracer.Records() }
 
 // Quiescent reports whether no router holds any flit.

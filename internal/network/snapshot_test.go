@@ -33,10 +33,20 @@ func ckptConfig(build func(int, *router.RouteEngine) router.Router, seed uint64,
 		Seed:            seed,
 		AuditEvery:      64,
 		TelemetryEvery:  128,
-		TraceEvery:      7,
 		Reliable:        reliable,
 		Schedule:        fault.PoissonSchedule(fault.NonCritical, 60, 400, 64, core.NumVCs, stats.NewRNG(seed^0xfa17)),
 	}
+}
+
+// traceEvery is the workload's packet-trace sampling interval: every
+// network the equivalence tests build or restore samples with it.
+const traceEvery = 7
+
+// newTraced builds cfg's network with packet tracing armed.
+func newTraced(cfg Config) *Network {
+	n := New(cfg)
+	n.SampleTraces(traceEvery)
+	return n
 }
 
 // checkpointCycle is where the equivalence runs snapshot: past warm-up and
@@ -47,7 +57,7 @@ const checkpointCycle = 100
 // on the way, and returns the result, the traces, and the snapshot frame.
 func runCheckpointed(t *testing.T, cfg Config) (Result, []*trace.Record, []byte) {
 	t.Helper()
-	n := New(cfg)
+	n := newTraced(cfg)
 	var frame bytes.Buffer
 	res, interrupted := n.RunHooked(func() bool {
 		if n.Cycle() == checkpointCycle {
@@ -79,6 +89,7 @@ func resume(t *testing.T, cfg Config, frame []byte) (Result, []*trace.Record) {
 	if err != nil {
 		t.Fatalf("restoring network: %v", err)
 	}
+	n.SampleTraces(traceEvery)
 	return n.Run(), n.Traces()
 }
 
@@ -114,7 +125,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 				const seed = 41
 				base := ckptConfig(rocoBuilder, seed, reliable)
 				k.apply(&base)
-				n0 := New(base)
+				n0 := newTraced(base)
 				want := n0.Run()
 				wantTraces := n0.Traces()
 				if len(want.FaultLog) == 0 {
@@ -152,7 +163,7 @@ func TestCheckpointCrossKernelResume(t *testing.T) {
 	const seed = 17
 	ref := ckptConfig(rocoBuilder, seed, true)
 	ref.ReferenceKernel = true
-	want := New(ref).Run()
+	want := newTraced(ref).Run()
 	if len(want.FaultLog) == 0 {
 		t.Fatal("fault schedule installed no faults; test is vacuous")
 	}
@@ -215,7 +226,7 @@ func TestCheckpointAllRouterKinds(t *testing.T) {
 			cfg := ckptConfig(b.build, 29, true)
 			cfg.Shards = 2
 			cfg.Workers = 2
-			want := New(cfg).Run()
+			want := newTraced(cfg).Run()
 			_, _, frame := runCheckpointed(t, cfg)
 			resumed, _ := resume(t, cfg, frame)
 			if !reflect.DeepEqual(resumed, want) {

@@ -376,20 +376,7 @@ func (c *Collector) Totals() Totals {
 func (c *Collector) Snapshot() *Series {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := &Series{
-		Every:   c.cfg.Every,
-		Nodes:   c.cfg.Nodes,
-		Links:   append([]int(nil), c.cfg.Links...),
-		Epochs:  make([]Epoch, c.count),
-		Evicted: c.evicted,
-		Totals:  c.totals,
-	}
-	for i := 0; i < c.count; i++ {
-		src := &c.ring[(c.start+i)%len(c.ring)]
-		s.Epochs[i] = *src
-		s.Epochs[i].Nodes = append([]NodeSample(nil), src.Nodes...)
-	}
-	return s
+	return c.seriesLocked(0)
 }
 
 // SnapshotSince is Snapshot restricted to the retained epochs with
@@ -411,6 +398,12 @@ func (c *Collector) SnapshotSince(since int64) *Series {
 	if skip >= c.count {
 		return nil
 	}
+	return c.seriesLocked(skip)
+}
+
+// seriesLocked deep-copies the retained epochs after the oldest skip
+// ones, plus the totals. Callers hold mu.
+func (c *Collector) seriesLocked(skip int) *Series {
 	s := &Series{
 		Every:   c.cfg.Every,
 		Nodes:   c.cfg.Nodes,
@@ -419,10 +412,10 @@ func (c *Collector) SnapshotSince(since int64) *Series {
 		Evicted: c.evicted,
 		Totals:  c.totals,
 	}
-	for i := skip; i < c.count; i++ {
-		src := &c.ring[(c.start+i)%len(c.ring)]
-		s.Epochs[i-skip] = *src
-		s.Epochs[i-skip].Nodes = append([]NodeSample(nil), src.Nodes...)
+	for i := range s.Epochs {
+		src := &c.ring[(c.start+skip+i)%len(c.ring)]
+		s.Epochs[i] = *src
+		s.Epochs[i].Nodes = append([]NodeSample(nil), src.Nodes...)
 	}
 	return s
 }

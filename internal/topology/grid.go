@@ -1,6 +1,10 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Grid is the one topology of the simulator: a W x H grid of routers,
 // tiled into a CX x CY grid of chiplets of ChipW x ChipH nodes each, with
@@ -20,6 +24,23 @@ type Grid struct {
 	cx, cy int  // chiplet grid
 	pw, ph int  // nodes per chiplet
 	wrap   bool // wrap-around links at the global edges
+}
+
+// ParseGrid parses a "WxH" dimension pair such as a chiplet grid ("2x2")
+// or a chiplet size ("4x4"), the form the command-line tools take. Both
+// numbers must be positive integers; anything else, trailing text
+// included, is an error.
+func ParseGrid(s string) (w, h int, err error) {
+	a, b, ok := strings.Cut(strings.ToLower(strings.TrimSpace(s)), "x")
+	if !ok {
+		return 0, 0, fmt.Errorf("bad grid %q (want WxH, e.g. 2x2)", s)
+	}
+	w, err1 := strconv.Atoi(strings.TrimSpace(a))
+	h, err2 := strconv.Atoi(strings.TrimSpace(b))
+	if err1 != nil || err2 != nil || w < 1 || h < 1 {
+		return 0, 0, fmt.Errorf("bad grid %q (want positive WxH)", s)
+	}
+	return w, h, nil
 }
 
 // NewMesh returns a width x height mesh: one chiplet, no wrap. Both

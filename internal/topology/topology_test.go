@@ -161,3 +161,16 @@ func TestCoordOutOfRangePanics(t *testing.T) {
 	}()
 	m.Coord(99)
 }
+
+func TestParseGrid(t *testing.T) {
+	for _, s := range []string{"2x3", " 2X3 ", "2 x 3"} {
+		if w, h, err := ParseGrid(s); err != nil || w != 2 || h != 3 {
+			t.Errorf("ParseGrid(%q) = %d, %d, %v; want 2, 3", s, w, h, err)
+		}
+	}
+	for _, s := range []string{"", "2", "2x", "x2", "0x2", "2x-1", "2x2abc", "2.5x2", "2x2x2"} {
+		if w, h, err := ParseGrid(s); err == nil {
+			t.Errorf("ParseGrid(%q) = %d, %d; want an error", s, w, h)
+		}
+	}
+}

@@ -313,7 +313,7 @@ func TestMultichipValidation(t *testing.T) {
 func TestMultichipHeatmapSeparators(t *testing.T) {
 	cfg := multichipConfig(RoCo, XY, 0.15)
 	cfg.WarmupPackets, cfg.MeasurePackets = 200, 1500
-	d := RunDetailed(cfg)
+	d := runDetailed(cfg)
 	if d.ChipsX != 2 || d.ChipW != 4 {
 		t.Fatalf("Detailed lost the chiplet grid: %+v", d)
 	}

@@ -25,6 +25,7 @@ import (
 
 	"github.com/rocosim/roco/internal/core"
 	"github.com/rocosim/roco/internal/fault"
+	"github.com/rocosim/roco/internal/network"
 	"github.com/rocosim/roco/internal/power"
 	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/router/generic"
@@ -603,13 +604,54 @@ func builderFor(k RouterKind) (func(int, *router.RouteEngine) router.Router, pow
 // Run executes one simulation and returns its measurements. It panics on
 // an invalid configuration; use Config.Validate to check dynamically built
 // configurations first.
-func Run(cfg Config) Result {
+func Run(cfg Config) Result { return NewSim(cfg).Run() }
+
+// Sim is one simulation, the package's only run object: Run, RunWindowed,
+// Resume and the experiment drivers all build their network through
+// NewSim. A Sim runs to termination with Run, or with RunCheckpointed
+// under periodic snapshots and stop signals, and its views combine on
+// any Sim, a resumed one included:
+//   - Checkpoint and CheckpointFile snapshot it at a cycle boundary;
+//   - TracePackets and Traces sample packet journeys;
+//   - Detailed reports the per-node activity and the energy split;
+//   - MetricsHandler and TelemetrySince read its live telemetry.
+type Sim struct {
+	cfg     Config
+	net     *network.Network
+	profile power.Profile
+	// last is the network result of the latest Run or RunCheckpointed
+	// return (nil until the first); Detailed reads it.
+	last *network.Result
+	// sweptDir remembers the checkpoint directory already swept of stale
+	// temp files, so CheckpointFile sweeps once per directory, not once
+	// per snapshot.
+	sweptDir string
+}
+
+// NewSim validates cfg and builds its simulation. It panics on an invalid
+// configuration, like Run.
+func NewSim(cfg Config) *Sim {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("roco: invalid config: %v", err))
 	}
-	res, profile := runNetwork(cfg)
-	return summarize(cfg, res, profile)
+	net, profile := buildNetwork(cfg)
+	return &Sim{cfg: cfg, net: net, profile: profile}
+}
+
+// Cycle returns the current simulation time.
+func (s *Sim) Cycle() int64 { return s.net.Cycle() }
+
+// Run executes the simulation to termination and returns the
+// measurements. A resumed Sim continues from its snapshot and produces
+// a Result bit-identical to an uninterrupted run.
+func (s *Sim) Run() Result { return s.finish(s.net.Run()) }
+
+// finish keeps the network result of a Run or RunCheckpointed return for
+// Detailed and converts it to the public Result.
+func (s *Sim) finish(res network.Result) Result {
+	s.last = &res
+	return summarize(s.cfg, res, s.profile)
 }
 
 // PaperConfig returns the paper's exact evaluation setup for one

@@ -103,13 +103,25 @@ trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$
 go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
 	-faults-at 150 -faultclass noncritical >"$CKPTDIR/full.json"
 go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
-	-faults-at 150 -faultclass noncritical \
+	-faults-at 150 -faultclass noncritical -trace 3 \
 	-checkpoint-every 100 -checkpoint-dir "$CKPTDIR/snaps" >"$CKPTDIR/ckpt.json"
 cmp "$CKPTDIR/full.json" "$CKPTDIR/ckpt.json"
 go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
 	-faults-at 150 -faultclass noncritical \
 	-resume -checkpoint-dir "$CKPTDIR/snaps" >"$CKPTDIR/resumed.json"
 cmp "$CKPTDIR/full.json" "$CKPTDIR/resumed.json"
+# Run modes compose on one Sim: a checkpointed run still prints its traces,
+# its heatmap and a nonzero energy split.
+go run ./cmd/rocosim -rate 0.2 -warmup 100 -measure 2000 -trace 2 -heatmap -v \
+	-checkpoint-every 100 -checkpoint-dir "$CKPTDIR/composed" >"$CKPTDIR/composed.txt"
+grep -q '^Link utilization (flits/link/cycle)' "$CKPTDIR/composed.txt"
+grep -q 'energy split: buffers [1-9]' "$CKPTDIR/composed.txt"
+grep -q '^pkt ' "$CKPTDIR/composed.txt"
+# rocobench parses grid flags as strictly as rocosim: trailing text fails.
+if go run ./cmd/rocobench -exp table1 -chips 2x2abc -chip-size 2x2 >/dev/null 2>&1; then
+	echo "check.sh: rocobench accepted -chips 2x2abc" >&2
+	exit 1
+fi
 # rocoserve crash-recovery smoke through real processes: submit a job,
 # SIGKILL the server mid-run, restart it over the same data directory,
 # and the recovered job's result JSON must be byte-identical to one from

@@ -29,8 +29,12 @@ type ScalingStudy struct {
 }
 
 // RunScalingStudy measures the three routers across the given square mesh
-// sizes at one injection rate.
+// sizes at one injection rate. The study's x-axis is the flat mesh size,
+// so every size runs as a single-die mesh: the study clears the chiplet
+// grid of opts, and with it the die-to-die fields, which apply only to a
+// chiplet grid.
 func RunScalingStudy(opts Options, alg Algorithm, rate float64, sizes []int) ScalingStudy {
+	opts.ChipsX, opts.ChipsY, opts.ChipW, opts.ChipH = 0, 0, 0, 0
 	study := ScalingStudy{Rate: rate, Algorithm: alg}
 	var cfgs []Config
 	for _, size := range sizes {

@@ -34,6 +34,21 @@ func TestScalingStudy(t *testing.T) {
 	}
 }
 
+// TestScalingStudyIgnoresChiplets: the scaling study's x-axis is the flat
+// mesh size, so chiplet Options leave it the single-die study.
+func TestScalingStudyIgnoresChiplets(t *testing.T) {
+	flat := QuickOptions()
+	flat.Warmup, flat.Measure = 200, 1000
+	chiplet := flat
+	chiplet.ChipsX, chiplet.ChipsY, chiplet.ChipW, chiplet.ChipH = 2, 2, 2, 2
+	chiplet.D2DClass, chiplet.D2DLatency = D2DSerial, 6
+	sizes := []int{4, 6}
+	got := RunScalingStudy(chiplet, XY, 0.15, sizes)
+	if want := RunScalingStudy(flat, XY, 0.15, sizes); !reflect.DeepEqual(got, want) {
+		t.Fatalf("chiplet options changed the scaling study\n got: %+v\nwant: %+v", got.Points, want.Points)
+	}
+}
+
 func TestPacketSizeStudy(t *testing.T) {
 	opts := QuickOptions()
 	opts.Measure = 2000
@@ -58,7 +73,7 @@ func TestPacketSizeStudy(t *testing.T) {
 func TestRunTraced(t *testing.T) {
 	cfg := quickConfig(RoCo, XY, Uniform, 0.15)
 	cfg.MeasurePackets = 2000
-	res, traces := RunTraced(cfg, 10)
+	res, traces := runTraced(cfg, 10)
 	if res.Completion != 1 {
 		t.Fatalf("completion %.3f", res.Completion)
 	}
@@ -98,7 +113,7 @@ func TestRunTracedUnderFaults(t *testing.T) {
 	cfg.Faults = []Fault{{Node: 27, Component: Crossbar}}
 	cfg.InactivityLimit = 1500
 	cfg.MeasurePackets = 3000
-	_, traces := RunTraced(cfg, 40)
+	_, traces := runTraced(cfg, 40)
 	dropped := 0
 	for _, tr := range traces {
 		if !tr.Completed {

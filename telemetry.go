@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"github.com/rocosim/roco/internal/network"
 	"github.com/rocosim/roco/internal/power"
 	"github.com/rocosim/roco/internal/report"
 	"github.com/rocosim/roco/internal/routing"
@@ -19,18 +18,6 @@ import (
 // Occupancy slices are indexed by it. Baseline routers do not classify
 // their channels, so their whole occupancy reports under "dx".
 var VCClassNames = [...]string{"dx", "dy", "txy", "tyx", "Injxy", "Injyx"}
-
-// TelemetryEnergy is one interval's energy split by router module, nJ.
-type TelemetryEnergy struct {
-	BuffersNJ, CrossbarNJ, LinksNJ float64
-	ArbitrationNJ, RoutingNJ       float64
-	EjectionNJ, LeakageNJ          float64
-}
-
-// TotalNJ sums the modules.
-func (e TelemetryEnergy) TotalNJ() float64 {
-	return e.BuffersNJ + e.CrossbarNJ + e.LinksNJ + e.ArbitrationNJ + e.RoutingNJ + e.EjectionNJ + e.LeakageNJ
-}
 
 // TelemetryNode is one router's share of a telemetry epoch.
 type TelemetryNode struct {
@@ -69,7 +56,7 @@ type TelemetryEpoch struct {
 	// the epoch (flits/link/cycle; traversals/node/cycle).
 	LinkUtilization, CrossbarUtilization float64
 	// Energy is the epoch's per-module split.
-	Energy TelemetryEnergy
+	Energy EnergyBreakdown
 	// Nodes is the per-router split, indexed by node id.
 	Nodes []TelemetryNode
 }
@@ -84,7 +71,7 @@ type TelemetryTotals struct {
 	SAGrants, SAConflicts               int64
 	CreditStalls                        int64
 	Ejections, EarlyEjections           int64
-	Energy                              TelemetryEnergy
+	Energy                              EnergyBreakdown
 }
 
 // Telemetry is the epoch time series of one run (Result.Telemetry, nil
@@ -276,8 +263,9 @@ func convertTelemetry(cfg Config, s *telemetry.Series) *Telemetry {
 	return t
 }
 
-func convertEnergy(b power.Breakdown) TelemetryEnergy {
-	return TelemetryEnergy{
+// convertEnergy mirrors an internal energy split into the public one.
+func convertEnergy(b power.Breakdown) EnergyBreakdown {
+	return EnergyBreakdown{
 		BuffersNJ: b.BuffersNJ, CrossbarNJ: b.CrossbarNJ, LinksNJ: b.LinksNJ,
 		ArbitrationNJ: b.ArbitrationNJ, RoutingNJ: b.RoutingNJ,
 		EjectionNJ: b.EjectionNJ, LeakageNJ: b.LeakageNJ,
@@ -303,42 +291,16 @@ func (s *Sim) TelemetrySince(since int64) *Telemetry {
 	return convertTelemetry(s.cfg, ser)
 }
 
-// LiveRun is a simulation whose telemetry is observable while it
-// executes: build one with NewLiveRun, mount MetricsHandler on an HTTP
-// server, and call Run (typically in its own goroutine). The metrics
-// endpoint serves consistent epoch snapshots throughout — the collector
-// is sampled at kernel barriers and read under its own lock — and keeps
-// serving final values after Run returns. rocosim -serve is a thin
-// wrapper around this type.
-type LiveRun struct {
-	cfg     Config
-	net     *network.Network
-	profile power.Profile
-}
-
-// NewLiveRun builds a simulation for live observation. TelemetryEvery
-// defaults to 256 cycles when unset — a LiveRun without telemetry would
-// have nothing to serve. Panics on an invalid configuration, like Run.
-func NewLiveRun(cfg Config) *LiveRun {
-	cfg = cfg.withDefaults()
-	if cfg.TelemetryEvery <= 0 {
-		cfg.TelemetryEvery = 256
-	}
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("roco: invalid config: %v", err))
-	}
-	net, profile := buildNetwork(cfg, 0)
-	return &LiveRun{cfg: cfg, net: net, profile: profile}
-}
-
 // MetricsHandler returns the Prometheus text-format handler over the
-// run's live telemetry collector (stdlib only; mount it at /metrics).
-func (l *LiveRun) MetricsHandler() http.Handler {
-	return telemetry.Metrics(l.net.Telemetry())
-}
-
-// Run executes the simulation to termination and returns the public
-// Result (with Result.Telemetry populated). Call it at most once.
-func (l *LiveRun) Run() Result {
-	return summarize(l.cfg, l.net.Run(), l.profile)
+// Sim's live telemetry collector (stdlib only; mount it at /metrics). It
+// serves consistent epoch snapshots while the Sim runs — the collector
+// is sampled at kernel barriers and read under its own lock — and keeps
+// serving final values after the run returns; rocosim -serve mounts it.
+// It panics unless Config.TelemetryEvery is set.
+func (s *Sim) MetricsHandler() http.Handler {
+	c := s.net.Telemetry()
+	if c == nil {
+		panic("roco: MetricsHandler needs Config.TelemetryEvery")
+	}
+	return telemetry.Metrics(c)
 }
