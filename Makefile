@@ -1,4 +1,4 @@
-.PHONY: check vet test doccheck bench bench-paper fuzz soak checkresume profile loc
+.PHONY: check vet test testonly doccheck bench bench-paper fuzz soak checkresume profile loc
 
 # The pre-merge gate: vet + build + tests + race detector + doc gate +
 # the checkpoint-equivalence and rocoserve crash-recovery smokes.
@@ -19,6 +19,12 @@ checkresume:
 
 test:
 	go test ./...
+
+# The test-only-code gate alone (also part of `go test ./...`): fails on
+# any declaration in a non-test file that only tests reference, unless
+# the allowlist in scripts/testonly/testonly_test.go names it.
+testonly:
+	go test -count=1 ./scripts/testonly
 
 # The documentation gate alone (also part of `make check`): package
 # comments, exported-identifier docs, live markdown links, and markdown

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	_ "expvar" // registers /debug/vars on the -serve endpoint
 	"flag"
 	"fmt"
@@ -262,7 +263,8 @@ func main() {
 		}
 	}
 
-	if *serveAddr != "" && cfg.TelemetryEvery == 0 {
+	serveTelemetry := *serveAddr != "" && cfg.TelemetryEvery == 0
+	if serveTelemetry {
 		// A served run without telemetry would have nothing on /metrics.
 		cfg.TelemetryEvery = 256
 	}
@@ -277,6 +279,10 @@ func main() {
 	if *resumeRun {
 		var err error
 		if sim, err = roco.ResumeLatest(*ckptDir, cfg); err != nil {
+			if serveTelemetry && errors.Is(err, roco.ErrConfigMismatch) {
+				err = fmt.Errorf("%w; -serve turned telemetry on (every 256 cycles) and telemetry is part of the snapshot's configuration, "+
+					"so resume with the checkpointed run's -telemetry-every, or without -serve if it had none", err)
+			}
 			fatalf("resume: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "rocosim: resumed from %s at cycle %d\n", *ckptDir, sim.Cycle())

@@ -74,8 +74,15 @@ func main() {
 	fmt.Println()
 	fmt.Println("== Epoch telemetry (TelemetryEvery = 500) ==")
 	cfg.TelemetryEvery = 500
-	res := roco.Run(cfg)
-	tel := res.Telemetry
+	// The same series streams live: a Sim with telemetry exposes the
+	// collector as a Prometheus /metrics handler while it runs (rocosim
+	// -serve mounts exactly this, on checkpointed and resumed runs too).
+	// Here an httptest server stands in for a real listener; the one run
+	// gives both the series printed below and the scrape after it.
+	sim = roco.NewSim(cfg)
+	srv := httptest.NewServer(sim.MetricsHandler())
+	defer srv.Close()
+	tel := sim.Run().Telemetry
 	fmt.Println("epoch  cycles  link-util  xbar-util  early-ej  occupancy by class")
 	for i := range tel.Epochs {
 		ep := &tel.Epochs[i]
@@ -89,17 +96,8 @@ func main() {
 	mid := &tel.Epochs[len(tel.Epochs)/2]
 	tel.RenderHeatmap(os.Stdout, mid)
 
-	// The same series streams live: a Sim with telemetry exposes the
-	// collector as a Prometheus /metrics handler while it runs (rocosim
-	// -serve mounts exactly this, on checkpointed and resumed runs too).
-	// Here an httptest server stands in for a real listener and is
-	// scraped after the run completes.
 	fmt.Println()
 	fmt.Println("== Live /metrics (Sim.MetricsHandler, Prometheus text format) ==")
-	live := roco.NewSim(cfg)
-	srv := httptest.NewServer(live.MetricsHandler())
-	defer srv.Close()
-	live.Run()
 	resp, err := http.Get(srv.URL)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -186,32 +186,3 @@ func (m *Mirror) SkipRounds(n int64) {
 		m.primary = 1 - m.primary
 	}
 }
-
-// IsMaximal reports whether dec is a maximal matching for the request
-// pattern has: no unmatched output could be matched to an unmatched input
-// that requests it. Used by tests and assertions.
-func (dec MirrorDecision) IsMaximal(has [2][2]bool) bool {
-	used := [2]bool{}
-	for d := 0; d < 2; d++ {
-		if w := dec.OutWinner[d]; w >= 0 {
-			if !has[w][d] {
-				return false // granted a non-existent request
-			}
-			if used[w] {
-				return false // one port granted two outputs
-			}
-			used[w] = true
-		}
-	}
-	for d := 0; d < 2; d++ {
-		if dec.OutWinner[d] != -1 {
-			continue
-		}
-		for p := 0; p < 2; p++ {
-			if has[p][d] && !used[p] {
-				return false // an augmenting edge was left on the table
-			}
-		}
-	}
-	return true
-}

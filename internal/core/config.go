@@ -108,9 +108,6 @@ func ModuleOfVC(id int) Module {
 	return Col
 }
 
-// PortOfVC returns the module-local crossbar input port (0 or 1) of VC id.
-func PortOfVC(id int) int { return (id / VCsPerSet) % 2 }
-
 // VCConfig is one row of the paper's Table 1: the path-set class of each of
 // the 12 VCs plus its direction assignment.
 type VCConfig struct {

@@ -130,7 +130,7 @@ func TestLoopbackInjection(t *testing.T) {
 	r := newTestRouter(routing.XY)
 	var delivered []*flit.Flit
 	r.SetSink(func(f *flit.Flit, cycle int64) { delivered = append(delivered, f) })
-	fl := flit.Packet{ID: 1, Src: 5, Dst: 5, Flits: 4}.Segment()
+	fl := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 5, Dst: 5, Flits: 4}, nil)
 	for _, f := range fl {
 		f.OutPort = topology.Local
 		if !r.TryInject(f, 0) {
@@ -140,7 +140,7 @@ func TestLoopbackInjection(t *testing.T) {
 	if len(delivered) != 4 {
 		t.Fatalf("delivered %d flits, want 4", len(delivered))
 	}
-	if !r.Quiescent() {
+	if r.BufferedFlits() != 0 {
 		t.Error("router should be quiescent after loopback")
 	}
 }
@@ -148,12 +148,12 @@ func TestLoopbackInjection(t *testing.T) {
 func TestInjectionRespectsBlockedModule(t *testing.T) {
 	r := newTestRouter(routing.XY)
 	r.ApplyFault(fault.Fault{Node: 5, Component: fault.Crossbar, Module: fault.RowModule})
-	head := flit.Packet{ID: 1, Src: 5, Dst: 6, Flits: 1}.Segment()[0]
+	head := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 5, Dst: 6, Flits: 1}, nil)[0]
 	head.OutPort = topology.East
 	if r.TryInject(head, 0) {
 		t.Error("injection into a blocked row module must fail")
 	}
-	head2 := flit.Packet{ID: 2, Src: 5, Dst: 9, Flits: 1}.Segment()[0]
+	head2 := flit.AppendSegment(nil, flit.Packet{ID: 2, Src: 5, Dst: 9, Flits: 1}, nil)[0]
 	head2.OutPort = topology.North
 	if !r.TryInject(head2, 0) {
 		t.Error("injection into the healthy column module must succeed")

@@ -37,9 +37,6 @@ func NewSchedule(events []Event) Schedule {
 // Len returns the total number of events, consumed or not.
 func (s *Schedule) Len() int { return len(s.events) }
 
-// Pending returns the number of events not yet handed out by Due.
-func (s *Schedule) Pending() int { return len(s.events) - s.next }
-
 // Events returns a copy of the full event list in schedule order.
 func (s *Schedule) Events() []Event {
 	out := make([]Event, len(s.events))

@@ -12,8 +12,8 @@ func TestScheduleDueOrderAndCursor(t *testing.T) {
 		{Cycle: 10, Fault: Fault{Node: 1, Component: Crossbar}},
 		{Cycle: 10, Fault: Fault{Node: 2, Component: SA}},
 	})
-	if s.Len() != 3 || s.Pending() != 3 {
-		t.Fatalf("Len=%d Pending=%d, want 3/3", s.Len(), s.Pending())
+	if s.Len() != 3 || s.next != 0 {
+		t.Fatalf("Len=%d cursor=%d, want 3/0", s.Len(), s.next)
 	}
 	if got := s.Due(5); len(got) != 0 {
 		t.Fatalf("nothing due at cycle 5, got %d events", len(got))
@@ -25,14 +25,14 @@ func TestScheduleDueOrderAndCursor(t *testing.T) {
 	if got := s.Due(10); len(got) != 0 {
 		t.Fatal("events delivered twice")
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending=%d after two consumed, want 1", s.Pending())
+	if s.next != 2 {
+		t.Fatalf("cursor=%d after two consumed, want 2", s.next)
 	}
 	// A late caller gets everything overdue at once.
 	if due := s.Due(100); len(due) != 1 || due[0].Cycle != 30 {
 		t.Fatalf("overdue delivery = %+v, want the cycle-30 event", due)
 	}
-	if s.Pending() != 0 {
+	if s.next != 3 {
 		t.Fatal("schedule should be exhausted")
 	}
 }

@@ -162,10 +162,3 @@ type Packet struct {
 	SrcSeq uint64
 	Origin uint64
 }
-
-// Segment expands the packet into its flits. The head flit carries the
-// packet's routing state; OutPort and VC are left Invalid/-1 for the source
-// PE to fill in at injection time.
-func (p Packet) Segment() []*Flit {
-	return AppendSegment(make([]*Flit, 0, p.Flits), p, nil)
-}

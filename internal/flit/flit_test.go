@@ -24,7 +24,7 @@ func TestTypePredicates(t *testing.T) {
 
 func TestSegmentFourFlits(t *testing.T) {
 	p := Packet{ID: 7, Src: 1, Dst: 9, Flits: 4, CreatedAt: 100, Mode: YFirst}
-	fl := p.Segment()
+	fl := AppendSegment(nil, p, nil)
 	if len(fl) != 4 {
 		t.Fatalf("got %d flits", len(fl))
 	}
@@ -43,7 +43,7 @@ func TestSegmentFourFlits(t *testing.T) {
 }
 
 func TestSegmentSingleFlit(t *testing.T) {
-	fl := Packet{ID: 1, Flits: 1}.Segment()
+	fl := AppendSegment(nil, Packet{ID: 1, Flits: 1}, nil)
 	if len(fl) != 1 || fl[0].Type != HeadTail {
 		t.Fatalf("single-flit packet should be one HeadTail, got %v", fl)
 	}
@@ -52,7 +52,7 @@ func TestSegmentSingleFlit(t *testing.T) {
 func TestSegmentInvariants(t *testing.T) {
 	f := func(n uint8) bool {
 		count := int(n%16) + 1
-		fl := Packet{ID: 3, Flits: count}.Segment()
+		fl := AppendSegment(nil, Packet{ID: 3, Flits: count}, nil)
 		if len(fl) != count {
 			return false
 		}
@@ -76,10 +76,10 @@ func TestSegmentInvariants(t *testing.T) {
 func TestSegmentZeroFlitsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Segment of empty packet should panic")
+			t.Error("AppendSegment of an empty packet should panic")
 		}
 	}()
-	Packet{Flits: 0}.Segment()
+	AppendSegment(nil, Packet{Flits: 0}, nil)
 }
 
 func TestRouteModeStrings(t *testing.T) {

@@ -65,9 +65,10 @@ func (p *Pool) Put(f *Flit) {
 	p.free = append(p.free, f)
 }
 
-// AppendSegment segments the packet and appends its flits to dst, drawing
-// the structs from pool (nil pool allocates fresh). It is the pooled form
-// of Packet.Segment and fills the same fields.
+// AppendSegment expands the packet into its flits and appends them to
+// dst, drawing the structs from pool (nil pool allocates fresh). The head
+// flit carries the packet's routing state; OutPort and VC are left
+// Invalid/-1 for the source PE to fill in at injection time.
 func AppendSegment(dst []*Flit, p Packet, pool *Pool) []*Flit {
 	if p.Flits < 1 {
 		panic(fmt.Sprintf("flit: packet %d has %d flits; need at least 1", p.ID, p.Flits))

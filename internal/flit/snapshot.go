@@ -2,6 +2,7 @@ package flit
 
 import (
 	"github.com/rocosim/roco/internal/snapshot"
+	"github.com/rocosim/roco/internal/topology"
 	"github.com/rocosim/roco/internal/trace"
 )
 
@@ -33,7 +34,11 @@ func (c *Codec) Flit(s *snapshot.Stream, pf **Flit) {
 	s.Int(&f.Src)
 	s.Int(&f.Dst)
 	snapshot.Enum(s, &f.Mode)
-	snapshot.Enum(s, &f.OutPort)
+	// Routers index per-port arrays with OutPort; Invalid marks a flit
+	// not yet routed.
+	if snapshot.Enum(s, &f.OutPort); s.Loading() && f.OutPort > topology.Invalid {
+		s.Corruptf("flit %d out port %d", f.PacketID, f.OutPort)
+	}
 	s.Int(&f.VC)
 	s.I64(&f.CreatedAt)
 	s.I64(&f.InjectedAt)

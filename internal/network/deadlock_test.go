@@ -43,7 +43,7 @@ func TestNoDeadlockAtHighLoad(t *testing.T) {
 					t.Fatalf("%s/%s: %s", tc.name, alg, report)
 				}
 				for id := 0; id < cfg.Topo.Nodes(); id++ {
-					edges += len(n.Router(id).WaitEdges())
+					edges += len(n.routers[id].WaitEdges())
 				}
 			}
 			if edges == 0 {

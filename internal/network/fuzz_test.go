@@ -215,8 +215,9 @@ func FuzzDynamicFaults(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%s: reading snapshot frame: %v", b.name, err)
 				}
-				rn, err := Restore(cfg, d)
-				if err != nil {
+				rn := New(cfg)
+				rn.LoadState(d)
+				if err := d.Finish(); err != nil {
 					t.Fatalf("%s: restoring snapshot: %v", b.name, err)
 				}
 				if resumed := rn.Run(); !reflect.DeepEqual(resumed, res) {

@@ -138,15 +138,16 @@ func TestLongPackets(t *testing.T) {
 	}
 }
 
-// TestRunCyclesFixedHorizon exercises the fixed-horizon API.
+// TestRunCyclesFixedHorizon runs a fixed horizon: RunHooked with a hook
+// that stops at a cycle count.
 func TestRunCyclesFixedHorizon(t *testing.T) {
 	cfg := rocoConfig(routing.XY, traffic.Uniform, 0.2, 10)
 	cfg.WarmupPackets = 0
 	cfg.MeasurePackets = 1 << 30 // open-ended generation
 	n := New(cfg)
-	res := n.RunCycles(2000)
-	if res.TotalCycles != 2000 {
-		t.Errorf("RunCycles ran %d cycles", res.TotalCycles)
+	res, stopped := n.RunHooked(func() bool { return n.Cycle() >= 2000 })
+	if !stopped || res.TotalCycles != 2000 {
+		t.Errorf("fixed horizon ran %d cycles (stopped by the hook: %v)", res.TotalCycles, stopped)
 	}
 	if res.Summary.DeliveredPkts == 0 {
 		t.Error("fixed-horizon run delivered nothing")
@@ -188,8 +189,10 @@ func TestQuiescentAfterDrain(t *testing.T) {
 	cfg.MeasurePackets = 500
 	n := New(cfg)
 	n.Run()
-	if !n.Quiescent() {
-		t.Error("network not quiescent after a drained run")
+	for id, r := range n.routers {
+		if n := r.BufferedFlits(); n != 0 {
+			t.Errorf("router %d buffers %d flits after a drained run", id, n)
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ func TestSoAHotStateMirrorsRouters(t *testing.T) {
 	for step := 0; step < 600; step++ {
 		n.Step()
 		for id := 0; id < nodes; id++ {
-			r := n.Router(id)
+			r := n.routers[id]
 			if err := r.AuditAlloc(); err != nil {
 				t.Fatalf("cycle %d: %v", n.Cycle(), err)
 			}

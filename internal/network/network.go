@@ -205,9 +205,6 @@ func (d *DropBreakdown) note(r trace.DropReason) {
 	}
 }
 
-// Total sums the three causes.
-func (d DropBreakdown) Total() int64 { return d.Unroutable + d.InFlight + d.DeadDrain }
-
 // FaultRecord pairs one installed runtime fault with the throughput
 // degradation measured around it and the drops attributed to it (every
 // drop between this fault's installation and the next one's).
@@ -616,19 +613,8 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Router exposes one router (tests use it).
-func (n *Network) Router(id int) router.Router { return n.routers[id] }
-
 // Cycle returns the current simulation time.
 func (n *Network) Cycle() int64 { return n.cycle }
-
-// Deliverable reports the reliability oracle's current answer for a fresh
-// copy from src to dst (tests use it to check give-up soundness). Panics
-// unless Config.Reliable is set.
-func (n *Network) Deliverable(src, dst int) bool {
-	ok, _ := n.oracle.Deliverable(src, dst)
-	return ok
-}
 
 // deliver is the sink shared by all routers.
 func (n *Network) deliver(node int, f *flit.Flit, cycle int64) {
@@ -1157,18 +1143,6 @@ func (n *Network) RunHooked(hook func() (stop bool)) (Result, bool) {
 	return n.collect(saturated, true), false
 }
 
-// RunCycles advances exactly c cycles (tests and fixed-horizon experiments
-// use it), then collects results.
-func (n *Network) RunCycles(c int64) Result {
-	if n.cfg.WarmupPackets == 0 && !n.measuring {
-		n.beginMeasurement()
-	}
-	for i := int64(0); i < c; i++ {
-		n.Step()
-	}
-	return n.collect(false, true)
-}
-
 // collect aggregates measurements into a Result. ended marks a run that
 // terminated, as opposed to one a RunHooked hook stopped at a cycle
 // boundary: only an ended run closes the partial telemetry epoch, so a
@@ -1314,13 +1288,3 @@ func (n *Network) SampleTraces(every uint64) { n.traceEvery = every }
 // Traces returns the sampled packet journeys (empty unless SampleTraces
 // armed sampling).
 func (n *Network) Traces() []*trace.Record { return n.tracer.Records() }
-
-// Quiescent reports whether no router holds any flit.
-func (n *Network) Quiescent() bool {
-	for _, r := range n.routers {
-		if !r.Quiescent() {
-			return false
-		}
-	}
-	return true
-}

@@ -91,7 +91,7 @@ func TestReliableFaultStormExactlyOnce(t *testing.T) {
 			if g.Reason != protocol.Unreachable {
 				t.Errorf("seed %d: give-up %+v not proven unreachable", seed, g)
 			}
-			if n.Deliverable(g.Src, g.Dst) {
+			if ok, _ := n.oracle.Deliverable(g.Src, g.Dst); ok {
 				t.Errorf("seed %d: gave up on %d->%d but the oracle says it is deliverable", seed, g.Src, g.Dst)
 			}
 		}
@@ -147,7 +147,7 @@ func TestReliableOffReportsNothing(t *testing.T) {
 		res.ResidualLoss != 0 || len(res.GiveUps) != 0 {
 		t.Fatalf("protocol stats nonzero with Reliable off: %+v", res)
 	}
-	if res.Drops.Total() != res.DroppedFlits {
+	if dropSum(res.Drops) != res.DroppedFlits {
 		t.Fatalf("drop breakdown %+v does not sum to DroppedFlits %d", res.Drops, res.DroppedFlits)
 	}
 }
@@ -170,7 +170,10 @@ func TestReliableRerouteFlipsDimensionOrder(t *testing.T) {
 		t.Errorf("%d duplicate deliveries under XYYX", res.DuplicatePackets)
 	}
 	for _, g := range res.GiveUps {
-		if g.Reason == protocol.Unreachable && n.Deliverable(g.Src, g.Dst) {
+		if g.Reason != protocol.Unreachable {
+			continue
+		}
+		if ok, _ := n.oracle.Deliverable(g.Src, g.Dst); ok {
 			t.Errorf("gave up on %d->%d but a surviving dimension order exists", g.Src, g.Dst)
 		}
 	}

@@ -130,7 +130,7 @@ func TestRoCoColumnModuleFaultBlocksOnlyColumn(t *testing.T) {
 	top := topology.NewMesh(4, 4)
 	cfg := rocoConfig(routing.XY, traffic.Uniform, 0.0, 1)
 	n := New(cfg)
-	r := n.Router(5).(*core.Router)
+	r := n.routers[5].(*core.Router)
 	r.ApplyFault(fault.Fault{Node: 5, Component: fault.VA, Module: fault.ColumnModule})
 	if !r.Blocked(core.Col) || r.Blocked(core.Row) {
 		t.Fatal("VA fault in column module should block only the column module")

@@ -225,20 +225,6 @@ func (n *Network) state(s *snapshot.Stream) {
 	}
 }
 
-// Restore builds a network from cfg and loads a snapshot into it,
-// returning the decoder's final verdict (including trailing-byte
-// detection). cfg must describe the run that produced the snapshot;
-// kernel-selection fields (ReferenceKernel, Shards, Workers)
-// are free to differ — the snapshot is kernel-canonical.
-func Restore(cfg Config, d *snapshot.Decoder) (*Network, error) {
-	n := New(cfg)
-	n.LoadState(d)
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
 func (b *DropBreakdown) state(s *snapshot.Stream) {
 	s.I64(&b.Unroutable)
 	s.I64(&b.InFlight)

@@ -85,8 +85,9 @@ func resume(t *testing.T, cfg Config, frame []byte) (Result, []*trace.Record) {
 	if err != nil {
 		t.Fatalf("reading snapshot frame: %v", err)
 	}
-	n, err := Restore(cfg, d)
-	if err != nil {
+	n := New(cfg)
+	n.LoadState(d)
+	if err := d.Finish(); err != nil {
 		t.Fatalf("restoring network: %v", err)
 	}
 	n.SampleTraces(traceEvery)
@@ -266,7 +267,8 @@ func TestCheckpointResumeRejectsWrongConfig(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reading snapshot frame: %v", err)
 			}
-			if _, err := Restore(bad, d); err == nil {
+			New(bad).LoadState(d)
+			if d.Finish() == nil {
 				t.Fatal("restore under a mismatched configuration succeeded")
 			}
 		})

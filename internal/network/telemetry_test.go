@@ -106,7 +106,7 @@ func TestTelemetryReconcilesWithLedger(t *testing.T) {
 	n := New(cfg)
 	res := n.Run()
 
-	tot := n.tele.Totals()
+	tot := res.Telemetry.Totals
 	if tot.Generated != n.genFlits || tot.Delivered != n.delFlitsAll || tot.Dropped != n.dropFlitsAll {
 		t.Fatalf("telemetry totals diverge from conservation ledger: gen %d/%d del %d/%d drop %d/%d",
 			tot.Generated, n.genFlits, tot.Delivered, n.delFlitsAll, tot.Dropped, n.dropFlitsAll)

@@ -285,11 +285,6 @@ type Breakdown struct {
 	LeakageNJ     float64
 }
 
-// TotalNJ sums all groups.
-func (b Breakdown) TotalNJ() float64 {
-	return b.BuffersNJ + b.CrossbarNJ + b.LinksNJ + b.ArbitrationNJ + b.RoutingNJ + b.EjectionNJ + b.LeakageNJ
-}
-
 // AccountDetailed converts activity into a per-component energy split.
 // Its totals equal Account's.
 func AccountDetailed(p Profile, a *router.Activity) Breakdown {

@@ -87,8 +87,9 @@ func TestAccountDetailedMatchesAccount(t *testing.T) {
 	}
 	sum := Account(p, a)
 	split := AccountDetailed(p, a)
-	if diff := split.TotalNJ() - sum.TotalNJ(); diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("breakdown total %v != account total %v", split.TotalNJ(), sum.TotalNJ())
+	total := split.BuffersNJ + split.CrossbarNJ + split.LinksNJ + split.ArbitrationNJ + split.RoutingNJ + split.EjectionNJ + split.LeakageNJ
+	if diff := total - sum.TotalNJ(); diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("breakdown total %v != account total %v", total, sum.TotalNJ())
 	}
 	if split.BuffersNJ <= 0 || split.LeakageNJ <= 0 {
 		t.Error("breakdown groups should be positive for nonzero activity")

@@ -10,13 +10,13 @@ import (
 // AllocState holds a router's per-channel bitmaps: one bit per channel,
 // in the same flat grantee-index order as Chassis.VCs (and therefore the
 // output books). The masks are exact incremental mirrors of per-VC
-// predicates — NeedsVA, the routed half of SwitchReady, Claimable, and
-// !Dormant — maintained by the channel mutators themselves: every queue
-// and packet-state mutation ends in syncAlloc, routing-state mutations
-// (GrantRoute, GrantEject, Doom) call it too, and claim mutations call
-// syncClaim. A router's per-cycle request building then starts from a bit
-// test instead of a predicate call per channel, and its dormancy is one
-// word compare.
+// predicates — NeedsVA, switch readiness without its ReadyAt check,
+// Claimable, and !Dormant — maintained by the channel mutators
+// themselves: every queue and packet-state mutation ends in syncAlloc,
+// routing-state mutations (GrantRoute, GrantEject, Doom) call it too, and
+// claim mutations call syncClaim. A router's per-cycle request building
+// then starts from a bit test instead of a predicate call per channel, and
+// its dormancy is one word compare.
 //
 // What the masks deliberately do NOT capture is anything that changes
 // without a VC mutator running: flit ReadyAt stamps (checked live through
@@ -32,8 +32,8 @@ type AllocState struct {
 	// loop admits (NeedsVA() && !Doomed()).
 	needVA uint64
 	// saReady: the front flit belongs to the front packet and is routed
-	// (body/tail, granted head, or ejecting head) — SwitchReady minus its
-	// per-cycle ReadyAt check. Doomed packets stay in the mask: the SA
+	// (body/tail, granted head, or ejecting head); the per-cycle ReadyAt
+	// check is VC.FrontReady. Doomed packets stay in the mask: the SA
 	// loops that exclude them (PDR) test Doomed explicitly, as before.
 	saReady uint64
 	// free / notFull / feeder mirror Claimable: a channel is claimable
@@ -133,7 +133,8 @@ func (v *VC) syncClaim() {
 	a.feeder[v.claimFeeder] |= v.abit
 }
 
-// FrontReady reports whether the front flit's ReadyAt has passed. It is
-// the per-cycle half of SwitchReady; callers must know the queue is
-// non-empty (an asserted saReady or needVA bit guarantees it).
+// FrontReady reports whether the front flit's ReadyAt has passed: the
+// per-cycle half of switch readiness, whose routed half is the saReady
+// bit. Callers must know the queue is non-empty (an asserted saReady or
+// needVA bit guarantees it).
 func (v *VC) FrontReady(cycle int64) bool { return v.queue[0].ReadyAt <= cycle }

@@ -16,12 +16,6 @@ func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 // Set adds i to the set.
 func (b Bitset) Set(i int) { b[i>>6] |= 1 << uint(i&63) }
 
-// Clear removes i from the set.
-func (b Bitset) Clear(i int) { b[i>>6] &^= 1 << uint(i&63) }
-
-// Test reports whether i is in the set.
-func (b Bitset) Test(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
-
 // ClearAll empties the set (a memclr, vectorized by the runtime).
 func (b Bitset) ClearAll() {
 	for i := range b {
@@ -37,25 +31,6 @@ func (b Bitset) SetFirst(n int) {
 	if rem := n & 63; rem != 0 {
 		b[n>>6] |= (1 << uint(rem)) - 1
 	}
-}
-
-// Count returns the number of members.
-func (b Bitset) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Any reports whether the set is non-empty.
-func (b Bitset) Any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // CopyFrom overwrites the set with src (same capacity).

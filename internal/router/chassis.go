@@ -202,9 +202,6 @@ func (c *Chassis) viaTransfer(i int, out topology.Direction) bool {
 	return c.xferFrom&(1<<uint(i)) != 0 && out != topology.Invalid && !out.IsX()
 }
 
-// ID returns the node this router serves.
-func (c *Chassis) ID() int { return c.Node }
-
 // AttachInput wires the link arriving on side d.
 func (c *Chassis) AttachInput(d topology.Direction, conn *Conn) { c.in[d] = conn }
 
@@ -353,16 +350,6 @@ func (c *Chassis) ReleaseInputVC(from topology.Direction, vc int) {
 		return
 	}
 	c.VCs[int(c.sideBase[from])+vc].ReleaseClaim()
-}
-
-// Quiescent reports whether no flit is buffered anywhere in the router.
-func (c *Chassis) Quiescent() bool {
-	for _, vc := range c.VCs {
-		if vc.Len() > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Idle reports whether a tick with empty input pipes would be a pure

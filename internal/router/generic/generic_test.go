@@ -25,7 +25,7 @@ func TestAnyFaultBlocksWholeNode(t *testing.T) {
 		if r.CanServe(topology.East, topology.West) || r.CanServe(topology.East, topology.Local) {
 			t.Errorf("%s fault should block the entire generic router", comp)
 		}
-		head := flit.Packet{ID: 1, Src: 5, Dst: 6, Flits: 1}.Segment()[0]
+		head := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 5, Dst: 6, Flits: 1}, nil)[0]
 		head.OutPort = topology.East
 		if r.TryInject(head, 0) {
 			t.Errorf("%s: dead router accepted injection", comp)
@@ -86,8 +86,8 @@ func TestTorusDatelineClasses(t *testing.T) {
 func TestInjectionSerializesPackets(t *testing.T) {
 	r := newTestRouter(routing.XY)
 	r.SetSink(func(*flit.Flit, int64) {})
-	p1 := flit.Packet{ID: 1, Src: 5, Dst: 6, Flits: 2}.Segment()
-	p2 := flit.Packet{ID: 2, Src: 5, Dst: 6, Flits: 2}.Segment()
+	p1 := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 5, Dst: 6, Flits: 2}, nil)
+	p2 := flit.AppendSegment(nil, flit.Packet{ID: 2, Src: 5, Dst: 6, Flits: 2}, nil)
 	for _, f := range append(p1, p2...) {
 		f.OutPort = topology.East
 	}
@@ -107,15 +107,15 @@ func TestInjectionSerializesPackets(t *testing.T) {
 
 func TestQuiescentTracksBufferedFlits(t *testing.T) {
 	r := newTestRouter(routing.XY)
-	if !r.Quiescent() {
+	if r.BufferedFlits() != 0 {
 		t.Fatal("fresh router should be quiescent")
 	}
-	head := flit.Packet{ID: 1, Src: 5, Dst: 6, Flits: 1}.Segment()[0]
+	head := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 5, Dst: 6, Flits: 1}, nil)[0]
 	head.OutPort = topology.East
 	if !r.TryInject(head, 0) {
 		t.Fatal("injection failed")
 	}
-	if r.Quiescent() {
+	if r.BufferedFlits() == 0 {
 		t.Fatal("router with a buffered flit is not quiescent")
 	}
 }

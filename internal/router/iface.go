@@ -33,9 +33,6 @@ type Router interface {
 	StallSource
 	WaitGraphSource
 
-	// ID returns the node this router serves.
-	ID() int
-
 	// AttachInput wires the link arriving on side d (flits in, credits
 	// out). The network attaches only the links that exist; mesh edge
 	// routers keep nil on the missing sides.
@@ -84,8 +81,6 @@ type Router interface {
 	// interface and then re-propagates the neighbor handshake. Implemented
 	// by the embedded Chassis.
 	SeverPort(d topology.Direction)
-	// Severed reports whether port d was cut by SeverPort.
-	Severed(d topology.Direction) bool
 	// SetReapHorizon stretches the orphan-reap age to cover links whose
 	// in-flight horizon exceeds the on-die single cycle (multi-cycle
 	// die-to-die pipes); maxLinkDelay is the slowest link's per-flit
@@ -158,9 +153,6 @@ type Router interface {
 	VCOccupancy(per *[routing.NumClasses]int32) int
 	// Contention exposes the switch-conflict tallies for Figure 3.
 	Contention() *Contention
-	// Quiescent reports whether the router holds no flits (used for drain
-	// and deadlock/inactivity detection).
-	Quiescent() bool
 
 	// Idle reports whether ticking the router with empty input pipes would
 	// be a pure no-op apart from the effects SkipCycles replays: every

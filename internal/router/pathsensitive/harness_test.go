@@ -19,6 +19,9 @@ func newHarness(t *testing.T, w, h int, alg routing.Algorithm) harness {
 	return harness{routertest.New(t, w, h, alg, New)}
 }
 
+// setOfVC returns the quadrant path set owning VC id.
+func setOfVC(id int) routing.Quadrant { return routing.Quadrant(id / VCsPerSet) }
+
 // setHolding returns the quadrant set whose channels hold pkt's head at
 // node, or -1.
 func (h harness) setHolding(node int, pktID uint64) routing.Quadrant {

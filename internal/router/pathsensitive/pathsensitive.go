@@ -38,9 +38,6 @@ const (
 	numSets = 4
 )
 
-// setOfVC returns the quadrant path set owning VC id.
-func setOfVC(id int) routing.Quadrant { return routing.Quadrant(id / VCsPerSet) }
-
 // groupFor returns the VC group within a quadrant set for an arrival side:
 // each set's three VCs hold "flits from possible directions from the
 // previous router" (DAC'05) — one group per incoming link of the quadrant

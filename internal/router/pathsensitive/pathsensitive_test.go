@@ -54,7 +54,7 @@ func TestAnyFaultBlocksNode(t *testing.T) {
 func TestInjectionUsesDedicatedGroup(t *testing.T) {
 	r := newTestRouter(routing.XY)
 	r.SetSink(func(*flit.Flit, int64) {})
-	head := flit.Packet{ID: 1, Src: 9, Dst: 27, Flits: 1}.Segment()[0] // 27=(3,3): NE of (1,1)
+	head := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 9, Dst: 27, Flits: 1}, nil)[0] // 27=(3,3): NE of (1,1)
 	head.OutPort = topology.East
 	if !r.TryInject(head, 0) {
 		t.Fatal("injection failed")
@@ -70,15 +70,15 @@ func TestLoopbackInjection(t *testing.T) {
 	r := newTestRouter(routing.XY)
 	n := 0
 	r.SetSink(func(*flit.Flit, int64) { n++ })
-	fl := flit.Packet{ID: 1, Src: 9, Dst: 9, Flits: 4}.Segment()
+	fl := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 9, Dst: 9, Flits: 4}, nil)
 	for _, f := range fl {
 		f.OutPort = topology.Local
 		if !r.TryInject(f, 0) {
 			t.Fatal("loopback rejected")
 		}
 	}
-	if n != 4 || !r.Quiescent() {
-		t.Fatalf("loopback delivered %d flits, quiescent=%v", n, r.Quiescent())
+	if n != 4 || r.BufferedFlits() != 0 {
+		t.Fatalf("loopback delivered %d flits, %d still buffered", n, r.BufferedFlits())
 	}
 }
 
@@ -88,7 +88,7 @@ func TestLoopbackInjection(t *testing.T) {
 func TestLoopbackSnapshotResumes(t *testing.T) {
 	r := newTestRouter(routing.XY)
 	r.SetSink(func(*flit.Flit, int64) {})
-	fl := flit.Packet{ID: 1, Src: 9, Dst: 9, Flits: 4}.Segment()
+	fl := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 9, Dst: 9, Flits: 4}, nil)
 	fl[0].OutPort = topology.Local
 	if !r.TryInject(fl[0], 0) {
 		t.Fatal("loopback head rejected")
@@ -115,8 +115,8 @@ func TestLoopbackSnapshotResumes(t *testing.T) {
 			t.Fatal("resumed router rejected a loopback flit")
 		}
 	}
-	if n != 3 || !resumed.Quiescent() {
-		t.Fatalf("resumed loopback delivered %d of 3 flits, quiescent=%v", n, resumed.Quiescent())
+	if n != 3 || resumed.BufferedFlits() != 0 {
+		t.Fatalf("resumed loopback delivered %d of 3 flits, %d still buffered", n, resumed.BufferedFlits())
 	}
 }
 

@@ -82,7 +82,7 @@ func (h *Harness[R]) Inject(t testing.TB, src, dst, flits int) uint64 {
 // flit is accepted; it fails the test when injection starves.
 func (h *Harness[R]) InjectPacket(t testing.TB, pkt flit.Packet) {
 	t.Helper()
-	for _, f := range pkt.Segment() {
+	for _, f := range flit.AppendSegment(nil, pkt, nil) {
 		if f.Type.IsHead() {
 			f.OutPort = h.Engine.FirstHop(pkt.Src, f)
 		}

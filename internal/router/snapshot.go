@@ -100,6 +100,13 @@ func (v *VC) State(s *snapshot.Stream, c *flit.Codec) {
 		s.U64(&st.packetID)
 		streamFlag(s, &st.flags, psStreamed)
 		streamFlag(s, &st.flags, psCancelled)
+		// The first tick indexes per-port arrays with these: the packet
+		// leaves through a link or ejects, arrived through a link or was
+		// injected, and has a downstream route or none yet (Invalid).
+		if s.Loading() && (st.outPort > topology.Local || st.feeder > topology.Local || st.nextOut > topology.Invalid) {
+			s.Corruptf("vc %d packet %d: out %d, feeder %d, next out %d", v.Index, st.packetID, st.outPort, st.feeder, st.nextOut)
+			return
+		}
 	}
 	if snapshot.Slice(s, &v.queue, 16); len(v.queue) > v.Depth {
 		s.Corruptf("vc %d holds %d flits over depth %d", v.Index, len(v.queue), v.Depth)

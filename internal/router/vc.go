@@ -181,12 +181,6 @@ func (v *VC) Len() int { return len(v.queue) }
 // HasRoom reports whether one more flit fits.
 func (v *VC) HasRoom() bool { return len(v.queue) < v.Capacity() }
 
-// Active reports whether any packet occupies the channel.
-func (v *VC) Active() bool { return len(v.states) > 0 }
-
-// Idle reports whether the channel holds neither packets nor claims.
-func (v *VC) Idle() bool { return v.claims == 0 && len(v.queue) == 0 }
-
 // Dormant reports whether ticking the owning router can do nothing with
 // this channel: no flit is buffered and no packet state is resident. An
 // upstream claim alone does not block dormancy — a claimed channel needs
@@ -498,22 +492,6 @@ func (v *VC) NeedsVA() bool {
 		return false
 	}
 	return v.states[0].outVC < 0 && v.states[0].flags&psEject == 0
-}
-
-// SwitchReady reports whether the front flit may request the switch in the
-// given cycle: the front packet is routed (VA done or ejecting next hop)
-// and the flit's ReadyAt has passed. Credit availability is the caller's
-// concern.
-func (v *VC) SwitchReady(cycle int64) bool {
-	f := v.Front()
-	if f == nil || !v.frontAligned() || f.ReadyAt > cycle {
-		return false
-	}
-	if f.Type.IsHead() {
-		return v.states[0].outVC >= 0 || v.states[0].flags&psEject != 0
-	}
-	// Body/tail flits follow the wormhole their head opened.
-	return true
 }
 
 // OutVCBook tracks the upstream-side credit state of the downstream

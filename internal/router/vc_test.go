@@ -1,24 +1,46 @@
 package router
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"github.com/rocosim/roco/internal/flit"
+	"github.com/rocosim/roco/internal/snapshot"
 	"github.com/rocosim/roco/internal/topology"
 )
 
 func makePacketFlits(id uint64, n int, out topology.Direction) []*flit.Flit {
-	fl := flit.Packet{ID: id, Src: 0, Dst: 1, Flits: n}.Segment()
+	fl := flit.AppendSegment(nil, flit.Packet{ID: id, Src: 0, Dst: 1, Flits: n}, nil)
 	for _, f := range fl {
 		f.OutPort = out
 	}
 	return fl
 }
 
+// idle reports whether vc holds no flit, no packet state and no claim.
+func idle(vc *VC) bool { return vc.Dormant() && vc.claims == 0 }
+
+// switchReady reports whether the front flit may request the switch in
+// the given cycle: the front packet is routed (VA done or ejecting next
+// hop) and the flit's ReadyAt has passed. It is the readable spec of the
+// saReady bit ANDed with VC.FrontReady; credit availability is the
+// caller's concern.
+func switchReady(v *VC, cycle int64) bool {
+	f := v.Front()
+	if f == nil || !v.frontAligned() || f.ReadyAt > cycle {
+		return false
+	}
+	if f.Type.IsHead() {
+		return v.states[0].outVC >= 0 || v.states[0].flags&psEject != 0
+	}
+	// Body/tail flits follow the wormhole their head opened.
+	return true
+}
+
 func TestVCSinglePacketLifecycle(t *testing.T) {
 	vc := NewVC(3, 5)
-	if vc.Active() || !vc.Idle() {
+	if !idle(vc) {
 		t.Fatal("new VC should be idle")
 	}
 	fl := makePacketFlits(1, 4, topology.East)
@@ -30,8 +52,8 @@ func TestVCSinglePacketLifecycle(t *testing.T) {
 	for _, f := range fl {
 		vc.PushFrom(f, topology.West)
 	}
-	if vc.Len() != 4 || !vc.Active() {
-		t.Fatalf("len=%d active=%v", vc.Len(), vc.Active())
+	if vc.Len() != 4 || vc.Dormant() {
+		t.Fatalf("len=%d dormant=%v", vc.Len(), vc.Dormant())
 	}
 	if vc.OutPort() != topology.East || vc.Feeder() != topology.West {
 		t.Fatalf("front state wrong: out=%s feeder=%s", vc.OutPort(), vc.Feeder())
@@ -44,12 +66,12 @@ func TestVCSinglePacketLifecycle(t *testing.T) {
 		t.Fatal("grant not recorded")
 	}
 	for i := 0; i < 4; i++ {
-		if !vc.SwitchReady(1) {
+		if !switchReady(vc, 1) {
 			t.Fatalf("flit %d not switch-ready", i)
 		}
 		vc.Pop()
 	}
-	if !vc.Idle() {
+	if !idle(vc) {
 		t.Fatal("VC should be idle after tail pop")
 	}
 }
@@ -85,7 +107,7 @@ func TestVCBackToBackSameFeeder(t *testing.T) {
 	}
 	vc.Pop()
 	vc.Pop()
-	if !vc.Idle() {
+	if !idle(vc) {
 		t.Fatal("VC should be idle after both packets retire")
 	}
 	if !vc.Claimable(topology.North) {
@@ -152,10 +174,10 @@ func TestVCReadyAtGatesSwitch(t *testing.T) {
 	f.ReadyAt = 5
 	vc.PushFrom(f, topology.East)
 	vc.GrantEject()
-	if vc.SwitchReady(4) {
+	if switchReady(vc, 4) {
 		t.Error("flit must not be switch-ready before ReadyAt")
 	}
-	if !vc.SwitchReady(5) {
+	if !switchReady(vc, 5) {
 		t.Error("flit must be switch-ready at ReadyAt")
 	}
 }
@@ -258,7 +280,7 @@ func TestVCStateMachineProperty(t *testing.T) {
 				return false
 			}
 		}
-		return vc.Idle()
+		return idle(vc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -327,7 +349,7 @@ func TestVCArenaLazyBuffers(t *testing.T) {
 			cap(vc.queue), 4, cap(vc.states), lazyStateCap)
 	}
 	vc.PushFrom(fl[1], topology.East)
-	if vc.Pop().PacketID != 1 || vc.Pop().PacketID != 1 || !vc.Idle() {
+	if vc.Pop().PacketID != 1 || vc.Pop().PacketID != 1 || !idle(vc) {
 		t.Fatal("arena channel FIFO broken")
 	}
 }
@@ -351,4 +373,30 @@ func TestVCArenaChunking(t *testing.T) {
 		}
 	}()
 	a.NewVC(0, 0)
+}
+
+// TestVCStateRejectsBadDirections: the first tick after a resume indexes
+// per-port arrays with a packet state's directions, so a loaded direction
+// the field cannot hold is corruption, not a later index panic.
+func TestVCStateRejectsBadDirections(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*pktState)
+	}{
+		{"outPort", func(st *pktState) { st.outPort = 200 }},
+		{"nextOut", func(st *pktState) { st.nextOut = 200 }},
+		{"feeder", func(st *pktState) { st.feeder = 200 }},
+	} {
+		vc := NewVC(0, 4)
+		vc.Claim(topology.East)
+		vc.PushFrom(makePacketFlits(1, 1, topology.North)[0], topology.East)
+		c.set(&vc.states[0])
+		e := snapshot.NewEncoder()
+		vc.State(e.Stream(), &flit.Codec{})
+		d := frame(t, e)
+		NewVC(0, 4).State(d.Stream(), &flit.Codec{})
+		if err := d.Finish(); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s 200: load returned %v, want corruption", c.field, err)
+		}
+	}
 }

@@ -90,19 +90,6 @@ func DimensionOrder(cur, dst topology.Coord, mode flit.RouteMode) topology.Direc
 	return second
 }
 
-// Productive returns the set of minimal directions from cur toward dst
-// (zero, one, or two entries). An empty set means cur == dst.
-func Productive(cur, dst topology.Coord) []topology.Direction {
-	dirs := make([]topology.Direction, 0, 2)
-	if d := XDirection(cur, dst); d != topology.Invalid {
-		dirs = append(dirs, d)
-	}
-	if d := YDirection(cur, dst); d != topology.Invalid {
-		dirs = append(dirs, d)
-	}
-	return dirs
-}
-
 // OddEvenDirs returns the minimal productive directions permitted by
 // Chiu's odd-even turn model for a packet injected at src, currently at
 // cur, headed to dst. The turn model forbids East-North and East-South
@@ -229,41 +216,6 @@ func PacketQuadrant(src, dst topology.Coord) Quadrant {
 		return SW
 	default:
 		return NE // src == dst; callers never route these
-	}
-}
-
-// Route computes the output port for one hop under the given algorithm.
-// For Adaptive, it returns the preferred direction among the productive set
-// as ranked by the supplied cost function (lower cost wins; ties prefer the
-// X dimension, which empirically balances an XY-warmed network). A nil cost
-// function makes adaptive routing fall back to dimension order.
-func Route(alg Algorithm, cur, dst topology.Coord, mode flit.RouteMode, cost func(topology.Direction) float64) topology.Direction {
-	if cur == dst {
-		return topology.Local
-	}
-	switch alg {
-	case XY:
-		return DimensionOrder(cur, dst, flit.XFirst)
-	case XYYX:
-		return DimensionOrder(cur, dst, mode)
-	case Adaptive:
-		// Route treats cur as the packet's source for the turn-model
-		// check; callers that know the true source should use OddEvenDirs
-		// directly (the route engine does).
-		dirs := OddEvenDirs(cur, cur, dst)
-		if len(dirs) == 1 || cost == nil {
-			return dirs[0]
-		}
-		best := dirs[0]
-		bestCost := cost(best)
-		for _, d := range dirs[1:] {
-			if c := cost(d); c < bestCost {
-				best, bestCost = d, c
-			}
-		}
-		return best
-	default:
-		panic(fmt.Sprintf("routing: unknown algorithm %d", alg))
 	}
 }
 

@@ -50,9 +50,6 @@ func (r *Running) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (r *Running) Min() float64 { return r.min }
-
 // Max returns the largest sample, or 0 with no samples.
 func (r *Running) Max() float64 { return r.max }
 
@@ -116,9 +113,6 @@ func (h *Histogram) Add(x float64) {
 	}
 	h.counts[i]++
 }
-
-// Mean returns the exact (not binned) mean of the samples.
-func (h *Histogram) Mean() float64 { return h.running.Mean() }
 
 // Quantile returns an upper bound of the q-quantile (0 <= q <= 1) using the
 // bucket boundaries. Samples in the overflow bucket report +Inf.

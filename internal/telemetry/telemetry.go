@@ -363,13 +363,6 @@ func (c *Collector) Sample(cycle int64, routers []router.Router, net NetSample) 
 	c.lastCycle = cycle
 }
 
-// Totals returns the eviction-proof cumulative counters.
-func (c *Collector) Totals() Totals {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totals
-}
-
 // Snapshot deep-copies the retained epochs (oldest first) and totals
 // into an immutable Series. Called once at collection time and per
 // offline export; not a hot path.

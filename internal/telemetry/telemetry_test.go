@@ -104,7 +104,7 @@ func TestSampleDeltasAndTotals(t *testing.T) {
 	if e0.Energy.LeakageNJ <= 0 || e1.Energy.LeakageNJ <= e0.Energy.LeakageNJ {
 		t.Fatalf("leakage must scale with epoch width: %g then %g", e0.Energy.LeakageNJ, e1.Energy.LeakageNJ)
 	}
-	tot := c.Totals()
+	tot := s.Totals
 	if tot.Epochs != 2 || tot.Cycles != 250 || tot.Generated != 100 || tot.LinkFlits != 25 || tot.SAConflicts != 9 {
 		t.Fatalf("totals wrong: %+v", tot)
 	}
@@ -136,7 +136,7 @@ func TestSampleIdempotentAtSameCycle(t *testing.T) {
 	c.Sample(100, routers, NetSample{})
 	c.Sample(100, routers, NetSample{}) // no elapsed cycles: must be a no-op
 	c.Sample(90, routers, NetSample{})  // never goes backwards either
-	if tot := c.Totals(); tot.Epochs != 1 {
+	if tot := c.Snapshot().Totals; tot.Epochs != 1 {
 		t.Fatalf("repeated flush recorded %d epochs, want 1", tot.Epochs)
 	}
 }

@@ -76,9 +76,6 @@ func (g *Grid) Height() int { return g.h }
 // torus, flat or multi-chip).
 func (g *Grid) Wraps() bool { return g.wrap }
 
-// Chips returns the chiplet grid dimensions (1, 1 for a single die).
-func (g *Grid) Chips() (cx, cy int) { return g.cx, g.cy }
-
 // Coord returns the position of node id. It panics if id is out of range.
 func (g *Grid) Coord(id int) Coord {
 	if id < 0 || id >= g.Nodes() {

@@ -152,7 +152,7 @@ func TestMultichipInterfaceNodes(t *testing.T) {
 		topo *Grid
 		name string
 	}{{m, "mesh"}, {tor, "torus"}, {folded, "folded-wrap"}} {
-		cx, cy := tc.topo.Chips()
+		cx, cy := tc.topo.cx, tc.topo.cy
 		for x := 0; x < cx; x++ {
 			for y := 0; y < cy; y++ {
 				for _, d := range CardinalDirections {

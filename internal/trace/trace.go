@@ -107,19 +107,6 @@ func (r *Record) Drop(node int, cycle int64, reason DropReason) {
 	r.Visits = append(r.Visits, Visit{Node: node, Cycle: cycle, Kind: Dropped, Reason: reason})
 }
 
-// HopLatencies returns the cycle deltas between consecutive observations —
-// the per-hop latency breakdown.
-func (r *Record) HopLatencies() []int64 {
-	if len(r.Visits) < 2 {
-		return nil
-	}
-	out := make([]int64, 0, len(r.Visits)-1)
-	for i := 1; i < len(r.Visits); i++ {
-		out = append(out, r.Visits[i].Cycle-r.Visits[i-1].Cycle)
-	}
-	return out
-}
-
 // Completed reports whether the packet reached its destination.
 func (r *Record) Completed() bool {
 	return len(r.Visits) > 0 && r.Visits[len(r.Visits)-1].Kind == Delivered
@@ -175,11 +162,4 @@ func (c *Collector) Records() []*Record {
 	copy(out, c.records)
 	sort.Slice(out, func(i, j int) bool { return out[i].PacketID < out[j].PacketID })
 	return out
-}
-
-// Len returns the number of traced packets.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.records)
 }

@@ -25,6 +25,9 @@ if [ -n "$UNFORMATTED" ]; then
 	exit 1
 fi
 go build ./...
+# The full test suite, which includes the test-only-code gate
+# (scripts/testonly, also `make testonly`): no declaration in a non-test
+# file may be referenced only by tests, unless its allowlist names it.
 go test ./...
 # Documentation gate: package comments, exported-identifier docs in
 # public packages, live relative markdown links, and markdown code
@@ -110,6 +113,16 @@ go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
 	-faults-at 150 -faultclass noncritical \
 	-resume -checkpoint-dir "$CKPTDIR/snaps" >"$CKPTDIR/resumed.json"
 cmp "$CKPTDIR/full.json" "$CKPTDIR/resumed.json"
+# A run checkpointed without telemetry cannot resume under -serve, which
+# turns telemetry on: the resume must fail, and its error must name -serve.
+go run ./cmd/rocosim -rate 0.2 -warmup 100 -measure 1000 \
+	-checkpoint-every 100 -checkpoint-dir "$CKPTDIR/noserve" >/dev/null
+if go run ./cmd/rocosim -rate 0.2 -warmup 100 -measure 1000 \
+	-resume -checkpoint-dir "$CKPTDIR/noserve" -serve 127.0.0.1:0 >/dev/null 2>"$CKPTDIR/serve.err"; then
+	echo "check.sh: resuming a telemetry-free checkpoint under -serve succeeded" >&2
+	exit 1
+fi
+grep -q -- '-serve' "$CKPTDIR/serve.err"
 # Run modes compose on one Sim: a checkpointed run still prints its traces,
 # its heatmap and a nonzero energy split.
 go run ./cmd/rocosim -rate 0.2 -warmup 100 -measure 2000 -trace 2 -heatmap -v \
