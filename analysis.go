@@ -56,21 +56,20 @@ func buildNetwork(cfg Config) (*network.Network, power.Profile) {
 			HotspotNode:     cfg.HotspotNode,
 			HotspotFraction: cfg.HotspotFraction,
 		},
-		WarmupPackets:     cfg.WarmupPackets,
-		MeasurePackets:    cfg.MeasurePackets,
-		Faults:            faults,
-		Schedule:          fault.NewSchedule(events),
-		AuditEvery:        cfg.AuditEvery,
-		MaxCycles:         cfg.MaxCycles,
-		InactivityLimit:   cfg.InactivityLimit,
-		Seed:              cfg.Seed,
-		ReferenceKernel:   cfg.ReferenceKernel,
-		Shards:            cfg.Shards,
-		Workers:           cfg.Workers,
-		TelemetryEvery:    cfg.TelemetryEvery,
-		TelemetryCapacity: cfg.TelemetryCapacity,
-		TelemetryProfile:  profile,
-		Reliable:          cfg.Reliable,
+		WarmupPackets:    cfg.WarmupPackets,
+		MeasurePackets:   cfg.MeasurePackets,
+		Faults:           faults,
+		Schedule:         fault.NewSchedule(events),
+		AuditEvery:       cfg.AuditEvery,
+		MaxCycles:        cfg.MaxCycles,
+		InactivityLimit:  cfg.InactivityLimit,
+		Seed:             cfg.Seed,
+		ReferenceKernel:  cfg.ReferenceKernel,
+		Shards:           cfg.Shards,
+		Workers:          cfg.Workers,
+		TelemetryEvery:   cfg.TelemetryEvery,
+		TelemetryProfile: profile,
+		Reliable:         cfg.Reliable,
 		Protocol: protocol.Params{
 			Timeout:    cfg.RetransmitTimeout,
 			MaxTimeout: cfg.RetransmitMaxTimeout,

@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"github.com/rocosim/roco/internal/snapshot"
 )
@@ -36,8 +35,9 @@ var ErrSnapshotVersion = snapshot.ErrVersion
 var ErrNoSnapshot = snapshot.ErrNoSnapshot
 
 // ErrConfigMismatch reports a resume attempted under a configuration
-// that differs from the one that wrote the snapshot (kernel-selection
-// fields excepted).
+// that differs from the one that wrote the snapshot in a field the
+// snapshot depends on: any field but the execution-only ReferenceKernel,
+// Shards and Workers.
 var ErrConfigMismatch = errors.New("roco: configuration does not match snapshot")
 
 // snapshotPattern names checkpoint files; the zero-padded cycle number
@@ -49,10 +49,7 @@ const snapshotPattern = "ckpt-*.rocosnap"
 // boundary: before the first Run, or from a RunCheckpointed hook, or
 // after Run returned.
 func (s *Sim) Checkpoint(w io.Writer) error {
-	e := snapshot.NewEncoder()
-	e.U64(fingerprint(s.cfg))
-	s.net.SaveState(e)
-	_, err := e.WriteTo(w)
+	_, err := s.frame().WriteTo(w)
 	return err
 }
 
@@ -69,11 +66,17 @@ func (s *Sim) CheckpointFile(dir string) error {
 		}
 		s.sweptDir = dir
 	}
+	name := filepath.Join(dir, fmt.Sprintf("ckpt-%012d.rocosnap", s.net.Cycle()))
+	return snapshot.WriteFileAtomic(name, s.frame())
+}
+
+// frame encodes one snapshot frame: the config fingerprint, then the
+// network's complete state.
+func (s *Sim) frame() *snapshot.Encoder {
 	e := snapshot.NewEncoder()
 	e.U64(fingerprint(s.cfg))
 	s.net.SaveState(e)
-	name := filepath.Join(dir, fmt.Sprintf("ckpt-%012d.rocosnap", s.net.Cycle()))
-	return snapshot.WriteFileAtomic(name, e)
+	return e
 }
 
 // CheckpointOptions parameterizes RunCheckpointed.
@@ -165,8 +168,9 @@ func (s *Sim) RunCheckpointed(opts CheckpointOptions) (Result, bool, error) {
 
 // Resume restores a simulation from one snapshot frame. cfg must be the
 // configuration that wrote the snapshot — checked by fingerprint before
-// any state is decoded — except for ReferenceKernel, Shards and Workers,
-// which select execution strategy, not simulation semantics.
+// any state is decoded — except for the execution-only ReferenceKernel,
+// Shards and Workers, which choose how the run executes, never what it
+// computes.
 // Returns ErrConfigMismatch, ErrCorruptSnapshot or ErrSnapshotVersion
 // as appropriate.
 func Resume(r io.Reader, cfg Config) (*Sim, error) {
@@ -219,24 +223,40 @@ func ResumeLatest(dir string, cfg Config) (*Sim, error) {
 	return sim, nil
 }
 
-// fingerprint hashes the normalized configuration, excluding the fields
-// that pick an execution strategy: snapshots are kernel-canonical, so a
-// run checkpointed under the reference kernel legitimately resumes
-// sharded (and vice versa).
-func fingerprint(cfg Config) uint64 {
-	norm := cfg
-	norm.ReferenceKernel = false
-	norm.Shards = 0
-	norm.Workers = 0
-	// Config once had a kernel-selection field right after
-	// ReferenceKernel, always normalized to false here. Re-inserting its
-	// text keeps every fingerprint byte-identical to the ones older
-	// snapshots and job directories were written under.
-	text := strings.Replace(fmt.Sprintf("%#v", norm), "ReferenceKernel:false, ", legacyKernelField, 1)
-	h := fnv.New64a()
-	io.WriteString(h, text)
+// fingerprint hashes the Config fields a snapshot depends on, rendered
+// in the list's order to the exact text %#v printed for the whole Config,
+// so every existing snapshot and rocoserve job directory still resumes.
+// The execution-only ReferenceKernel, Shards and Workers (snapshots are
+// kernel-canonical) and the retired SoAKernel and TelemetryCapacity
+// render the fixed zero text they always hashed as. A semantic field
+// added later must render only when non-zero, so that configurations
+// leaving it zero keep their fingerprints. TestFingerprintCoversConfig
+// fails on a field that is neither rendered nor execution-only.
+func fingerprint(c Config) uint64 {
+	fields := []struct {
+		name  string
+		value any
+	}{
+		{"Width", c.Width}, {"Height", c.Height}, {"Torus", c.Torus},
+		{"ChipsX", c.ChipsX}, {"ChipsY", c.ChipsY}, {"ChipW", c.ChipW}, {"ChipH", c.ChipH},
+		{"D2DClass", c.D2DClass}, {"D2DLatency", c.D2DLatency}, {"D2DGap", c.D2DGap},
+		{"Router", c.Router}, {"Algorithm", c.Algorithm}, {"Traffic", c.Traffic},
+		{"InjectionRate", c.InjectionRate}, {"FlitsPerPacket", c.FlitsPerPacket},
+		{"WarmupPackets", c.WarmupPackets}, {"MeasurePackets", c.MeasurePackets},
+		{"Seed", c.Seed}, {"Faults", c.Faults}, {"FaultSchedule", c.FaultSchedule},
+		{"AuditEvery", c.AuditEvery}, {"MaxCycles", c.MaxCycles}, {"InactivityLimit", c.InactivityLimit},
+		{"HotspotNode", c.HotspotNode}, {"HotspotFraction", c.HotspotFraction},
+		{"Reliable", c.Reliable}, {"RetransmitTimeout", c.RetransmitTimeout},
+		{"RetransmitMaxTimeout", c.RetransmitMaxTimeout}, {"RetransmitMaxRetries", c.RetransmitMaxRetries},
+		{"DisableMirrorSA", c.DisableMirrorSA},
+		{"ReferenceKernel", false}, {"SoAKernel", false}, {"Shards", 0}, {"Workers", 0},
+		{"TelemetryEvery", c.TelemetryEvery}, {"TelemetryCapacity", 0},
+	}
+	h, sep := fnv.New64a(), "roco.Config{"
+	for _, f := range fields {
+		fmt.Fprintf(h, "%s%s:%#v", sep, f.name, f.value)
+		sep = ", "
+	}
+	io.WriteString(h, "}")
 	return h.Sum64()
 }
-
-// legacyKernelField is the removed field's text as %#v printed it.
-const legacyKernelField = "ReferenceKernel:false, SoAKernel:false, "

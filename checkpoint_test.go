@@ -433,3 +433,45 @@ func TestFingerprintPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintCoversConfig sets each Config field in turn to a
+// non-zero value. An execution-only field must leave the fingerprint
+// where it was, and every other field must move it, so a field added to
+// Config fails here until fingerprint renders it or executionOnly lists
+// it.
+func TestFingerprintCoversConfig(t *testing.T) {
+	executionOnly := map[string]bool{"ReferenceKernel": true, "Shards": true, "Workers": true}
+	typ := reflect.TypeOf(Config{})
+	for name := range executionOnly {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("execution-only %s is not a Config field", name)
+		}
+	}
+	base := fingerprint(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		var cfg Config
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		default:
+			t.Fatalf("Config.%s: no non-zero value for kind %s", name, f.Kind())
+		}
+		moved := fingerprint(cfg) != base
+		switch {
+		case executionOnly[name] && moved:
+			t.Errorf("execution-only Config.%s moves the fingerprint", name)
+		case !executionOnly[name] && !moved:
+			t.Errorf("Config.%s does not move the fingerprint: render it in fingerprint, or list it here as execution-only", name)
+		}
+	}
+}

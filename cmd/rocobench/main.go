@@ -100,6 +100,10 @@ func main() {
 		}
 		opts.D2DLatency, opts.D2DGap = *d2dLat, *d2dGap
 	}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rocobench: %v\n", err)
+		os.Exit(1)
+	}
 
 	names := []string{*exp}
 	if *exp == "all" {

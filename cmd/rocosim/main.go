@@ -195,48 +195,34 @@ func main() {
 		gridW, gridH = cfg.ChipsX*cfg.ChipW, cfg.ChipsY*cfg.ChipH
 	}
 
-	var ok bool
-	if cfg.Router, ok = parseRouter(*routerName); !ok {
-		fatalf("unknown router %q (want generic, pathsensitive, roco)", *routerName)
+	// The enums' TextUnmarshalers parse the flags, so the CLI and JSON job
+	// specs accept exactly the same tokens and aliases.
+	if cfg.Router.UnmarshalText([]byte(*routerName)) != nil {
+		fatalf("unknown router %q (want generic, pathsensitive, roco, pdr)", *routerName)
 	}
-	if cfg.Algorithm, ok = parseRouting(*routingName); !ok {
+	if cfg.Algorithm.UnmarshalText([]byte(*routingName)) != nil {
 		fatalf("unknown routing %q (want xy, xyyx, adaptive)", *routingName)
 	}
-	if cfg.Traffic, ok = parseTraffic(*trafficName); !ok {
+	if cfg.Traffic.UnmarshalText([]byte(*trafficName)) != nil {
 		fatalf("unknown traffic %q", *trafficName)
 	}
-	class := roco.CriticalFaults
-	switch strings.ToLower(*faultClass) {
-	case "critical":
-	case "noncritical", "non-critical":
-		class = roco.NonCriticalFaults
-	default:
+	var class roco.FaultClass
+	if class.UnmarshalText([]byte(*faultClass)) != nil {
 		fatalf("unknown fault class %q (want critical, noncritical)", *faultClass)
-	}
-	if *faults > 0 {
-		cfg.Faults = roco.RandomFaults(class, *faults, gridW, gridH, *seed)
 	}
 	cfg.AuditEvery = *audit
 	if *faultsAt != "" && *faultRate > 0 {
 		fatalf("-faults-at and -fault-rate are mutually exclusive")
 	}
-	switch {
-	case *faultsAt != "":
-		var cycles []int64
+	var faultCycles []int64
+	if *faultsAt != "" {
 		for _, s := range strings.Split(*faultsAt, ",") {
 			c, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 			if err != nil || c < 0 {
 				fatalf("bad -faults-at entry %q (want non-negative cycles)", s)
 			}
-			cycles = append(cycles, c)
+			faultCycles = append(faultCycles, c)
 		}
-		// One random fault per listed cycle, at distinct nodes.
-		flts := roco.RandomFaults(class, len(cycles), gridW, gridH, *seed)
-		for i, c := range cycles {
-			cfg.FaultSchedule = append(cfg.FaultSchedule, roco.TimedFault{Cycle: c, Fault: flts[i]})
-		}
-	case *faultRate > 0:
-		cfg.FaultSchedule = roco.PoissonFaultSchedule(class, *faultRate, *faultHor, gridW, gridH, *seed)
 	}
 	if *d2dFaults != "" {
 		if !multichip {
@@ -254,6 +240,26 @@ func main() {
 			}
 		}
 	}
+	if err := cfg.Validate(); err != nil {
+		fatalf("%v", err)
+	}
+	// Random faults are drawn on the validated grid and go ahead of the
+	// -d2d-fault entries.
+	if nodes := gridW * gridH; *faults > nodes || len(faultCycles) > nodes {
+		fatalf("more random faults than the grid's %d nodes", nodes)
+	}
+	if *faults > 0 {
+		cfg.Faults = append(roco.RandomFaults(class, *faults, gridW, gridH, *seed), cfg.Faults...)
+	}
+	var timed []roco.TimedFault
+	if *faultRate > 0 {
+		timed = roco.PoissonFaultSchedule(class, *faultRate, *faultHor, gridW, gridH, *seed)
+	}
+	// One random fault per -faults-at cycle, at distinct nodes.
+	for i, f := range roco.RandomFaults(class, len(faultCycles), gridW, gridH, *seed) {
+		timed = append(timed, roco.TimedFault{Cycle: faultCycles[i], Fault: f})
+	}
+	cfg.FaultSchedule = append(timed, cfg.FaultSchedule...)
 	if !*jsonOut {
 		for _, f := range cfg.Faults {
 			fmt.Printf("fault: %s\n", describeFault(f))
@@ -467,33 +473,6 @@ func lingerIfServing(addr string) {
 	if err := liveServer.Wait(); err != nil {
 		fatalf("serve: %v", err)
 	}
-}
-
-// The flag parsers delegate to the enums' TextUnmarshaler, so the CLI
-// and JSON job specs accept exactly the same tokens and aliases.
-
-func parseRouter(s string) (roco.RouterKind, bool) {
-	var k roco.RouterKind
-	if err := k.UnmarshalText([]byte(s)); err != nil {
-		return 0, false
-	}
-	return k, true
-}
-
-func parseRouting(s string) (roco.Algorithm, bool) {
-	var a roco.Algorithm
-	if err := a.UnmarshalText([]byte(s)); err != nil {
-		return 0, false
-	}
-	return a, true
-}
-
-func parseTraffic(s string) (roco.TrafficPattern, bool) {
-	var p roco.TrafficPattern
-	if err := p.UnmarshalText([]byte(s)); err != nil {
-		return 0, false
-	}
-	return p, true
 }
 
 // flagWasSet reports whether the named flag appeared on the command line.

@@ -49,12 +49,30 @@ func main() {
 	flag.Parse()
 
 	if *telemetry {
-		runTelemetry(telemetryConfig{
-			router: *routerName, routing: *routingName, traffic: *trafficName,
-			rate: *rate, width: *width, height: *height,
-			warmup: *warmup, measure: *measure, seed: *seed,
-			every: *every, format: *format,
-		})
+		cfg := roco.Config{
+			Width: *width, Height: *height,
+			InjectionRate:  *rate,
+			WarmupPackets:  *warmup,
+			MeasurePackets: *measure,
+			Seed:           *seed,
+			TelemetryEvery: *every,
+		}
+		if cfg.Router.UnmarshalText([]byte(*routerName)) != nil {
+			fatalf("unknown router %q (want generic, pathsensitive, roco, pdr)", *routerName)
+		}
+		if cfg.Algorithm.UnmarshalText([]byte(*routingName)) != nil {
+			fatalf("unknown routing %q (want xy, xyyx, adaptive)", *routingName)
+		}
+		if cfg.Traffic.UnmarshalText([]byte(*trafficName)) != nil {
+			fatalf("unknown traffic %q", *trafficName)
+		}
+		if *every <= 0 {
+			fatalf("-every must be positive in telemetry mode")
+		}
+		if err := cfg.Validate(); err != nil {
+			fatalf("%v", err)
+		}
+		runTelemetry(cfg, *format)
 		return
 	}
 
@@ -73,11 +91,16 @@ func main() {
 	case "hotspot":
 		pattern = traffic.Hotspot
 	default:
-		fmt.Fprintf(os.Stderr, "rocotrace: unknown traffic %q\n", *trafficName)
-		os.Exit(2)
+		fatalf("unknown traffic %q", *trafficName)
+	}
+	topo := topology.NewMesh(8, 8)
+	if *node < 0 || *node >= topo.Nodes() {
+		fatalf("-node %d outside the 8x8 mesh (want 0..%d)", *node, topo.Nodes()-1)
+	}
+	if *window < 1 || *cycles < 1 {
+		fatalf("-window and -cycles must be positive")
 	}
 
-	topo := topology.NewMesh(8, 8)
 	gens := traffic.New(traffic.Config{
 		Pattern:         pattern,
 		Rate:            *rate,
@@ -121,43 +144,11 @@ func main() {
 	fmt.Printf("  distinct dests      %d\n", len(dsts))
 }
 
-// telemetryConfig carries the flag values of telemetry mode.
-type telemetryConfig struct {
-	router, routing, traffic string
-	rate                     float64
-	width, height            int
-	warmup, measure          int64
-	seed                     uint64
-	every                    int64
-	format                   string
-}
-
 // runTelemetry executes one simulation with epoch telemetry enabled and
 // writes the series to stdout in the requested format.
-func runTelemetry(tc telemetryConfig) {
-	cfg := roco.Config{
-		Width: tc.width, Height: tc.height,
-		InjectionRate:  tc.rate,
-		WarmupPackets:  tc.warmup,
-		MeasurePackets: tc.measure,
-		Seed:           tc.seed,
-		TelemetryEvery: tc.every,
-	}
-	if cfg.Router.UnmarshalText([]byte(tc.router)) != nil {
-		fatalf("unknown router %q (want generic, pathsensitive, roco, pdr)", tc.router)
-	}
-	if cfg.Algorithm.UnmarshalText([]byte(tc.routing)) != nil {
-		fatalf("unknown routing %q (want xy, xyyx, adaptive)", tc.routing)
-	}
-	if cfg.Traffic.UnmarshalText([]byte(tc.traffic)) != nil {
-		fatalf("unknown traffic %q", tc.traffic)
-	}
-	if tc.every <= 0 {
-		fatalf("-every must be positive in telemetry mode")
-	}
-
+func runTelemetry(cfg roco.Config, format string) {
 	t := roco.Run(cfg).Telemetry
-	switch strings.ToLower(tc.format) {
+	switch strings.ToLower(format) {
 	case "csv":
 		if err := t.WriteCSV(os.Stdout); err != nil {
 			fatalf("csv: %v", err)
@@ -178,7 +169,7 @@ func runTelemetry(tc telemetryConfig) {
 			t.RenderHeatmap(os.Stdout, &t.Epochs[i])
 		}
 	default:
-		fatalf("unknown format %q (want csv, nodes, json, heatmap)", tc.format)
+		fatalf("unknown format %q (want csv, nodes, json, heatmap)", format)
 	}
 }
 

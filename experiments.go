@@ -182,6 +182,13 @@ func (o Options) baseConfig(k RouterKind, alg Algorithm, tp TrafficPattern, rate
 	return cfg
 }
 
+// Validate checks the configuration every experiment point shares (grid,
+// run length, shards, chiplet knobs); the drivers panic on an invalid
+// one, like Run.
+func (o Options) Validate() error {
+	return o.baseConfig(RoCo, XY, Uniform, 0).Validate()
+}
+
 // LatencyRates is the paper's x-axis for Figures 8-10.
 var LatencyRates = []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40}
 

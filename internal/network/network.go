@@ -92,10 +92,6 @@ type Config struct {
 	// changes a run's Result, and disabling it costs one comparison per
 	// cycle.
 	TelemetryEvery int64
-	// TelemetryCapacity bounds the telemetry epoch ring (0 selects the
-	// package default); the oldest epochs are evicted first, with their
-	// contribution preserved in the cumulative totals.
-	TelemetryCapacity int
 	// TelemetryProfile prices the telemetry energy series. The zero
 	// profile yields all-zero energy series (the network deliberately
 	// does not know router technology parameters; the public layer
@@ -592,11 +588,10 @@ func New(cfg Config) *Network {
 			}
 		}
 		n.tele = telemetry.New(telemetry.Config{
-			Every:    cfg.TelemetryEvery,
-			Capacity: cfg.TelemetryCapacity,
-			Nodes:    nodes,
-			Links:    links,
-			Profile:  cfg.TelemetryProfile,
+			Every:   cfg.TelemetryEvery,
+			Nodes:   nodes,
+			Links:   links,
+			Profile: cfg.TelemetryProfile,
 		})
 		n.nextTelemetry = cfg.TelemetryEvery
 	}

@@ -422,10 +422,6 @@ type Config struct {
 	// default; disabled telemetry is free). Enabling it never changes
 	// any other Result field, under any kernel.
 	TelemetryEvery int64
-	// TelemetryCapacity bounds the telemetry epoch ring (0 = default
-	// 512). When exceeded, the oldest epochs are evicted; cumulative
-	// totals survive eviction.
-	TelemetryCapacity int
 }
 
 // multichip reports whether any chiplet-grid field is set (Validate

@@ -113,6 +113,22 @@ go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
 	-faults-at 150 -faultclass noncritical \
 	-resume -checkpoint-dir "$CKPTDIR/snaps" >"$CKPTDIR/resumed.json"
 cmp "$CKPTDIR/full.json" "$CKPTDIR/resumed.json"
+# Snapshots are kernel-canonical: the same run checkpointed under the
+# reference kernel, cut back to its cycle-500 snapshot and resumed on two
+# shards must still match the straight run byte for byte.
+go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
+	-faults-at 150 -faultclass noncritical -kernel reference \
+	-checkpoint-every 100 -checkpoint-dir "$CKPTDIR/xkernel" >"$CKPTDIR/xkernel.json"
+cmp "$CKPTDIR/full.json" "$CKPTDIR/xkernel.json"
+for f in "$CKPTDIR"/xkernel/ckpt-*.rocosnap; do
+	n="${f##*/ckpt-}"
+	if [ "${n%.rocosnap}" -gt 500 ]; then rm "$f"; fi
+done
+go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
+	-faults-at 150 -faultclass noncritical -shards 2 -workers 2 \
+	-resume -checkpoint-dir "$CKPTDIR/xkernel" >"$CKPTDIR/xresumed.json" 2>"$CKPTDIR/xresumed.err"
+grep -q 'at cycle 500$' "$CKPTDIR/xresumed.err"
+cmp "$CKPTDIR/full.json" "$CKPTDIR/xresumed.json"
 # A run checkpointed without telemetry cannot resume under -serve, which
 # turns telemetry on: the resume must fail, and its error must name -serve.
 go run ./cmd/rocosim -rate 0.2 -warmup 100 -measure 1000 \
@@ -135,13 +151,39 @@ if go run ./cmd/rocobench -exp table1 -chips 2x2abc -chip-size 2x2 >/dev/null 2>
 	echo "check.sh: rocobench accepted -chips 2x2abc" >&2
 	exit 1
 fi
+# Every CLI rejects bad input with a non-zero exit and its message on
+# stderr, never with a panic's goroutine dump: `rejects MSG CMD...` runs
+# CMD and checks all three.
+BADIN="$(mktemp -d)"
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$CKPTDIR" "$BADIN"' EXIT
+for cli in rocosim rocotrace rocobench; do
+	go build -o "$BADIN/$cli" ./cmd/$cli
+done
+rejects() {
+	msg="$1"
+	shift
+	if "$@" >"$BADIN/out" 2>"$BADIN/err"; then
+		echo "check.sh: accepted bad input: $*" >&2
+		exit 1
+	fi
+	grep -q -- "$msg" "$BADIN/err"
+	if grep -q goroutine "$BADIN/out" "$BADIN/err"; then
+		echo "check.sh: panicked on bad input: $*" >&2
+		exit 1
+	fi
+}
+rejects 'XY routing only' "$BADIN/rocosim" -router pdr -routing adaptive
+rejects 'injection rate NaN' "$BADIN/rocosim" -rate NaN
+rejects 'too small' "$BADIN/rocotrace" -telemetry -width 1
+rejects '-node 64' "$BADIN/rocotrace" -node 64
+rejects 'too small' "$BADIN/rocobench" -exp fig8 -width 1
 # rocoserve crash-recovery smoke through real processes: submit a job,
 # SIGKILL the server mid-run, restart it over the same data directory,
 # and the recovered job's result JSON must be byte-identical to one from
 # a server nobody killed. servesmoke orchestrates the processes and owns
 # its own temp dirs.
 SERVEBIN="$(mktemp -d)"
-trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$CKPTDIR" "$SERVEBIN"' EXIT
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$CKPTDIR" "$BADIN" "$SERVEBIN"' EXIT
 go build -o "$SERVEBIN/rocoserve" ./cmd/rocoserve
 go run ./scripts/servesmoke -bin "$SERVEBIN/rocoserve"
 # The examples are built and vetted by the ./... sweeps above; run the

@@ -55,7 +55,8 @@ func (c Config) Validate() error {
 	if c.Traffic < Uniform || c.Traffic > Hotspot {
 		errs = append(errs, fmt.Errorf("unknown traffic pattern %d", int(c.Traffic)))
 	}
-	if c.InjectionRate < 0 || c.InjectionRate > 1 {
+	// Negated range checks, so that NaN fails them too.
+	if !(c.InjectionRate >= 0 && c.InjectionRate <= 1) {
 		errs = append(errs, fmt.Errorf("injection rate %v outside [0,1] flits/node/cycle", c.InjectionRate))
 	}
 	if c.FlitsPerPacket < 1 || c.FlitsPerPacket > 64 {
@@ -68,7 +69,7 @@ func (c Config) Validate() error {
 		if c.HotspotNode < 0 || c.HotspotNode >= c.Width*c.Height {
 			errs = append(errs, fmt.Errorf("hotspot node %d outside the %dx%d mesh", c.HotspotNode, c.Width, c.Height))
 		}
-		if c.HotspotFraction < 0 || c.HotspotFraction > 1 {
+		if !(c.HotspotFraction >= 0 && c.HotspotFraction <= 1) {
 			errs = append(errs, fmt.Errorf("hotspot fraction %v outside [0,1]", c.HotspotFraction))
 		}
 	}
