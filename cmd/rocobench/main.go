@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -28,18 +29,89 @@ import (
 	"github.com/rocosim/roco/internal/topology"
 )
 
-var experiments = []string{
-	"table1", "table2", "table3",
-	"fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+// experiment is one -exp entry. run writes the experiment's tables to w
+// and returns the value the -json file records under its name, or nil to
+// record nothing.
+type experiment struct {
+	name, heading string
+	// extension marks a study beyond the paper's figures: it runs only
+	// when requested by name, never under -exp all.
+	extension bool
+	run       func(w io.Writer, o roco.Options) any
 }
 
-// extensions are studies beyond the paper's figures; they run only when
-// requested by name.
-var extensions = []string{"scaling", "pktsize", "saturation", "mpeg", "degradation"}
+// mcSamples sizes table2's Monte-Carlo cross-check.
+var mcSamples = flag.Int("mc", 1_000_000, "Monte-Carlo samples for table 2")
+
+// experiments lists every -exp entry in the order -exp all runs the
+// paper's tables and figures.
+var experiments = []experiment{
+	{name: "table1", run: func(w io.Writer, _ roco.Options) any { roco.Table1(w); return nil }},
+	{name: "table2", run: func(w io.Writer, o roco.Options) any { return render(w, roco.Table2(*mcSamples, o.Seed)) }},
+	{name: "table3", run: func(w io.Writer, _ roco.Options) any { roco.Table3(w); return nil }},
+	{name: "fig2", run: func(w io.Writer, _ roco.Options) any { roco.Figure2(w, 3); return nil }},
+	{name: "fig3", heading: "Figure 3 — contention probabilities, uniform traffic",
+		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.Figure3(o)) }},
+	{name: "fig8", heading: "Figure 8 — uniform random traffic",
+		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.Figure8(o)) }},
+	{name: "fig9", heading: "Figure 9 — self-similar traffic",
+		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.Figure9(o)) }},
+	{name: "fig10", heading: "Figure 10 — transpose traffic",
+		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.Figure10(o)) }},
+	{name: "fig11", heading: "Figure 11 — completion probability, router-centric (critical) faults",
+		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.Figure11(o)) }},
+	{name: "fig12", heading: "Figure 12 — completion probability, message-centric (non-critical) faults",
+		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.Figure12(o)) }},
+	{name: "fig13", heading: "Figure 13 — energy per packet",
+		run: func(w io.Writer, o roco.Options) any { return render(w, roco.Figure13(o)) }},
+	{name: "fig14", heading: "Figure 14 — Performance-Energy-Fault-tolerance (PEF)",
+		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.Figure14(o)) }},
+	{name: "scaling", heading: "Extension — mesh-size scaling", extension: true,
+		run: func(w io.Writer, o roco.Options) any {
+			render(w, roco.RunScalingStudy(o, roco.XY, 0.20, []int{4, 6, 8, 10, 12}))
+			return nil
+		}},
+	{name: "pktsize", heading: "Extension — packet-length scaling", extension: true,
+		run: func(w io.Writer, o roco.Options) any {
+			render(w, roco.RunPacketSizeStudy(o, roco.XY, 0.20, []int{1, 2, 4, 8, 16}))
+			return nil
+		}},
+	{name: "saturation", heading: "Extension — saturation throughput", extension: true,
+		run: func(w io.Writer, o roco.Options) any {
+			for _, alg := range roco.Algorithms {
+				roco.RunSaturationStudy(o, alg).Render(w)
+			}
+			return nil
+		}},
+	{name: "mpeg", heading: "Extension — MPEG-2 video traffic (the paper ran this workload but omitted the plots for space)", extension: true,
+		run: func(w io.Writer, o roco.Options) any {
+			renderAll(w, roco.FigureMPEG(o))
+			return nil
+		}},
+	{name: "degradation", heading: "Extension — graceful degradation under a runtime fault", extension: true,
+		run: func(w io.Writer, o roco.Options) any { return render(w, roco.RunDegradationExperiment(o, roco.XY)) }},
+}
+
+// renderer is a driver result that writes itself as tables.
+type renderer interface{ Render(io.Writer) }
+
+// render writes v's tables to w and returns v.
+func render[T renderer](w io.Writer, v T) T {
+	v.Render(w)
+	return v
+}
+
+// renderAll writes each panel's tables to w and returns the panels.
+func renderAll[T renderer](w io.Writer, panels []T) []T {
+	for _, p := range panels {
+		p.Render(w)
+	}
+	return panels
+}
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: "+strings.Join(append(append([]string{}, experiments...), extensions...), ", ")+", or all (paper figures only)")
+		exp      = flag.String("exp", "all", "experiment to run: "+strings.Join(names(), ", ")+", or all (paper figures only)")
 		warmup   = flag.Int64("warmup", 2000, "warm-up packets per run")
 		measure  = flag.Int64("measure", 30000, "measured packets per run")
 		trials   = flag.Int("trials", 3, "random fault placements per point (figs 11/12/14)")
@@ -48,7 +120,6 @@ func main() {
 		height   = flag.Int("height", 8, "mesh height")
 		workers  = flag.Int("workers", 0, "total simulation concurrency, shared between parallel configurations and per-run shards (0 = GOMAXPROCS, 1 = serial)")
 		shards   = flag.Int("shards", 1, "split every simulation across this many mesh shards (bit-identical results for any value)")
-		mcSample = flag.Int("mc", 1_000_000, "Monte-Carlo samples for table 2")
 		jsonOut  = flag.String("json", "", "also write machine-readable results to this file")
 		kernel   = flag.String("kernel", "gated", "simulation kernel: gated (activity-gated, default) or reference (tick everything)")
 		reliable = flag.Bool("reliable", false, "arm end-to-end reliable delivery in the fault-injecting experiments (degradation)")
@@ -105,109 +176,40 @@ func main() {
 		os.Exit(1)
 	}
 
-	names := []string{*exp}
-	if *exp == "all" {
-		names = experiments
+	var run []experiment
+	for _, e := range experiments {
+		if e.name == *exp || *exp == "all" && !e.extension {
+			run = append(run, e)
+		}
+	}
+	if len(run) == 0 {
+		fmt.Fprintf(os.Stderr, "rocobench: unknown experiment %q (want %s, or all)\n", *exp, strings.Join(names(), ", "))
+		os.Exit(2)
 	}
 	jsonResults := map[string]any{}
-	for _, name := range names {
+	for _, e := range run {
 		start := time.Now()
-		switch name {
-		case "table1":
-			roco.Table1(os.Stdout)
-		case "table2":
-			res := roco.Table2(*mcSample, *seed)
-			res.Render(os.Stdout)
-			jsonResults[name] = res
-		case "table3":
-			roco.Table3(os.Stdout)
-		case "fig2":
-			roco.Figure2(os.Stdout, 3)
-		case "fig3":
-			fmt.Println("Figure 3 — contention probabilities, uniform traffic")
-			panels := roco.Figure3(opts)
-			for _, panel := range panels {
-				panel.Render(os.Stdout)
-			}
-			jsonResults[name] = panels
-		case "fig8":
-			fmt.Println("Figure 8 — uniform random traffic")
-			sweeps := roco.Figure8(opts)
-			for _, sweep := range sweeps {
-				sweep.Render(os.Stdout)
-			}
-			jsonResults[name] = sweeps
-		case "fig9":
-			fmt.Println("Figure 9 — self-similar traffic")
-			sweeps := roco.Figure9(opts)
-			for _, sweep := range sweeps {
-				sweep.Render(os.Stdout)
-			}
-			jsonResults[name] = sweeps
-		case "fig10":
-			fmt.Println("Figure 10 — transpose traffic")
-			sweeps := roco.Figure10(opts)
-			for _, sweep := range sweeps {
-				sweep.Render(os.Stdout)
-			}
-			jsonResults[name] = sweeps
-		case "fig11":
-			fmt.Println("Figure 11 — completion probability, router-centric (critical) faults")
-			panels := roco.Figure11(opts)
-			for _, panel := range panels {
-				panel.Render(os.Stdout)
-			}
-			jsonResults[name] = panels
-		case "fig12":
-			fmt.Println("Figure 12 — completion probability, message-centric (non-critical) faults")
-			panels := roco.Figure12(opts)
-			for _, panel := range panels {
-				panel.Render(os.Stdout)
-			}
-			jsonResults[name] = panels
-		case "fig13":
-			fmt.Println("Figure 13 — energy per packet")
-			res := roco.Figure13(opts)
-			res.Render(os.Stdout)
-			jsonResults[name] = res
-		case "fig14":
-			fmt.Println("Figure 14 — Performance-Energy-Fault-tolerance (PEF)")
-			panels := roco.Figure14(opts)
-			for _, panel := range panels {
-				panel.Render(os.Stdout)
-			}
-			jsonResults[name] = panels
-		case "scaling":
-			fmt.Println("Extension — mesh-size scaling")
-			roco.RunScalingStudy(opts, roco.XY, 0.20, []int{4, 6, 8, 10, 12}).Render(os.Stdout)
-		case "pktsize":
-			fmt.Println("Extension — packet-length scaling")
-			roco.RunPacketSizeStudy(opts, roco.XY, 0.20, []int{1, 2, 4, 8, 16}).Render(os.Stdout)
-		case "mpeg":
-			fmt.Println("Extension — MPEG-2 video traffic (the paper ran this workload but omitted the plots for space)")
-			for _, sweep := range roco.FigureMPEG(opts) {
-				sweep.Render(os.Stdout)
-			}
-		case "degradation":
-			fmt.Println("Extension — graceful degradation under a runtime fault")
-			exp := roco.RunDegradationExperiment(opts, roco.XY)
-			exp.Render(os.Stdout)
-			jsonResults[name] = exp
-		case "saturation":
-			fmt.Println("Extension — saturation throughput")
-			for _, alg := range roco.Algorithms {
-				roco.RunSaturationStudy(opts, alg).Render(os.Stdout)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "rocobench: unknown experiment %q (want %s)\n", name, strings.Join(experiments, ", "))
-			os.Exit(2)
+		if e.heading != "" {
+			fmt.Println(e.heading)
 		}
-		fmt.Printf("[%s done in %.1fs]\n\n", name, time.Since(start).Seconds())
+		if res := e.run(os.Stdout, opts); res != nil {
+			jsonResults[e.name] = res
+		}
+		fmt.Printf("[%s done in %.1fs]\n\n", e.name, time.Since(start).Seconds())
 	}
 
 	if *jsonOut != "" {
 		writeResults(*jsonOut, jsonResults)
 	}
+}
+
+// names lists every experiment name in list order.
+func names() []string {
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
+	return out
 }
 
 func writeResults(path string, jsonResults map[string]any) {

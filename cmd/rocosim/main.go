@@ -91,6 +91,11 @@ func main() {
 		resumeRun   = flag.Bool("resume", false, "resume from the newest valid snapshot in -checkpoint-dir (config must match; kernel/shards/workers may differ)")
 	)
 	flag.Parse()
+	// Config would default a zero size to 8, while the random faults and
+	// the summary line below read these flags.
+	if *width < 1 || *height < 1 {
+		fatalf("mesh %dx%d: -width and -height must be positive", *width, *height)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,6 +27,26 @@ import (
 	"github.com/rocosim/roco/internal/topology"
 	"github.com/rocosim/roco/internal/traffic"
 )
+
+// formats is the telemetry-mode -format table: each export's accepted
+// names (canonical first) and its writer of the epoch series.
+var formats = []struct {
+	names []string
+	write func(t *roco.Telemetry, w io.Writer) error
+}{
+	{[]string{"csv"}, (*roco.Telemetry).WriteCSV},
+	{[]string{"nodes", "nodecsv"}, (*roco.Telemetry).WriteNodeCSV},
+	{[]string{"json"}, func(t *roco.Telemetry, w io.Writer) error { return roco.WriteJSON(w, t) }},
+	{[]string{"heatmap"}, func(t *roco.Telemetry, w io.Writer) error {
+		for i := range t.Epochs {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			t.RenderHeatmap(w, &t.Epochs[i])
+		}
+		return nil
+	}},
+}
 
 func main() {
 	var (
@@ -48,9 +69,15 @@ func main() {
 	)
 	flag.Parse()
 
+	var tp roco.TrafficPattern
+	if tp.UnmarshalText([]byte(*trafficName)) != nil {
+		fatalf("unknown traffic %q", *trafficName)
+	}
 	if *telemetry {
+		write := exporter(*format)
 		cfg := roco.Config{
 			Width: *width, Height: *height,
+			Traffic:        tp,
 			InjectionRate:  *rate,
 			WarmupPackets:  *warmup,
 			MeasurePackets: *measure,
@@ -63,36 +90,21 @@ func main() {
 		if cfg.Algorithm.UnmarshalText([]byte(*routingName)) != nil {
 			fatalf("unknown routing %q (want xy, xyyx, adaptive)", *routingName)
 		}
-		if cfg.Traffic.UnmarshalText([]byte(*trafficName)) != nil {
-			fatalf("unknown traffic %q", *trafficName)
-		}
 		if *every <= 0 {
 			fatalf("-every must be positive in telemetry mode")
 		}
 		if err := cfg.Validate(); err != nil {
 			fatalf("%v", err)
 		}
-		runTelemetry(cfg, *format)
+		if err := write(roco.Run(cfg).Telemetry, os.Stdout); err != nil {
+			fatalf("%s: %v", *format, err)
+		}
 		return
 	}
 
-	var pattern traffic.Pattern
-	switch strings.ToLower(*trafficName) {
-	case "uniform":
-		pattern = traffic.Uniform
-	case "transpose":
-		pattern = traffic.Transpose
-	case "selfsimilar", "self-similar", "web":
-		pattern = traffic.SelfSimilar
-	case "mpeg2", "mpeg", "video":
-		pattern = traffic.MPEG2
-	case "bitcomplement", "bit-complement":
-		pattern = traffic.BitComplement
-	case "hotspot":
-		pattern = traffic.Hotspot
-	default:
-		fatalf("unknown traffic %q", *trafficName)
-	}
+	// The public and internal pattern enums share their values, which the
+	// root package's TestTrafficPatternValues pins for every pattern.
+	pattern := traffic.Pattern(tp)
 	topo := topology.NewMesh(8, 8)
 	if *node < 0 || *node >= topo.Nodes() {
 		fatalf("-node %d outside the 8x8 mesh (want 0..%d)", *node, topo.Nodes()-1)
@@ -144,33 +156,20 @@ func main() {
 	fmt.Printf("  distinct dests      %d\n", len(dsts))
 }
 
-// runTelemetry executes one simulation with epoch telemetry enabled and
-// writes the series to stdout in the requested format.
-func runTelemetry(cfg roco.Config, format string) {
-	t := roco.Run(cfg).Telemetry
-	switch strings.ToLower(format) {
-	case "csv":
-		if err := t.WriteCSV(os.Stdout); err != nil {
-			fatalf("csv: %v", err)
-		}
-	case "nodes", "nodecsv":
-		if err := t.WriteNodeCSV(os.Stdout); err != nil {
-			fatalf("nodes: %v", err)
-		}
-	case "json":
-		if err := roco.WriteJSON(os.Stdout, t); err != nil {
-			fatalf("json: %v", err)
-		}
-	case "heatmap":
-		for i := range t.Epochs {
-			if i > 0 {
-				fmt.Println()
+// exporter looks name up in the -format table, before any simulation
+// runs, and exits on an unknown format.
+func exporter(name string) func(*roco.Telemetry, io.Writer) error {
+	var want []string
+	for _, f := range formats {
+		for _, n := range f.names {
+			if strings.EqualFold(name, n) {
+				return f.write
 			}
-			t.RenderHeatmap(os.Stdout, &t.Epochs[i])
 		}
-	default:
-		fatalf("unknown format %q (want csv, nodes, json, heatmap)", format)
+		want = append(want, f.names[0])
 	}
+	fatalf("unknown format %q (want %s)", name, strings.Join(want, ", "))
+	return nil
 }
 
 func fatalf(format string, args ...any) {

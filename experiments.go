@@ -77,15 +77,6 @@ func QuickOptions() Options {
 	return o
 }
 
-// dims returns the global grid dimensions: derived from the chiplet grid
-// on multichip runs, Width x Height otherwise.
-func (o Options) dims() (w, h int) {
-	if o.ChipsX > 0 {
-		return o.ChipsX * o.ChipW, o.ChipsY * o.ChipH
-	}
-	return o.Width, o.Height
-}
-
 // effectiveWorkers resolves the Options concurrency budget: Workers when
 // set, GOMAXPROCS otherwise.
 func (o Options) effectiveWorkers() int {
@@ -160,6 +151,9 @@ func runAll(opts Options, cfgs []Config) []Result {
 }
 
 // baseConfig builds the common run configuration for an experiment point.
+// Past saturation a drain never finishes, so the run is capped at 40 times
+// its packet budget and ends with the latency of the packets that did
+// complete; drivers that need another horizon set their own MaxCycles.
 func (o Options) baseConfig(k RouterKind, alg Algorithm, tp TrafficPattern, rate float64) Config {
 	cfg := Config{
 		Width: o.Width, Height: o.Height,
@@ -167,6 +161,7 @@ func (o Options) baseConfig(k RouterKind, alg Algorithm, tp TrafficPattern, rate
 		InjectionRate:   rate,
 		WarmupPackets:   o.Warmup,
 		MeasurePackets:  o.Measure,
+		MaxCycles:       40 * (o.Warmup + o.Measure),
 		Seed:            o.Seed,
 		ReferenceKernel: o.ReferenceKernel,
 		Shards:          o.Shards,
@@ -187,6 +182,47 @@ func (o Options) baseConfig(k RouterKind, alg Algorithm, tp TrafficPattern, rate
 // one, like Run.
 func (o Options) Validate() error {
 	return o.baseConfig(RoCo, XY, Uniform, 0).Validate()
+}
+
+// sweep runs n points for each paper router, all through one runAll, and
+// returns each router's results in point order; point(k, i) builds point
+// i of router k.
+func (o Options) sweep(n int, point func(k RouterKind, i int) Config) map[RouterKind][]Result {
+	cfgs := make([]Config, 0, len(RouterKinds)*n)
+	for _, k := range RouterKinds {
+		for i := 0; i < n; i++ {
+			cfgs = append(cfgs, point(k, i))
+		}
+	}
+	results := runAll(o, cfgs)
+	out := make(map[RouterKind][]Result, len(RouterKinds))
+	for j, k := range RouterKinds {
+		out[k] = results[j*n : (j+1)*n : (j+1)*n]
+	}
+	return out
+}
+
+// perRouter reads one metric of a sweep's results, per router in point
+// order.
+func perRouter[T any](res map[RouterKind][]Result, metric func(Result) T) map[RouterKind][]T {
+	out := make(map[RouterKind][]T, len(res))
+	for k, rs := range res {
+		out[k] = make([]T, len(rs))
+		for i, r := range rs {
+			out[k][i] = metric(r)
+		}
+	}
+	return out
+}
+
+// routerRow returns one row of a point-by-router table: the label cells,
+// then cell(k) for each paper router in RouterKinds order. With
+// RouterKind.String as the cell it is the table's header.
+func routerRow(cell func(k RouterKind) string, labels ...string) []string {
+	for _, k := range RouterKinds {
+		labels = append(labels, cell(k))
+	}
+	return labels
 }
 
 // LatencyRates is the paper's x-axis for Figures 8-10.
@@ -213,51 +249,29 @@ type LatencySweep struct {
 
 // RunLatencySweep measures one latency-versus-load panel.
 func RunLatencySweep(opts Options, tp TrafficPattern, alg Algorithm, rates []float64) LatencySweep {
-	sweep := LatencySweep{
+	res := opts.sweep(len(rates), func(k RouterKind, i int) Config {
+		return opts.baseConfig(k, alg, tp, rates[i])
+	})
+	return LatencySweep{
 		Traffic: tp, Algorithm: alg, Rates: rates,
-		Latency:   map[RouterKind][]float64{},
-		Saturated: map[RouterKind][]bool{},
+		Latency:   perRouter(res, func(r Result) float64 { return r.AvgLatency }),
+		Saturated: perRouter(res, func(r Result) bool { return r.Saturated }),
 	}
-	var cfgs []Config
-	for _, k := range RouterKinds {
-		for _, rate := range rates {
-			cfg := opts.baseConfig(k, alg, tp, rate)
-			// Past saturation a drain never finishes; cap the run at a
-			// fixed horizon so the sweep terminates with the latency of
-			// the packets that did complete.
-			cfg.MaxCycles = 40 * (opts.Warmup + opts.Measure)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results := runAll(opts, cfgs)
-	i := 0
-	for _, k := range RouterKinds {
-		sweep.Latency[k] = make([]float64, len(rates))
-		sweep.Saturated[k] = make([]bool, len(rates))
-		for j := range rates {
-			sweep.Latency[k][j] = results[i].AvgLatency
-			sweep.Saturated[k][j] = results[i].Saturated
-			i++
-		}
-	}
-	return sweep
 }
 
 // Render writes the sweep as a table and an ASCII plot.
 func (s LatencySweep) Render(w io.Writer) {
 	tbl := report.NewTable(
 		fmt.Sprintf("Average latency (cycles) — %s traffic, %s routing", s.Traffic, s.Algorithm),
-		append([]string{"rate"}, routerHeaders()...)...)
+		routerRow(RouterKind.String, "rate")...)
 	for j, r := range s.Rates {
-		cells := []string{fmt.Sprintf("%.2f", r)}
-		for _, k := range RouterKinds {
+		tbl.AddRow(routerRow(func(k RouterKind) string {
 			mark := ""
 			if s.Saturated[k][j] {
 				mark = " (sat)"
 			}
-			cells = append(cells, fmt.Sprintf("%.2f%s", s.Latency[k][j], mark))
-		}
-		tbl.AddRow(cells...)
+			return fmt.Sprintf("%.2f%s", s.Latency[k][j], mark)
+		}, fmt.Sprintf("%.2f", r))...)
 	}
 	tbl.Render(w)
 
@@ -273,14 +287,6 @@ func (s LatencySweep) Render(w io.Writer) {
 		plot.Series = append(plot.Series, series)
 	}
 	plot.Render(w)
-}
-
-func routerHeaders() []string {
-	h := make([]string, 0, len(RouterKinds))
-	for _, k := range RouterKinds {
-		h = append(h, k.String())
-	}
-	return h
 }
 
 // Figure8 reproduces the uniform-traffic latency panels (one sweep per
@@ -318,59 +324,33 @@ type ContentionSweep struct {
 
 // Figure3 reproduces the three contention panels: row-input contention
 // under XY, column-input contention under XY, and combined contention
-// under adaptive routing.
+// under adaptive routing. The two XY panels read different counters of the
+// same runs.
 func Figure3(opts Options) []ContentionSweep {
-	panels := []ContentionSweep{
-		{Algorithm: XY, Dimension: "row", Rates: ContentionRates},
-		{Algorithm: XY, Dimension: "column", Rates: ContentionRates},
-		{Algorithm: Adaptive, Dimension: "all", Rates: ContentionRates},
+	run := func(alg Algorithm) map[RouterKind][]Result {
+		return opts.sweep(len(ContentionRates), func(k RouterKind, i int) Config {
+			return opts.baseConfig(k, alg, Uniform, ContentionRates[i])
+		})
 	}
-	// Two underlying run sets: XY and adaptive (the two XY panels share
-	// the same runs, reading different counters).
-	for pi := range panels {
-		panels[pi].Prob = map[RouterKind][]float64{}
-		for _, k := range RouterKinds {
-			panels[pi].Prob[k] = make([]float64, len(ContentionRates))
-		}
+	xy, adaptive := run(XY), run(Adaptive)
+	return []ContentionSweep{
+		{Algorithm: XY, Dimension: "row", Rates: ContentionRates,
+			Prob: perRouter(xy, func(r Result) float64 { return r.ContentionRow })},
+		{Algorithm: XY, Dimension: "column", Rates: ContentionRates,
+			Prob: perRouter(xy, func(r Result) float64 { return r.ContentionCol })},
+		{Algorithm: Adaptive, Dimension: "all", Rates: ContentionRates,
+			Prob: perRouter(adaptive, func(r Result) float64 { return r.Contention })},
 	}
-	for _, alg := range []Algorithm{XY, Adaptive} {
-		var cfgs []Config
-		for _, k := range RouterKinds {
-			for _, rate := range ContentionRates {
-				cfg := opts.baseConfig(k, alg, Uniform, rate)
-				cfg.MaxCycles = 40 * (opts.Warmup + opts.Measure)
-				cfgs = append(cfgs, cfg)
-			}
-		}
-		results := runAll(opts, cfgs)
-		i := 0
-		for _, k := range RouterKinds {
-			for j := range ContentionRates {
-				r := results[i]
-				if alg == XY {
-					panels[0].Prob[k][j] = r.ContentionRow
-					panels[1].Prob[k][j] = r.ContentionCol
-				} else {
-					panels[2].Prob[k][j] = r.Contention
-				}
-				i++
-			}
-		}
-	}
-	return panels
 }
 
 // Render writes the contention panel.
 func (s ContentionSweep) Render(w io.Writer) {
 	tbl := report.NewTable(
 		fmt.Sprintf("Contention probability at %s inputs — %s routing, uniform traffic", s.Dimension, s.Algorithm),
-		append([]string{"rate"}, routerHeaders()...)...)
+		routerRow(RouterKind.String, "rate")...)
 	for j, r := range s.Rates {
-		cells := []string{fmt.Sprintf("%.2f", r)}
-		for _, k := range RouterKinds {
-			cells = append(cells, fmt.Sprintf("%.3f", s.Prob[k][j]))
-		}
-		tbl.AddRow(cells...)
+		tbl.AddRow(routerRow(func(k RouterKind) string { return fmt.Sprintf("%.3f", s.Prob[k][j]) },
+			fmt.Sprintf("%.2f", r))...)
 	}
 	tbl.Render(w)
 }
@@ -395,49 +375,38 @@ const FaultInjectionRate = 0.30
 
 // RunFaultExperiment measures one fault panel.
 func RunFaultExperiment(opts Options, class FaultClass, alg Algorithm) FaultExperiment {
-	exp := FaultExperiment{
+	trials := max(opts.FaultTrials, 1)
+	res := opts.sweep(len(FaultCounts)*trials, func(k RouterKind, i int) Config {
+		count, t := FaultCounts[i/trials], i%trials
+		cfg := opts.baseConfig(k, alg, Uniform, FaultInjectionRate)
+		// All routers see the same fault placements per trial, drawn on the
+		// grid the run simulates.
+		grid := cfg.withDefaults()
+		cfg.Faults = RandomFaults(class, count, grid.Width, grid.Height, opts.Seed+uint64(t)*1000+uint64(count))
+		cfg.MaxCycles = 60 * (opts.Warmup + opts.Measure)
+		return cfg
+	})
+	// mean averages one metric over each fault count's trials.
+	mean := func(metric func(Result) float64) map[RouterKind][]float64 {
+		out := make(map[RouterKind][]float64, len(RouterKinds))
+		for _, k := range RouterKinds {
+			out[k] = make([]float64, len(FaultCounts))
+			for ci := range FaultCounts {
+				var sum float64
+				for _, r := range res[k][ci*trials : (ci+1)*trials] {
+					sum += metric(r)
+				}
+				out[k][ci] = sum / float64(trials)
+			}
+		}
+		return out
+	}
+	return FaultExperiment{
 		Class: class, Algorithm: alg, Counts: FaultCounts,
-		Completion: map[RouterKind][]float64{},
-		Latency:    map[RouterKind][]float64{},
-		PEF:        map[RouterKind][]float64{},
+		Completion: mean(func(r Result) float64 { return r.Completion }),
+		Latency:    mean(func(r Result) float64 { return r.AvgLatency }),
+		PEF:        mean(func(r Result) float64 { return r.PEF }),
 	}
-	trials := opts.FaultTrials
-	if trials < 1 {
-		trials = 1
-	}
-	width, height := opts.dims()
-	var cfgs []Config
-	for _, k := range RouterKinds {
-		for _, count := range FaultCounts {
-			for t := 0; t < trials; t++ {
-				cfg := opts.baseConfig(k, alg, Uniform, FaultInjectionRate)
-				// All routers see the same fault placements per trial.
-				cfg.Faults = RandomFaults(class, count, width, height, opts.Seed+uint64(t)*1000+uint64(count))
-				cfg.MaxCycles = 60 * (opts.Warmup + opts.Measure)
-				cfgs = append(cfgs, cfg)
-			}
-		}
-	}
-	results := runAll(opts, cfgs)
-	i := 0
-	for _, k := range RouterKinds {
-		exp.Completion[k] = make([]float64, len(FaultCounts))
-		exp.Latency[k] = make([]float64, len(FaultCounts))
-		exp.PEF[k] = make([]float64, len(FaultCounts))
-		for ci := range FaultCounts {
-			var comp, lat, pef float64
-			for t := 0; t < trials; t++ {
-				comp += results[i].Completion
-				lat += results[i].AvgLatency
-				pef += results[i].PEF
-				i++
-			}
-			exp.Completion[k][ci] = comp / float64(trials)
-			exp.Latency[k][ci] = lat / float64(trials)
-			exp.PEF[k][ci] = pef / float64(trials)
-		}
-	}
-	return exp
 }
 
 // Figure11 reproduces the completion-probability panels under
@@ -473,20 +442,14 @@ func Figure14(opts Options) []FaultExperiment {
 func (e FaultExperiment) Render(w io.Writer) {
 	tbl := report.NewTable(
 		fmt.Sprintf("Faults (%s) — %s routing, %.0f%% injection", e.Class, e.Algorithm, FaultInjectionRate*100),
-		"faults", "metric", RouterKinds[0].String(), RouterKinds[1].String(), RouterKinds[2].String())
+		routerRow(RouterKind.String, "faults", "metric")...)
 	for ci, n := range e.Counts {
-		tbl.AddRow(fmt.Sprintf("%d", n), "completion",
-			fmt.Sprintf("%.3f", e.Completion[Generic][ci]),
-			fmt.Sprintf("%.3f", e.Completion[PathSensitive][ci]),
-			fmt.Sprintf("%.3f", e.Completion[RoCo][ci]))
-		tbl.AddRow("", "latency (cyc)",
-			fmt.Sprintf("%.1f", e.Latency[Generic][ci]),
-			fmt.Sprintf("%.1f", e.Latency[PathSensitive][ci]),
-			fmt.Sprintf("%.1f", e.Latency[RoCo][ci]))
-		tbl.AddRow("", "PEF",
-			fmt.Sprintf("%.2f", e.PEF[Generic][ci]),
-			fmt.Sprintf("%.2f", e.PEF[PathSensitive][ci]),
-			fmt.Sprintf("%.2f", e.PEF[RoCo][ci]))
+		tbl.AddRow(routerRow(func(k RouterKind) string { return fmt.Sprintf("%.3f", e.Completion[k][ci]) },
+			fmt.Sprintf("%d", n), "completion")...)
+		tbl.AddRow(routerRow(func(k RouterKind) string { return fmt.Sprintf("%.1f", e.Latency[k][ci]) },
+			"", "latency (cyc)")...)
+		tbl.AddRow(routerRow(func(k RouterKind) string { return fmt.Sprintf("%.2f", e.PEF[k][ci]) },
+			"", "PEF")...)
 	}
 	tbl.Render(w)
 }
@@ -501,41 +464,24 @@ type EnergyResult struct {
 
 // Figure13 reproduces the energy-per-packet comparison.
 func Figure13(opts Options) EnergyResult {
-	res := EnergyResult{
-		Patterns: []TrafficPattern{Uniform, SelfSimilar, Transpose},
-		EnergyNJ: map[RouterKind][]float64{},
+	patterns := []TrafficPattern{Uniform, SelfSimilar, Transpose}
+	res := opts.sweep(len(patterns), func(k RouterKind, i int) Config {
+		return opts.baseConfig(k, XY, patterns[i], FaultInjectionRate)
+	})
+	return EnergyResult{
+		Patterns: patterns,
+		EnergyNJ: perRouter(res, func(r Result) float64 { return r.EnergyPerPacketNJ }),
 	}
-	var cfgs []Config
-	for _, k := range RouterKinds {
-		for _, tp := range res.Patterns {
-			cfg := opts.baseConfig(k, XY, tp, FaultInjectionRate)
-			cfg.MaxCycles = 40 * (opts.Warmup + opts.Measure)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results := runAll(opts, cfgs)
-	i := 0
-	for _, k := range RouterKinds {
-		res.EnergyNJ[k] = make([]float64, len(res.Patterns))
-		for j := range res.Patterns {
-			res.EnergyNJ[k][j] = results[i].EnergyPerPacketNJ
-			i++
-		}
-	}
-	return res
 }
 
 // Render writes the energy comparison.
 func (e EnergyResult) Render(w io.Writer) {
 	tbl := report.NewTable(
 		fmt.Sprintf("Energy per packet (nJ) at %.0f%% injection, XY routing", FaultInjectionRate*100),
-		append([]string{"traffic"}, routerHeaders()...)...)
+		routerRow(RouterKind.String, "traffic")...)
 	for j, tp := range e.Patterns {
-		cells := []string{tp.String()}
-		for _, k := range RouterKinds {
-			cells = append(cells, fmt.Sprintf("%.3f", e.EnergyNJ[k][j]))
-		}
-		tbl.AddRow(cells...)
+		tbl.AddRow(routerRow(func(k RouterKind) string { return fmt.Sprintf("%.3f", e.EnergyNJ[k][j]) },
+			tp.String())...)
 	}
 	tbl.Render(w)
 }
@@ -566,7 +512,8 @@ type DegradationExperiment struct {
 
 // RunDegradationExperiment measures online recovery from one runtime fault.
 func RunDegradationExperiment(opts Options, alg Algorithm) DegradationExperiment {
-	width, height := opts.dims()
+	// The grid the runs simulate: the base config's, after defaults.
+	grid := opts.baseConfig(RoCo, alg, Uniform, FaultInjectionRate).withDefaults()
 	// The same critical fault for every router, struck roughly halfway
 	// through the injection span (estimated from the offered load with the
 	// default 4-flit packets). On a chiplet topology the fault is a whole
@@ -580,9 +527,9 @@ func RunDegradationExperiment(opts Options, alg Algorithm) DegradationExperiment
 	case opts.ChipsX > 0 && opts.ChipsY >= 2:
 		flt = Fault{Node: 0, Component: D2DInterface, Side: SideNorth}
 	default:
-		flt = RandomFaults(CriticalFaults, 1, width, height, opts.Seed)[0]
+		flt = RandomFaults(CriticalFaults, 1, grid.Width, grid.Height, opts.Seed)[0]
 	}
-	pktsPerCycle := FaultInjectionRate * float64(width*height) / 4
+	pktsPerCycle := FaultInjectionRate * float64(grid.Width*grid.Height) / 4
 	faultCycle := int64(float64(opts.Warmup+opts.Measure) / pktsPerCycle / 2)
 	if faultCycle < 1 {
 		faultCycle = 1
@@ -601,26 +548,25 @@ func RunDegradationExperiment(opts Options, alg Algorithm) DegradationExperiment
 		exp.GivenUp = map[RouterKind]int64{}
 		exp.ResidualLoss = map[RouterKind]int64{}
 	}
-	var cfgs []Config
-	for _, k := range RouterKinds {
+	res := opts.sweep(1, func(k RouterKind, _ int) Config {
 		cfg := opts.baseConfig(k, alg, Uniform, FaultInjectionRate)
 		cfg.FaultSchedule = []TimedFault{{Cycle: faultCycle, Fault: flt}}
 		cfg.AuditEvery = 64
 		cfg.MaxCycles = 60 * (opts.Warmup + opts.Measure)
 		cfg.Reliable = opts.Reliable
-		cfgs = append(cfgs, cfg)
-	}
-	results := runAll(opts, cfgs)
-	for i, k := range RouterKinds {
-		exp.Events[k] = results[i].FaultEvents
-		exp.Completion[k] = results[i].Completion
-		exp.Dropped[k] = results[i].DroppedFlits
-		exp.Watchdogs[k] = results[i].Watchdog
+		return cfg
+	})
+	for _, k := range RouterKinds {
+		r := res[k][0]
+		exp.Events[k] = r.FaultEvents
+		exp.Completion[k] = r.Completion
+		exp.Dropped[k] = r.DroppedFlits
+		exp.Watchdogs[k] = r.Watchdog
 		if opts.Reliable {
-			exp.Retransmitted[k] = results[i].Retransmissions
-			exp.Recovered[k] = results[i].RecoveredPackets
-			exp.GivenUp[k] = int64(len(results[i].GiveUps))
-			exp.ResidualLoss[k] = results[i].ResidualLoss
+			exp.Retransmitted[k] = r.Retransmissions
+			exp.Recovered[k] = r.RecoveredPackets
+			exp.GivenUp[k] = int64(len(r.GiveUps))
+			exp.ResidualLoss[k] = r.ResidualLoss
 		}
 	}
 	return exp
@@ -631,21 +577,11 @@ func (e DegradationExperiment) Render(w io.Writer) {
 	tbl := report.NewTable(
 		fmt.Sprintf("Graceful degradation — %s at node %d, cycle %d, %s routing, %.0f%% injection",
 			e.Fault.Component, e.Fault.Node, e.FaultCycle, e.Algorithm, FaultInjectionRate*100),
-		append([]string{"metric"}, routerHeaders()...)...)
-	cell := func(f func(RouterKind) string) []string {
-		cells := make([]string, 0, len(RouterKinds))
-		for _, k := range RouterKinds {
-			cells = append(cells, f(k))
-		}
-		return cells
-	}
-	tbl.AddRow(append([]string{"completion"}, cell(func(k RouterKind) string {
-		return fmt.Sprintf("%.3f", e.Completion[k])
-	})...)...)
-	tbl.AddRow(append([]string{"dropped flits"}, cell(func(k RouterKind) string {
-		return fmt.Sprintf("%d", e.Dropped[k])
-	})...)...)
-	tbl.AddRow(append([]string{"recovery (cyc)"}, cell(func(k RouterKind) string {
+		routerRow(RouterKind.String, "metric")...)
+	row := func(metric string, cell func(RouterKind) string) { tbl.AddRow(routerRow(cell, metric)...) }
+	row("completion", func(k RouterKind) string { return fmt.Sprintf("%.3f", e.Completion[k]) })
+	row("dropped flits", func(k RouterKind) string { return fmt.Sprintf("%d", e.Dropped[k]) })
+	row("recovery (cyc)", func(k RouterKind) string {
 		if len(e.Events[k]) == 0 {
 			return "-"
 		}
@@ -654,35 +590,31 @@ func (e DegradationExperiment) Render(w io.Writer) {
 			return "never"
 		}
 		return fmt.Sprintf("%d", ev.RecoveryCycles)
-	})...)...)
-	tbl.AddRow(append([]string{"rate pre/floor"}, cell(func(k RouterKind) string {
+	})
+	row("rate pre/floor", func(k RouterKind) string {
 		if len(e.Events[k]) == 0 {
 			return "-"
 		}
 		ev := e.Events[k][0]
 		return fmt.Sprintf("%.2f/%.2f", ev.PreRate, ev.FloorRate)
-	})...)...)
+	})
 	if e.Reliable {
-		tbl.AddRow(append([]string{"goodput pre/floor"}, cell(func(k RouterKind) string {
+		row("goodput pre/floor", func(k RouterKind) string {
 			if len(e.Events[k]) == 0 {
 				return "-"
 			}
 			ev := e.Events[k][0]
 			return fmt.Sprintf("%.2f/%.2f", ev.PreGoodput, ev.FloorGoodput)
-		})...)...)
-		tbl.AddRow(append([]string{"retx/recovered"}, cell(func(k RouterKind) string {
-			return fmt.Sprintf("%d/%d", e.Retransmitted[k], e.Recovered[k])
-		})...)...)
-		tbl.AddRow(append([]string{"given up/residual"}, cell(func(k RouterKind) string {
-			return fmt.Sprintf("%d/%d", e.GivenUp[k], e.ResidualLoss[k])
-		})...)...)
+		})
+		row("retx/recovered", func(k RouterKind) string { return fmt.Sprintf("%d/%d", e.Retransmitted[k], e.Recovered[k]) })
+		row("given up/residual", func(k RouterKind) string { return fmt.Sprintf("%d/%d", e.GivenUp[k], e.ResidualLoss[k]) })
 	}
-	tbl.AddRow(append([]string{"wedged"}, cell(func(k RouterKind) string {
+	row("wedged", func(k RouterKind) string {
 		if e.Watchdogs[k] == "" {
 			return "no"
 		}
 		return "yes"
-	})...)...)
+	})
 	tbl.Render(w)
 	for _, k := range RouterKinds {
 		if wd := e.Watchdogs[k]; wd != "" {

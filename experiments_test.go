@@ -86,3 +86,19 @@ func TestFaultExperimentOnChiplets(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultDriversUseSimulatedGrid: zero Width and Height run on the
+// default 8x8 mesh, so the fault drivers must place their faults on that
+// grid too, and match the same calls with an explicit 8x8.
+func TestFaultDriversUseSimulatedGrid(t *testing.T) {
+	zero := QuickOptions()
+	zero.Width, zero.Height = 0, 0
+	explicit := zero
+	explicit.Width, explicit.Height = 8, 8
+	if got, want := RunFaultExperiment(zero, CriticalFaults, XY), RunFaultExperiment(explicit, CriticalFaults, XY); !reflect.DeepEqual(got, want) {
+		t.Errorf("fault experiment on a zero grid differs from 8x8\n got: %+v\nwant: %+v", got, want)
+	}
+	if got, want := RunDegradationExperiment(zero, XY), RunDegradationExperiment(explicit, XY); !reflect.DeepEqual(got, want) {
+		t.Errorf("degradation experiment on a zero grid differs from 8x8\n got: %+v\nwant: %+v", got, want)
+	}
+}

@@ -130,23 +130,14 @@ var TrafficPatterns = [3]TrafficPattern{Uniform, SelfSimilar, Transpose}
 // String names the pattern.
 func (p TrafficPattern) String() string { return p.internal().String() }
 
+// internal maps p to the simulator's pattern. The two enums share their
+// values, so the mapping is a conversion; rocotrace converts the same way,
+// and TestTrafficPatternValues pins it for every pattern.
 func (p TrafficPattern) internal() traffic.Pattern {
-	switch p {
-	case Uniform:
-		return traffic.Uniform
-	case Transpose:
-		return traffic.Transpose
-	case SelfSimilar:
-		return traffic.SelfSimilar
-	case MPEG2:
-		return traffic.MPEG2
-	case BitComplement:
-		return traffic.BitComplement
-	case Hotspot:
-		return traffic.Hotspot
-	default:
+	if p < Uniform || p > Hotspot {
 		panic(fmt.Sprintf("roco: unknown traffic pattern %d", int(p)))
 	}
+	return traffic.Pattern(p)
 }
 
 // Component names a router component for fault injection (paper Table 3).

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/rocosim/roco/internal/traffic"
 )
 
 func quickConfig(k RouterKind, alg Algorithm, tp TrafficPattern, rate float64) Config {
@@ -199,5 +201,24 @@ func TestPaperConfig(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("paper config invalid: %v", err)
+	}
+}
+
+// TestTrafficPatternValues pins the one mapping from the public traffic
+// patterns to the simulator's: a value conversion, which both
+// TrafficPattern.internal and rocotrace's generator mode use. Every
+// pattern a -traffic token names must land on its namesake.
+func TestTrafficPatternValues(t *testing.T) {
+	want := map[TrafficPattern]traffic.Pattern{
+		Uniform: traffic.Uniform, Transpose: traffic.Transpose, SelfSimilar: traffic.SelfSimilar,
+		MPEG2: traffic.MPEG2, BitComplement: traffic.BitComplement, Hotspot: traffic.Hotspot,
+	}
+	if len(want) != len(trafficTokens) {
+		t.Fatalf("%d patterns pinned, %d have tokens", len(want), len(trafficTokens))
+	}
+	for p := range trafficTokens {
+		if got := traffic.Pattern(p); got != want[p] || p.internal() != want[p] {
+			t.Errorf("%s (value %d) converts to %v, want %v", trafficTokens[p][0], int(p), got, want[p])
+		}
 	}
 }

@@ -174,9 +174,25 @@ rejects() {
 }
 rejects 'XY routing only' "$BADIN/rocosim" -router pdr -routing adaptive
 rejects 'injection rate NaN' "$BADIN/rocosim" -rate NaN
+rejects 'must be positive' "$BADIN/rocosim" -width 0
 rejects 'too small' "$BADIN/rocotrace" -telemetry -width 1
 rejects '-node 64' "$BADIN/rocotrace" -node 64
+rejects 'unknown format' "$BADIN/rocotrace" -telemetry -format xml
 rejects 'too small' "$BADIN/rocobench" -exp fig8 -width 1
+# Every rocobench experiment runs at smoke scale: -exp all covers the
+# paper's tables and figures, and each extension runs by name. Each run
+# must exit 0 without a goroutine dump, and the -json files must record
+# every figure and the degradation study.
+for exp in all scaling pktsize saturation mpeg degradation; do
+	if ! "$BADIN/rocobench" -exp "$exp" -warmup 100 -measure 600 -trials 1 -mc 20000 \
+		-json "$BADIN/$exp.json" >"$BADIN/out" 2>&1 || grep -q goroutine "$BADIN/out"; then
+		echo "check.sh: rocobench -exp $exp failed:" >&2
+		cat "$BADIN/out" >&2
+		exit 1
+	fi
+done
+go run ./scripts/jsoncheck table2 fig3 fig8 fig9 fig10 fig11 fig12 fig13 fig14 <"$BADIN/all.json"
+go run ./scripts/jsoncheck degradation <"$BADIN/degradation.json"
 # rocoserve crash-recovery smoke through real processes: submit a job,
 # SIGKILL the server mid-run, restart it over the same data directory,
 # and the recovered job's result JSON must be byte-identical to one from

@@ -35,28 +35,21 @@ type ScalingStudy struct {
 // chiplet grid.
 func RunScalingStudy(opts Options, alg Algorithm, rate float64, sizes []int) ScalingStudy {
 	opts.ChipsX, opts.ChipsY, opts.ChipW, opts.ChipH = 0, 0, 0, 0
+	res := opts.sweep(len(sizes), func(k RouterKind, i int) Config {
+		cfg := opts.baseConfig(k, alg, Uniform, rate)
+		cfg.Width, cfg.Height = sizes[i], sizes[i]
+		return cfg
+	})
 	study := ScalingStudy{Rate: rate, Algorithm: alg}
-	var cfgs []Config
-	for _, size := range sizes {
-		for _, k := range RouterKinds {
-			cfg := opts.baseConfig(k, alg, Uniform, rate)
-			cfg.Width, cfg.Height = size, size
-			cfg.MaxCycles = 40 * (opts.Warmup + opts.Measure)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results := runAll(opts, cfgs)
-	i := 0
-	for _, size := range sizes {
+	for i, size := range sizes {
 		pt := ScalingPoint{
 			Width: size, Height: size,
 			Latency: map[RouterKind]float64{},
 			Energy:  map[RouterKind]float64{},
 		}
 		for _, k := range RouterKinds {
-			pt.Latency[k] = results[i].AvgLatency
-			pt.Energy[k] = results[i].EnergyPerPacketNJ
-			i++
+			pt.Latency[k] = res[k][i].AvgLatency
+			pt.Energy[k] = res[k][i].EnergyPerPacketNJ
 		}
 		study.Points = append(study.Points, pt)
 	}
@@ -67,13 +60,10 @@ func RunScalingStudy(opts Options, alg Algorithm, rate float64, sizes []int) Sca
 func (s ScalingStudy) Render(w io.Writer) {
 	tbl := report.NewTable(
 		fmt.Sprintf("Mesh-size scaling — %s routing, %.0f%% injection (latency cycles / energy nJ)", s.Algorithm, s.Rate*100),
-		append([]string{"mesh"}, routerHeaders()...)...)
+		routerRow(RouterKind.String, "mesh")...)
 	for _, pt := range s.Points {
-		cells := []string{fmt.Sprintf("%dx%d", pt.Width, pt.Height)}
-		for _, k := range RouterKinds {
-			cells = append(cells, fmt.Sprintf("%.1f / %.2f", pt.Latency[k], pt.Energy[k]))
-		}
-		tbl.AddRow(cells...)
+		tbl.AddRow(routerRow(func(k RouterKind) string { return fmt.Sprintf("%.1f / %.2f", pt.Latency[k], pt.Energy[k]) },
+			fmt.Sprintf("%dx%d", pt.Width, pt.Height))...)
 	}
 	tbl.Render(w)
 }
@@ -94,23 +84,16 @@ type PacketSizeStudy struct {
 
 // RunPacketSizeStudy measures the three routers across packet lengths.
 func RunPacketSizeStudy(opts Options, alg Algorithm, rate float64, sizes []int) PacketSizeStudy {
+	res := opts.sweep(len(sizes), func(k RouterKind, i int) Config {
+		cfg := opts.baseConfig(k, alg, Uniform, rate)
+		cfg.FlitsPerPacket = sizes[i]
+		return cfg
+	})
 	study := PacketSizeStudy{Rate: rate, Algorithm: alg}
-	var cfgs []Config
-	for _, flits := range sizes {
-		for _, k := range RouterKinds {
-			cfg := opts.baseConfig(k, alg, Uniform, rate)
-			cfg.FlitsPerPacket = flits
-			cfg.MaxCycles = 40 * (opts.Warmup + opts.Measure)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results := runAll(opts, cfgs)
-	i := 0
-	for _, flits := range sizes {
+	for i, flits := range sizes {
 		pt := PacketSizePoint{Flits: flits, Latency: map[RouterKind]float64{}}
 		for _, k := range RouterKinds {
-			pt.Latency[k] = results[i].AvgLatency
-			i++
+			pt.Latency[k] = res[k][i].AvgLatency
 		}
 		study.Points = append(study.Points, pt)
 	}
@@ -121,13 +104,10 @@ func RunPacketSizeStudy(opts Options, alg Algorithm, rate float64, sizes []int) 
 func (s PacketSizeStudy) Render(w io.Writer) {
 	tbl := report.NewTable(
 		fmt.Sprintf("Packet-length scaling — %s routing, %.0f%% injection (latency cycles)", s.Algorithm, s.Rate*100),
-		append([]string{"flits/packet"}, routerHeaders()...)...)
+		routerRow(RouterKind.String, "flits/packet")...)
 	for _, pt := range s.Points {
-		cells := []string{fmt.Sprintf("%d", pt.Flits)}
-		for _, k := range RouterKinds {
-			cells = append(cells, fmt.Sprintf("%.1f", pt.Latency[k]))
-		}
-		tbl.AddRow(cells...)
+		tbl.AddRow(routerRow(func(k RouterKind) string { return fmt.Sprintf("%.1f", pt.Latency[k]) },
+			fmt.Sprintf("%d", pt.Flits))...)
 	}
 	tbl.Render(w)
 }
