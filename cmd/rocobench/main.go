@@ -68,26 +68,22 @@ var experiments = []experiment{
 		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.Figure14(o)) }},
 	{name: "scaling", heading: "Extension — mesh-size scaling", extension: true,
 		run: func(w io.Writer, o roco.Options) any {
-			render(w, roco.RunScalingStudy(o, roco.XY, 0.20, []int{4, 6, 8, 10, 12}))
-			return nil
+			return render(w, roco.RunScalingStudy(o, roco.XY, 0.20, []int{4, 6, 8, 10, 12}))
 		}},
 	{name: "pktsize", heading: "Extension — packet-length scaling", extension: true,
 		run: func(w io.Writer, o roco.Options) any {
-			render(w, roco.RunPacketSizeStudy(o, roco.XY, 0.20, []int{1, 2, 4, 8, 16}))
-			return nil
+			return render(w, roco.RunPacketSizeStudy(o, roco.XY, 0.20, []int{1, 2, 4, 8, 16}))
 		}},
 	{name: "saturation", heading: "Extension — saturation throughput", extension: true,
 		run: func(w io.Writer, o roco.Options) any {
-			for _, alg := range roco.Algorithms {
-				roco.RunSaturationStudy(o, alg).Render(w)
+			studies := make([]roco.SaturationStudy, len(roco.Algorithms))
+			for i, alg := range roco.Algorithms {
+				studies[i] = render(w, roco.RunSaturationStudy(o, alg))
 			}
-			return nil
+			return studies
 		}},
 	{name: "mpeg", heading: "Extension — MPEG-2 video traffic (the paper ran this workload but omitted the plots for space)", extension: true,
-		run: func(w io.Writer, o roco.Options) any {
-			renderAll(w, roco.FigureMPEG(o))
-			return nil
-		}},
+		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.FigureMPEG(o)) }},
 	{name: "degradation", heading: "Extension — graceful degradation under a runtime fault", extension: true,
 		run: func(w io.Writer, o roco.Options) any { return render(w, roco.RunDegradationExperiment(o, roco.XY)) }},
 }

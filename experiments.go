@@ -114,25 +114,27 @@ func runAll(opts Options, cfgs []Config) []Result {
 			cfgs[i].Workers = 1
 		}
 	}
-	workers := budget / perRun
-	if workers < 1 {
-		workers = 1
+	forEach(len(cfgs), budget/perRun, func(i int) { out[i] = Run(cfgs[i]) })
+	return out
+}
+
+// forEach calls fn(i) for every i in [0, n), at most workers calls at a
+// time; fn must be safe to run concurrently for distinct i.
+func forEach(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	if workers == 1 {
-		for i, c := range cfgs {
-			out[i] = Run(c)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return out
+		return
 	}
-	// The index channel is buffered to len(cfgs) and fully loaded before
-	// the workers start, so dispatch never interleaves with (or blocks on)
-	// worker startup; each worker writes out[i] for the indexes it drew,
-	// keeping results in input order by construction.
-	idx := make(chan int, len(cfgs))
-	for i := range cfgs {
+	// The index channel is buffered to n and fully loaded before the
+	// workers start, so dispatch never interleaves with (or blocks on)
+	// worker startup.
+	idx := make(chan int, n)
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
@@ -142,12 +144,11 @@ func runAll(opts Options, cfgs []Config) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = Run(cfgs[i])
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // baseConfig builds the common run configuration for an experiment point.

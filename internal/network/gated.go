@@ -3,13 +3,18 @@
 // ticked router that ends the cycle idle falls out of the set, and
 // sleepers are woken by staged link/credit traffic, accepted injections,
 // retransmission launches and fault installation. Only pipes with staged
-// traffic advance.
+// traffic advance, and per-cycle work follows the traffic: nothing scans
+// the idle routers, the idle links or the PEs without a backlog.
 //
 // The active sets are uint64 bitsets and channels are slab-allocated with
 // lazy buffer backing. The per-color tick scan is a word-wise sweep of
-// activeBits∧colorMask, and the post-tick wake scan asks each ticked
-// router Idle(), which reads the busy mask its channels keep in
-// router.AllocState: one word compare, no per-channel walk.
+// activeBits∧colorMask. Right after each tick the shard worker notes the
+// router's Idle(), which reads the busy mask its channels keep in
+// router.AllocState (one word compare, no per-channel walk), and its
+// write mask (Router.TakeWrites): the link halves the tick wrote, a flit
+// onto an output or credits back over an input. The wake scan reads
+// only those notes: it keeps busy routers active, advances each written
+// link once, and wakes each written half's reader.
 //
 // Bit-identity with the reference kernel (stepReference) holds because a
 // skipped tick is a pure no-op except for the effects Router.SkipCycles
@@ -22,15 +27,22 @@
 //     every channel queue/states mutation updates its busy bit inline
 //     (router.VC.syncAlloc); the auditor recomputes the mask from the
 //     channels.
+//   - The advance set is exact: pipes are written only inside router
+//     ticks, at three chassis sites that each set their half's mask bit,
+//     so the halves written this cycle are exactly the staged ones — the
+//     pipes the reference kernel's advance changes. Both halves of a
+//     written link advance together, as there. The auditor checks that no
+//     pipe holds a staged half at a cycle boundary.
 //   - Wakes cover every cycle that would do work: a router with staged
 //     input, returned credits, an accepted injection or a fault strike is
 //     in the active set for the cycle that consumes it.
 //
 // Sharding is a parameter of the kernel, not a variant: shards are
 // contiguous id ranges, and each (color, shard) cell sweeps only its
-// slice of the bitset (see parallel.go). Snapshots stay kernel-canonical:
-// the busy mask is derived, never serialized, and each channel's
-// LoadState rebuilds its bit (see snapshot.go).
+// slice of the bitset and notes into its own list (see parallel.go).
+// Snapshots stay kernel-canonical: the busy and write masks are derived,
+// never serialized, and each channel's LoadState rebuilds its busy bit
+// (see snapshot.go).
 package network
 
 import (
@@ -41,45 +53,31 @@ import (
 )
 
 // initGated builds the gated kernel's state after the mesh is wired and
-// the schedule built: the per-shard flit pools and scratch lists, the
-// settle and conn-mark clocks, the activity bitsets, the per-color
-// schedule masks, the shard id ranges, and the CSR adjacency.
+// the schedule built: the per-shard flit pools and tick-note lists, the
+// settle clock, the activity and advance bitsets, the per-color schedule
+// masks, the shard id ranges, and the per-node table of written halves.
 func (n *Network) initGated(nodes int) {
 	n.pools = make([]*flit.Pool, n.shards)
 	for i := range n.pools {
 		n.pools[i] = &flit.Pool{}
 	}
-	n.shardTicked = make([][]int, n.shards)
+	n.shardNotes = make([][]tickNote, n.shards)
 	n.lastRun = make([]int64, nodes)
 	for id := range n.lastRun {
 		n.lastRun[id] = -1
 	}
-	n.connMark = make([]int64, len(n.conns))
-	for i := range n.connMark {
-		n.connMark[i] = -1
-	}
 
 	n.activeBits = router.NewBitset(nodes)
 	n.nextActiveBits = router.NewBitset(nodes)
+	n.advancing = router.NewBitset(len(n.conns))
 
-	// CSR adjacency: conn indexes touching each node, in ascending conn
-	// index order, flattened into two arrays.
-	n.adjOff = make([]int32, nodes+1)
-	for _, l := range n.links {
-		n.adjOff[l.up+1]++
-		n.adjOff[l.down+1]++
-	}
-	for id := 0; id < nodes; id++ {
-		n.adjOff[id+1] += n.adjOff[id]
-	}
-	n.adjList = make([]int32, n.adjOff[nodes])
-	fill := make([]int32, nodes)
-	copy(fill, n.adjOff[:nodes])
+	// halves[id*8+b] is the link behind bit b of router id's write mask
+	// and the router that reads the half: a flit half's downstream end, a
+	// credit half's upstream end.
+	n.halves = make([]half, nodes*8)
 	for i, l := range n.links {
-		n.adjList[fill[l.up]] = int32(i)
-		fill[l.up]++
-		n.adjList[fill[l.down]] = int32(i)
-		fill[l.down]++
+		n.halves[l.up*8+int(l.out)] = half{conn: int32(i), reader: int32(l.down)}
+		n.halves[l.down*8+router.CreditHalf+int(l.out.Opposite())] = half{conn: int32(i), reader: int32(l.up)}
 	}
 
 	// colorMask[c] holds every router of color c; shards are contiguous
@@ -130,63 +128,48 @@ func (n *Network) stepActive() {
 	n.installDueFaults()
 	n.generate()
 	n.retransmitDue()
-	t := n.cycle
-
-	n.tickColors(t)
+	n.tickColors(n.cycle)
 
 	n.inject()
 
-	// Wake scan: a ticked router stays active while any of its channels
-	// is non-dormant (one mask read). All pipe staging happens
-	// inside router ticks, so only conns touching a ticked router can
-	// carry traffic: advance exactly those, and wake each half-channel's
-	// reader so the staged content is consumed next cycle (a flit wakes
-	// the downstream node, credits the upstream one). The scan runs
-	// shard-major over the per-shard ticked lists; its order is immaterial
-	// (bit sets, connMark dedup, independent pipe advances) but kept
-	// deterministic anyway.
-	for s := range n.shardTicked {
-		ticked := n.shardTicked[s]
-		for _, id := range ticked {
-			if !n.routers[id].Idle() {
-				n.nextActiveBits.Set(id)
+	// Wake scan over the notes the shard workers took after each tick: a
+	// busy router stays active, and each link half a router wrote wakes
+	// the half's reader for next cycle (a flit the downstream node,
+	// credits the upstream one) and lists its link, once, for the
+	// advance. The order is immaterial (bit sets, independent pipe
+	// advances) but deterministic: shard-major.
+	for s := range n.shardNotes {
+		notes := n.shardNotes[s]
+		for _, nt := range notes {
+			if nt.busy {
+				n.nextActiveBits.Set(int(nt.id))
 			}
-			for k := n.adjOff[id]; k < n.adjOff[id+1]; k++ {
-				c := int(n.adjList[k])
-				if n.connMark[c] == t {
-					continue
-				}
-				conn := &n.conns[c]
+			for m := nt.wrote; m != 0; m &= m - 1 {
+				h := n.halves[int(nt.id)*8+bits.TrailingZeros8(uint8(m))]
+				c := int(h.conn)
 				if n.isLong != nil && n.isLong[c] {
 					// Multi-cycle D2D pipe: staged traffic moves it onto the
 					// persistent advance list instead of the one-shot path;
 					// the long pass below wakes the readers when traffic
 					// actually lands.
-					n.connMark[c] = t
-					if !n.longOn[c] && !conn.Quiescent() {
+					if !n.longOn[c] {
 						n.longOn[c] = true
 						n.longActive = append(n.longActive, c)
 					}
 					continue
 				}
-				busy, pending := conn.Flit.Busy(), conn.Credit.Pending()
-				if !busy && !pending {
-					continue
-				}
-				n.connMark[c] = t
-				n.advance = append(n.advance, c)
-				if busy {
-					n.nextActiveBits.Set(n.links[c].down)
-				}
-				if pending {
-					n.nextActiveBits.Set(n.links[c].up)
+				n.nextActiveBits.Set(int(h.reader))
+				if !n.advancing.Has(c) {
+					n.advancing.Set(c)
+					n.advance = append(n.advance, c)
 				}
 			}
 		}
-		n.shardTicked[s] = ticked[:0]
+		n.shardNotes[s] = notes[:0]
 	}
 	for _, c := range n.advance {
 		n.conns[c].Advance()
+		n.advancing.Clear(c)
 	}
 	n.advance = n.advance[:0]
 	n.advanceLongConns()
@@ -238,10 +221,12 @@ func (n *Network) advanceLongConns() {
 
 // tickShardActive ticks the active routers of one (color, shard) cell by
 // sweeping the words of activeBits∧colorMask clipped to the shard's
-// contiguous id range, settling each router's skipped cycles first and
-// logging it for the wake scan. Set bits come out in ascending id order —
-// exactly the order sched[c][s] lists — so the tick sequence matches the
-// reference kernel's bit for bit. activeBits is read-only during the tick
+// contiguous id range, settling each router's skipped cycles first. Right
+// after each tick, while the router is still in cache, it notes for the
+// wake scan whether the router stays busy and which link halves it wrote;
+// a router that is idle and wrote nothing leaves no note. Set bits come
+// out in ascending id order — exactly the order sched[c][s] lists — so
+// the tick sequence matches the reference kernel's bit for bit. activeBits is read-only during the tick
 // phases (wakes for the next cycle go to nextActiveBits on the
 // coordinator), so concurrent shard sweeps of one color never race.
 func (n *Network) tickShardActive(c, s int, t int64) {
@@ -251,7 +236,7 @@ func (n *Network) tickShardActive(c, s int, t int64) {
 	}
 	mask := n.colorMask[c]
 	act := n.activeBits
-	ticked := n.shardTicked[s]
+	notes := n.shardNotes[s]
 	loW, hiW := lo>>6, (hi-1)>>6
 	for w := loW; w <= hiW; w++ {
 		word := act[w] & mask[w]
@@ -266,14 +251,29 @@ func (n *Network) tickShardActive(c, s int, t int64) {
 		for word != 0 {
 			id := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
+			r := n.routers[id]
 			n.settleTo(id, t-1)
-			n.routers[id].Tick(t)
+			r.Tick(t)
 			n.lastRun[id] = t
-			ticked = append(ticked, id)
+			if busy, wrote := !r.Idle(), r.TakeWrites(); busy || wrote != 0 {
+				notes = append(notes, tickNote{id: int32(id), wrote: wrote, busy: busy})
+			}
 		}
 	}
-	n.shardTicked[s] = ticked
+	n.shardNotes[s] = notes
 }
+
+// tickNote is what the wake scan needs of one ticked router: whether it
+// stays busy, and the link halves its tick wrote.
+type tickNote struct {
+	id    int32
+	wrote router.WriteMask
+	busy  bool
+}
+
+// half is the link behind one bit of a router's write mask, and the
+// router that reads what the write staged.
+type half struct{ conn, reader int32 }
 
 // settleTo replays router id's skipped idle cycles through upTo, so its
 // activity counters and tick-invariant arbitration state match a router

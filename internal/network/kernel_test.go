@@ -261,3 +261,16 @@ func TestSoAStepZeroAllocsUnderLoad(t *testing.T) {
 		t.Fatalf("loaded sharded Step allocates %v objects per cycle, want 0", a)
 	}
 }
+
+// TestAuditZeroAllocs: the auditor runs on the AuditEvery cadence of
+// long runs, so its rechecks (conservation, staged pipe halves, the
+// backlogged set, the routers' derived masks) must not touch the heap.
+func TestAuditZeroAllocs(t *testing.T) {
+	n := New(loadedAllocConfig())
+	for i := 0; i < 500; i++ {
+		n.Step()
+	}
+	if a := testing.AllocsPerRun(100, n.audit); a != 0 {
+		t.Fatalf("audit allocates %v objects per call, want 0", a)
+	}
+}

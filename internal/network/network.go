@@ -241,13 +241,16 @@ type pe struct {
 	head    int
 }
 
-// consumeFront retires the backlog's front flit, recycling the array once
-// every queued flit has been consumed.
-func (p *pe) consumeFront() {
+// consumeFront retires PE p's front backlog flit. Once every queued flit
+// has been consumed it recycles the array and drops p from the
+// backlogged set.
+func (n *Network) consumeFront(p *pe) {
+	n.backlogFlits--
 	p.head++
 	if p.head == len(p.backlog) {
 		p.backlog = p.backlog[:0]
 		p.head = 0
+		n.backlogged.Clear(p.id)
 	}
 }
 
@@ -273,6 +276,11 @@ type Network struct {
 	delFlitsAll  int64
 	dropFlitsAll int64
 	backlogFlits int64
+
+	// backlogged holds the PEs whose backlog is non-empty: generation and
+	// retransmission set a PE's bit, and consumeFront clears it when the
+	// PE drains, so injection visits only PEs with flits to offer.
+	backlogged router.Bitset
 
 	schedule fault.Schedule
 	faultLog []fault.Event
@@ -329,20 +337,19 @@ type Network struct {
 	// flits are freshly allocated exactly as the pre-gating kernel did.
 	// activeBits/nextActiveBits are the routers ticking this cycle and the
 	// wakes accumulated for the next; colorMask and shardLo turn the
-	// canonical schedule into word-wise bitset sweeps; adjOff/adjList is
-	// the CSR list of conn indexes touching each node.
-	pools          []*flit.Pool // per-shard flit free lists
-	graveyard      []*flit.Flit // flits that died this cycle, recycled at end of Step
-	lastRun        []int64      // last cycle each router ticked; -1 = never
-	shardTicked    [][]int      // scratch: routers ticked this Step, per shard
-	advance        []int        // scratch: conns with staged traffic this Step
-	connMark       []int64      // last cycle each conn was marked for advance
+	// canonical schedule into word-wise bitset sweeps; halves maps each
+	// bit of a router's write mask to its link and the half's reader.
+	pools          []*flit.Pool  // per-shard flit free lists
+	graveyard      []*flit.Flit  // flits that died this cycle, recycled at end of Step
+	lastRun        []int64       // last cycle each router ticked; -1 = never
+	shardNotes     [][]tickNote  // scratch: busy or writing routers ticked this Step, per shard
+	advance        []int         // scratch: conns with staged traffic this Step
+	advancing      router.Bitset // the conns on advance, to list each once
 	activeBits     router.Bitset
 	nextActiveBits router.Bitset
 	colorMask      []router.Bitset
 	shardLo        []int
-	adjOff         []int32
-	adjList        []int32
+	halves         []half // [node*8 + write-mask bit]
 
 	// Multi-cycle die-to-die link state (chiplet topologies with
 	// D2DLatency/D2DGap > 1; nil otherwise). A long conn cannot use the
@@ -572,6 +579,7 @@ func New(cfg Config) *Network {
 	for id := range n.pes {
 		n.pes[id] = pe{id: id, gen: n.gens[id], mode: *modeBase.Split(uint64(id))}
 	}
+	n.backlogged = router.NewBitset(nodes)
 
 	n.nextAudit = math.MaxInt64
 	if cfg.AuditEvery > 0 {
@@ -714,6 +722,7 @@ func (n *Network) generate() {
 		n.generated++
 		head := len(p.backlog)
 		p.backlog = flit.AppendSegment(p.backlog, pkt, n.poolFor(p.id))
+		n.backlogged.Set(p.id)
 		if n.traceEvery > 0 && pkt.ID%n.traceEvery == 0 {
 			p.backlog[head].Rec = n.tracer.NewRecord(pkt.ID, pkt.Src, pkt.Dst, pkt.CreatedAt)
 		}
@@ -774,21 +783,17 @@ func (n *Network) noteDrop(f *flit.Flit, cycle int64, reason trace.DropReason) {
 // dropAtSource discards the PE's front backlog flit (never injected).
 func (n *Network) dropAtSource(p *pe, reason trace.DropReason) {
 	f := p.backlog[p.head]
-	p.consumeFront()
-	n.backlogFlits--
+	n.consumeFront(p)
 	if f.Rec != nil && f.Type.IsHead() {
 		f.Rec.Drop(p.id, n.cycle, reason)
 	}
 	n.noteDrop(f, n.cycle, reason)
 }
 
-// inject advances every PE's source queue by at most one flit (the PE link
-// is one flit wide).
+// inject advances the source queue of every PE with a backlog by at most
+// one flit (the PE link is one flit wide), in ascending PE order.
 func (n *Network) inject() {
-	if n.backlogFlits == 0 {
-		return
-	}
-	for i := range n.pes {
+	n.backlogged.ForEachIn(0, len(n.pes), func(i int) {
 		p := &n.pes[i]
 		// Flits of packets already broken by an in-flight loss will never
 		// be accepted; discard them so the source queue keeps draining.
@@ -798,7 +803,7 @@ func (n *Network) inject() {
 			n.dropAtSource(p, trace.DropInFlight)
 		}
 		if p.head == len(p.backlog) {
-			continue
+			return
 		}
 		f := p.backlog[p.head]
 		if f.Type.IsHead() {
@@ -815,7 +820,7 @@ func (n *Network) inject() {
 						break
 					}
 				}
-				continue
+				return
 			}
 		}
 		if n.routers[p.id].TryInject(f, n.cycle) {
@@ -823,12 +828,11 @@ func (n *Network) inject() {
 			if f.Rec != nil {
 				f.Rec.Visit(p.id, n.cycle, trace.Injected)
 			}
-			p.consumeFront()
-			n.backlogFlits--
+			n.consumeFront(p)
 			// The accepted flit needs the router's allocators next cycle.
 			n.wakeNext(p.id)
 		}
-	}
+	})
 }
 
 // retransmitDue runs the reliability protocol's timers for this cycle:
@@ -862,6 +866,7 @@ func (n *Network) retransmitDue() {
 			}
 			p := &n.pes[e.Src]
 			p.backlog = flit.AppendSegment(p.backlog, pkt, n.poolFor(e.Src))
+			n.backlogged.Set(e.Src)
 			// The copy's flits are new in the conservation ledger (the
 			// originals were already accounted as dropped), but not new
 			// logical packets: generated/completion counts stay untouched.
@@ -1050,11 +1055,13 @@ func (n *Network) propagateHandshake(node int) {
 
 // audit asserts flit conservation: every generated flit is accounted for as
 // delivered, dropped, awaiting injection, buffered in a router, or in
-// flight on a link. It then recomputes each router's incrementally
-// maintained allocation and dormancy bitmaps from its channels. A
-// violation is a simulator bug (a flit was silently lost or
-// double-counted, or a mutation skipped its bitmap update) and panics with
-// the breakdown.
+// flight on a link. It then rechecks the state the kernels derive
+// incrementally: no pipe holds a value staged but not advanced (a write
+// the gated kernel's write masks missed), the backlogged set is exactly
+// the PEs with a non-empty backlog, and each router's allocation and
+// dormancy bitmaps match a recomputation from its channels. A violation
+// is a simulator bug (a flit was silently lost or double-counted, or a
+// mutation skipped its bookkeeping) and panics with the breakdown.
 func (n *Network) audit() {
 	var buffered, inPipes int64
 	for _, r := range n.routers {
@@ -1062,6 +1069,15 @@ func (n *Network) audit() {
 	}
 	for i := range n.conns {
 		inPipes += int64(n.conns[i].Flit.Occupancy())
+		if n.conns[i].Staged() {
+			l := n.links[i]
+			panic(fmt.Sprintf("network: link %d %v->%d holds a staged half at cycle %d: a pipe write was missed", l.up, l.out, l.down, n.cycle))
+		}
+	}
+	for i := range n.pes {
+		if p := &n.pes[i]; n.backlogged.Has(i) != (p.head < len(p.backlog)) {
+			panic(fmt.Sprintf("network: PE %d backlogged bit %v, but it has %d flits queued at cycle %d", i, n.backlogged.Has(i), len(p.backlog)-p.head, n.cycle))
+		}
 	}
 	total := n.delFlitsAll + n.dropFlitsAll + n.backlogFlits + buffered + inPipes
 	if total != n.genFlits {

@@ -98,9 +98,6 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 		for id := range n.lastRun {
 			n.lastRun[id] = n.cycle - 1
 		}
-		for i := range n.connMark {
-			n.connMark[i] = -1
-		}
 	}
 }
 
@@ -203,6 +200,9 @@ func (n *Network) state(s *snapshot.Stream) {
 			c.Flit(s, &pending[j])
 		}
 		backlog += int64(len(pending))
+		if s.Loading() && len(pending) > 0 {
+			n.backlogged.Set(i)
+		}
 	}
 	if backlog != n.backlogFlits {
 		s.Corruptf("backlog ledger %d does not match %d serialized flits", n.backlogFlits, backlog)

@@ -16,6 +16,12 @@ func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 // Set adds i to the set.
 func (b Bitset) Set(i int) { b[i>>6] |= 1 << uint(i&63) }
 
+// Clear removes i from the set.
+func (b Bitset) Clear(i int) { b[i>>6] &^= 1 << uint(i&63) }
+
+// Has reports whether i is in the set.
+func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
+
 // ClearAll empties the set (a memclr, vectorized by the runtime).
 func (b Bitset) ClearAll() {
 	for i := range b {

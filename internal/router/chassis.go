@@ -125,6 +125,29 @@ type Chassis struct {
 	vaNext   [maxChannels]topology.Direction
 	claim    [4]uint64
 	claimOK  uint8
+
+	// wrote collects the link halves written since TakeWrites last read
+	// it (see WriteMask).
+	wrote WriteMask
+}
+
+// WriteMask names link halves a router wrote: bit d is the flit half of
+// output d, and bit CreditHalf+d the credit half of input d, for each
+// cardinal direction d. Pipes are written at three sites only — Drive,
+// freeSlot and tickDead — and each sets its bit, so the mask is exactly
+// the set of pipes a tick staged traffic on.
+type WriteMask uint8
+
+// CreditHalf offsets an input's credit half in a WriteMask.
+const CreditHalf = 4
+
+// TakeWrites returns the link halves written since the last call and
+// clears the mask. The gated kernel reads it right after each tick to
+// advance exactly the pipes that carry traffic and wake their readers.
+func (c *Chassis) TakeWrites() WriteMask {
+	m := c.wrote
+	c.wrote = 0
+	return m
 }
 
 // InitChassis wires the chassis of node's router over its channels, listed
@@ -467,6 +490,7 @@ func (c *Chassis) tickDead(cycle int64) {
 				c.dropFlit(f, cycle, trace.DropDeadNode)
 				if f.VC >= 0 {
 					in.Credit.Write(f.VC)
+					c.wrote |= 1 << (CreditHalf + d)
 				}
 			}
 		}
@@ -505,6 +529,7 @@ func (c *Chassis) drainDoomed(cycle int64) {
 func (c *Chassis) freeSlot(vc *VC, feeder topology.Direction) {
 	if feeder.IsCardinal() && c.in[feeder] != nil {
 		c.in[feeder].Credit.Write(vc.Index)
+		c.wrote |= 1 << (CreditHalf + feeder)
 	}
 	if c.xferTo&vc.abit != 0 {
 		c.Books[TransferLeg].ReturnCredit(vc.Index)
@@ -817,6 +842,7 @@ func (c *Chassis) Drive(f *flit.Flit, out topology.Direction) {
 	c.Act.LinkFlits++
 	c.Act.LinkFlitsByDir[out]++
 	c.out[out].Flit.Write(f)
+	c.wrote |= 1 << out
 }
 
 // Alloc exposes the router's allocation bitmaps; the VA/SA stages read

@@ -160,6 +160,12 @@ type Router interface {
 	// nothing to sweep or allocate. The activity-gated kernel puts Idle
 	// routers to sleep.
 	Idle() bool
+	// TakeWrites returns the link halves the router wrote since the last
+	// call — flits onto its outputs, credits back over its inputs — and
+	// clears them. The activity-gated kernel reads it after each tick to
+	// advance only those pipes and wake their readers. Implemented by the
+	// embedded Chassis.
+	TakeWrites() WriteMask
 	// SkipCycles replays the state effects of n consecutive idle ticks in
 	// O(1): activity cycle counting and any arbitration state that moves
 	// even without requests (the RoCo mirror's primary-port toggle). The

@@ -69,9 +69,6 @@ func (p *FlitPipe) Read() *flit.Flit {
 	return f
 }
 
-// Busy reports whether the pipe already carries a flit for next cycle.
-func (p *FlitPipe) Busy() bool { return p.next != nil }
-
 // Readable reports whether a flit is deliverable this cycle (Read would
 // return non-nil). The gated kernel uses it to wake the downstream router
 // exactly when a multi-cycle pipe completes a transfer.
@@ -211,9 +208,6 @@ func (p *CreditPipe) Read() []int {
 	return p.cur
 }
 
-// Pending reports whether credits are staged for next cycle.
-func (p *CreditPipe) Pending() bool { return len(p.next) > 0 }
-
 // Readable reports whether credits are deliverable this cycle; the gated
 // kernels use it to wake the upstream router when a multi-cycle pipe
 // completes a transfer.
@@ -288,6 +282,12 @@ func (c *Conn) Long() bool { return c.Flit.long || c.Credit.long }
 // state advance exactly once per cycle — the same as under the reference
 // kernel.
 func (c *Conn) Quiescent() bool { return c.Flit.quiescent() && c.Credit.quiescent() }
+
+// Staged reports whether either half holds a value written this cycle
+// that no Advance has moved yet. At a cycle boundary no pipe does; the
+// network's auditor checks that, because a write the gated kernel's
+// write masks missed would leave one behind.
+func (c *Conn) Staged() bool { return c.Flit.next != nil || len(c.Credit.next) > 0 }
 
 // Advance advances both pipes.
 func (c *Conn) Advance() {

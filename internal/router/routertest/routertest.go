@@ -23,7 +23,7 @@ type Harness[R router.Router] struct {
 	// Cycle is the next cycle Step runs.
 	Cycle int64
 
-	conns []*router.Conn
+	out [][4]*router.Conn // out[id][d]: the link leaving router id on side d
 }
 
 // New builds a w x h mesh of routers made by build, routed by alg, with
@@ -32,6 +32,7 @@ func New[R router.Router](t testing.TB, w, h int, alg routing.Algorithm, build f
 	t.Helper()
 	hn := &Harness[R]{Topo: topology.NewMesh(w, h)}
 	hn.Routers = make([]R, hn.Topo.Nodes())
+	hn.out = make([][4]*router.Conn, hn.Topo.Nodes())
 	hn.Engine = router.NewRouteEngine(hn.Topo, alg, func(id int) router.Router { return hn.Routers[id] })
 	for id := range hn.Routers {
 		hn.Routers[id] = build(id, hn.Engine)
@@ -43,7 +44,7 @@ func New[R router.Router](t testing.TB, w, h int, alg routing.Algorithm, build f
 				continue
 			}
 			conn := &router.Conn{}
-			hn.conns = append(hn.conns, conn)
+			hn.out[id][d] = conn
 			down := hn.Routers[nb]
 			depths := make([]int, down.NumInputVCs(d.Opposite()))
 			for vc := range depths {
@@ -63,10 +64,28 @@ func (h *Harness[R]) Step() {
 	for _, r := range h.Routers {
 		r.Tick(h.Cycle)
 	}
-	for _, c := range h.conns {
-		c.Advance()
+	for _, links := range h.out {
+		for _, c := range links {
+			if c != nil {
+				c.Advance()
+			}
+		}
 	}
 	h.Cycle++
+}
+
+// Out returns the link leaving router id on cardinal side d, or nil at the
+// mesh edge.
+func (h *Harness[R]) Out(id int, d topology.Direction) *router.Conn { return h.out[id][d] }
+
+// In returns the link arriving at router id on cardinal side d, or nil at
+// the mesh edge.
+func (h *Harness[R]) In(id int, d topology.Direction) *router.Conn {
+	nb, ok := h.Topo.Neighbor(id, d)
+	if !ok {
+		return nil
+	}
+	return h.out[nb][d.Opposite()]
 }
 
 // Inject pushes a flits-long packet from src to dst into src's router,

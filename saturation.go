@@ -56,12 +56,16 @@ type SaturationStudy struct {
 	Results   []SaturationResult
 }
 
-// RunSaturationStudy runs FindSaturation for the paper's three routers.
+// RunSaturationStudy runs FindSaturation for the paper's three routers
+// and lists the results in router order. The searches are independent,
+// so they share the Options worker budget: at most Workers run at a time
+// (fewer when Shards spreads each run over several workers), each probing
+// its rates one after another.
 func RunSaturationStudy(opts Options, alg Algorithm) SaturationStudy {
-	study := SaturationStudy{Algorithm: alg}
-	for _, k := range RouterKinds {
-		study.Results = append(study.Results, FindSaturation(opts, k, alg))
-	}
+	study := SaturationStudy{Algorithm: alg, Results: make([]SaturationResult, len(RouterKinds))}
+	forEach(len(RouterKinds), opts.effectiveWorkers()/max(opts.Shards, 1), func(i int) {
+		study.Results[i] = FindSaturation(opts, RouterKinds[i], alg)
+	})
 	return study
 }
 

@@ -1,6 +1,7 @@
 package roco
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -29,5 +30,25 @@ func TestSaturationStudyRender(t *testing.T) {
 	study.Render(&sb)
 	if !strings.Contains(sb.String(), "Saturation throughput") {
 		t.Error("render missing title")
+	}
+}
+
+// TestSaturationStudyWorkers: the three searches run in parallel within
+// the worker budget, and the study lists the same results, in router
+// order, as a serial run.
+func TestSaturationStudyWorkers(t *testing.T) {
+	opts := QuickOptions()
+	opts.Warmup, opts.Measure = 100, 600
+	opts.Workers = 1
+	serial := RunSaturationStudy(opts, XY)
+	opts.Workers = 3
+	parallel := RunSaturationStudy(opts, XY)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("3 workers gave %+v, serial %+v", parallel, serial)
+	}
+	for i, r := range parallel.Results {
+		if r.Router != RouterKinds[i] {
+			t.Fatalf("result %d is %v, want %v", i, r.Router, RouterKinds[i])
+		}
 	}
 }

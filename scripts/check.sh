@@ -97,12 +97,33 @@ go run ./cmd/rocosim -json -topology multichipmesh -chips 2x2 -chip-size 4x4 \
 	-d2d-class serial -reliable -rate 0.15 -warmup 100 -measure 1500 -audit 32 \
 	-d2d-fault 0:east@800 -kernel gated >"$CHIPGATED"
 cmp "$CHIPREF" "$CHIPGATED"
+# Kernel equivalence where most routers sleep: the smokes above run dense
+# grids, so sleep and wake are barely exercised there. A sparse 32x32
+# mesh with a runtime fault, and a sparse 2x2 grid of 8x8 chiplets with a
+# D2D-interface fault, each run under the reference kernel, the default
+# gated kernel and three shards on two workers, must emit byte-identical
+# JSON (the six runs take about 4.5 s on 2 CPUs).
+SPARSE="$(mktemp -d)"
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$SPARSE"' EXIT
+sparse() {
+	name="$1"
+	shift
+	go run ./cmd/rocosim "$@" -kernel reference >"$SPARSE/$name.ref"
+	go run ./cmd/rocosim "$@" >"$SPARSE/$name.gated"
+	go run ./cmd/rocosim "$@" -shards 3 -workers 2 >"$SPARSE/$name.sharded"
+	cmp "$SPARSE/$name.ref" "$SPARSE/$name.gated"
+	cmp "$SPARSE/$name.ref" "$SPARSE/$name.sharded"
+}
+sparse mesh -json -width 32 -height 32 -rate 0.004 -warmup 100 -measure 2000 -audit 16 \
+	-telemetry-every 128 -faults-at 150 -faultclass noncritical
+sparse chiplet -json -topology multichipmesh -chips 2x2 -chip-size 8x8 -d2d-class serial \
+	-reliable -rate 0.01 -warmup 100 -measure 1500 -audit 16 -d2d-fault 0:east@800
 # Checkpoint/resume round-trip: the same reliable faulted run straight
 # through, with periodic snapshots, and interrupted-then-resumed must all
 # emit byte-identical JSON — snapshots never perturb a run, and a resumed
 # run is indistinguishable from one that never stopped.
 CKPTDIR="$(mktemp -d)"
-trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$CKPTDIR"' EXIT
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$SPARSE" "$CKPTDIR"' EXIT
 go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
 	-faults-at 150 -faultclass noncritical >"$CKPTDIR/full.json"
 go run ./cmd/rocosim -json -reliable -rate 0.2 -warmup 100 -measure 2000 \
@@ -155,7 +176,7 @@ fi
 # stderr, never with a panic's goroutine dump: `rejects MSG CMD...` runs
 # CMD and checks all three.
 BADIN="$(mktemp -d)"
-trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$CKPTDIR" "$BADIN"' EXIT
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$SPARSE" "$CKPTDIR" "$BADIN"' EXIT
 for cli in rocosim rocotrace rocobench; do
 	go build -o "$BADIN/$cli" ./cmd/$cli
 done
@@ -182,7 +203,7 @@ rejects 'too small' "$BADIN/rocobench" -exp fig8 -width 1
 # Every rocobench experiment runs at smoke scale: -exp all covers the
 # paper's tables and figures, and each extension runs by name. Each run
 # must exit 0 without a goroutine dump, and the -json files must record
-# every figure and the degradation study.
+# every figure and every extension under its name.
 for exp in all scaling pktsize saturation mpeg degradation; do
 	if ! "$BADIN/rocobench" -exp "$exp" -warmup 100 -measure 600 -trials 1 -mc 20000 \
 		-json "$BADIN/$exp.json" >"$BADIN/out" 2>&1 || grep -q goroutine "$BADIN/out"; then
@@ -192,14 +213,16 @@ for exp in all scaling pktsize saturation mpeg degradation; do
 	fi
 done
 go run ./scripts/jsoncheck table2 fig3 fig8 fig9 fig10 fig11 fig12 fig13 fig14 <"$BADIN/all.json"
-go run ./scripts/jsoncheck degradation <"$BADIN/degradation.json"
+for exp in scaling pktsize saturation mpeg degradation; do
+	go run ./scripts/jsoncheck "$exp" <"$BADIN/$exp.json"
+done
 # rocoserve crash-recovery smoke through real processes: submit a job,
 # SIGKILL the server mid-run, restart it over the same data directory,
 # and the recovered job's result JSON must be byte-identical to one from
 # a server nobody killed. servesmoke orchestrates the processes and owns
 # its own temp dirs.
 SERVEBIN="$(mktemp -d)"
-trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$CKPTDIR" "$BADIN" "$SERVEBIN"' EXIT
+trap 'rm -f "$TELECSV" "$SHARD1" "$SHARD2" "$KERNREF" "$KERNGATED" "$CHIPREF" "$CHIPGATED"; rm -rf "$SPARSE" "$CKPTDIR" "$BADIN" "$SERVEBIN"' EXIT
 go build -o "$SERVEBIN/rocoserve" ./cmd/rocoserve
 go run ./scripts/servesmoke -bin "$SERVEBIN/rocoserve"
 # The examples are built and vetted by the ./... sweeps above; run the

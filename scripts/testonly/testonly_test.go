@@ -25,7 +25,6 @@ var allowlist = map[string]string{
 	"internal/stats.(*Series).YAt":            "subject of the floor-pinned TestSeriesSortedAndLookup",
 	"internal/report.(*Table).AddRowf":        "subject of the floor-pinned TestTableAddRowf",
 	"internal/report.(*Table).RenderCSV":      "subject of the floor-pinned TestTableRenderCSV",
-	"internal/router.Bitset.ForEachIn":        "subject of the floor-pinned TestBitsetForEachIn",
 	"internal/arbiter.(*RoundRobin).PeekMask": "subject of the floor-pinned TestRoundRobinPeekDoesNotAdvance",
 	"internal/core.MinimumVCs":                "subject of the floor-pinned TestMinimumVCs",
 	"internal/topology.ManhattanDistance":     "reference metric of the minimality tests of internal/routing, internal/router and internal/topology",
