@@ -76,11 +76,7 @@ var experiments = []experiment{
 		}},
 	{name: "saturation", heading: "Extension — saturation throughput", extension: true,
 		run: func(w io.Writer, o roco.Options) any {
-			studies := make([]roco.SaturationStudy, len(roco.Algorithms))
-			for i, alg := range roco.Algorithms {
-				studies[i] = render(w, roco.RunSaturationStudy(o, alg))
-			}
-			return studies
+			return renderAll(w, roco.RunSaturationStudy(o, roco.Algorithms[:]...))
 		}},
 	{name: "mpeg", heading: "Extension — MPEG-2 video traffic (the paper ran this workload but omitted the plots for space)", extension: true,
 		run: func(w io.Writer, o roco.Options) any { return renderAll(w, roco.FigureMPEG(o)) }},

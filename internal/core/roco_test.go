@@ -127,9 +127,10 @@ func TestClaimProtocol(t *testing.T) {
 }
 
 func TestLoopbackInjection(t *testing.T) {
-	r := newTestRouter(routing.XY)
 	var delivered []*flit.Flit
-	r.SetSink(func(f *flit.Flit, cycle int64) { delivered = append(delivered, f) })
+	engine := router.NewRouteEngine(topology.NewMesh(4, 4), routing.XY, nil)
+	engine.Deliver = func(_ int, f *flit.Flit, _ int64) { delivered = append(delivered, f) }
+	r := New(5, engine)
 	fl := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 5, Dst: 5, Flits: 4}, nil)
 	for _, f := range fl {
 		f.OutPort = topology.Local

@@ -214,8 +214,8 @@ type FaultRecord struct {
 // degradation metrics.
 const bucketCycles = 32
 
-// link records one directed wiring edge so a runtime fault at the
-// downstream node can re-propagate its input-VC depths upstream.
+// link records one directed wiring edge: the Conn at the same index of
+// Network.conns carries up's output out to down.
 type link struct {
 	up   int
 	out  topology.Direction
@@ -418,14 +418,52 @@ func New(cfg Config) *Network {
 		n.rel = protocol.NewTracker(cfg.Topo.Nodes(), params)
 	}
 	nodes := cfg.Topo.Nodes()
+	// Every directed link of the topology, in ascending (node, direction)
+	// order, each with its Conn at the same index. The Conns live in one
+	// slice that never moves: the routers hold pointers into it.
+	n.links = make([]link, 0, 4*nodes)
+	for id := 0; id < nodes; id++ {
+		for _, d := range topology.CardinalDirections {
+			if nb, ok := cfg.Topo.Neighbor(id, d); ok {
+				n.links = append(n.links, link{up: id, out: d, down: nb})
+			}
+		}
+	}
+	n.conns = make([]router.Conn, len(n.links))
+	// Die-to-die boundary links of a chiplet topology become multi-cycle
+	// pipes; the long-conn advance lists exist only when at least one link
+	// actually carries transit state.
+	var maxLinkDelay int64
+	if cfg.D2DLatency > 1 || cfg.D2DGap > 1 {
+		lat, gap := max(cfg.D2DLatency, 1), max(cfg.D2DGap, 1)
+		n.isLong = make([]bool, len(n.conns))
+		for i, l := range n.links {
+			if cfg.Topo.LinkClass(l.up, l.out) == topology.D2D {
+				n.conns[i].SetD2D(lat, gap)
+				if n.isLong[i] = n.conns[i].Long(); n.isLong[i] {
+					maxLinkDelay = int64(max(lat, gap))
+				}
+			}
+		}
+		if maxLinkDelay > 0 {
+			n.longOn = make([]bool, len(n.conns))
+		} else {
+			n.isLong = nil
+		}
+	}
+
+	// Every router is built with the network-wide context on the engine
+	// (InitChassis copies it): the staging sinks, the broken-packet
+	// registry, the reap horizon and the kernel's full-tick switch.
 	n.routers = make([]router.Router, nodes)
 	n.engine = router.NewRouteEngine(cfg.Topo, cfg.Algorithm, func(id int) router.Router { return n.routers[id] })
-	if !cfg.ReferenceKernel {
-		// Must precede the builders: every router allocates its channels
-		// through the engine, and the arena makes them slab-resident with
-		// lazy buffer backing (the memory diet).
-		n.engine.EnableVCArena()
-	}
+	n.engine.Deliver, n.engine.Drop, n.engine.Broken = n.sink, n.dropSink, n.broken
+	n.engine.FullTick = cfg.ReferenceKernel
+	// A serialized boundary link stretches the straggler horizon of every
+	// router a wormhole can span: flits of a broken packet trickle in
+	// spaced up to max(latency, gap) cycles apart, at the crossing and at
+	// every hop downstream of it.
+	n.engine.MaxLinkDelay = maxLinkDelay
 	if n.rel != nil {
 		n.oracle = protocol.NewOracle(n.engine)
 	}
@@ -436,114 +474,19 @@ func New(cfg Config) *Network {
 	// Install faults before wiring so credit books see degraded depths.
 	for _, flt := range cfg.Faults {
 		n.validateFault(flt, nodes)
-		// Arm the recovery scans network-wide (routers also self-arm in
-		// ApplyFault; this covers install orderings where the faulted
-		// router has not been handed the registry yet).
-		n.broken.MarkFaulty()
 		// Nothing is resident yet, so a pre-wiring sever only marks port
-		// masks, and the wiring loop below reads every degraded depth
-		// through InputVCDepth.
+		// masks, and AttachOutput below reads every degraded depth.
 		n.strike(flt, n.faultTargets(flt))
 	}
 	for _, ev := range cfg.Schedule.Events() {
 		n.validateFault(ev.Fault, nodes)
 	}
 
-	// Wire every directed link with a Conn; size credit books from the
-	// downstream router's (possibly fault-degraded) VC depths. The Conns
-	// live in one slice, sized by a first pass so it never moves: the
-	// routers hold pointers into it.
-	nlinks := 0
-	for id := 0; id < nodes; id++ {
-		for _, d := range topology.CardinalDirections {
-			if _, ok := cfg.Topo.Neighbor(id, d); ok {
-				nlinks++
-			}
-		}
-	}
-	n.conns = make([]router.Conn, nlinks)
-	n.links = make([]link, 0, nlinks)
-	for id := 0; id < nodes; id++ {
-		for _, d := range topology.CardinalDirections {
-			nb, ok := cfg.Topo.Neighbor(id, d)
-			if !ok {
-				continue
-			}
-			conn := &n.conns[len(n.links)]
-			from := d.Opposite()
-			down := n.routers[nb]
-			depths := make([]int, down.NumInputVCs(from))
-			for vc := range depths {
-				depths[vc] = down.InputVCDepth(from, vc)
-			}
-			n.routers[id].AttachOutput(d, conn, depths)
-			n.routers[id].SetNeighbor(d, down)
-			down.AttachInput(from, conn)
-			n.links = append(n.links, link{up: id, out: d, down: nb})
-		}
-		id := id
-		// During the tick phases of a cycle the sinks stage their events
-		// into the emitting node's shard buffer; the coordinator replays
-		// them in canonical order at each color barrier. Outside the tick
-		// phases (injection loopback, fault installation, source drops)
-		// they apply directly.
-		n.routers[id].SetSink(func(f *flit.Flit, cycle int64) {
-			if n.staging {
-				s := n.shardOf[id]
-				n.sinkBufs[s] = append(n.sinkBufs[s], sinkEvent{f: f, node: int32(id), cycle: cycle})
-				return
-			}
-			n.deliver(id, f, cycle)
-		})
-		n.routers[id].SetDropSink(func(f *flit.Flit, cycle int64, reason trace.DropReason) {
-			if n.staging {
-				s := n.shardOf[id]
-				n.sinkBufs[s] = append(n.sinkBufs[s], sinkEvent{f: f, node: int32(id), drop: true, reason: reason, cycle: cycle})
-				return
-			}
-			n.noteDrop(f, cycle, reason)
-		})
-		n.routers[id].SetBroken(n.broken)
-	}
-
-	// Die-to-die boundary links of a chiplet topology become multi-cycle
-	// pipes; the long-conn advance lists exist only when at least one link
-	// actually carries transit state.
-	if cfg.D2DLatency > 1 || cfg.D2DGap > 1 {
-		lat, gap := cfg.D2DLatency, cfg.D2DGap
-		if lat < 1 {
-			lat = 1
-		}
-		if gap < 1 {
-			gap = 1
-		}
-		long := false
-		n.isLong = make([]bool, len(n.conns))
-		for i, l := range n.links {
-			if cfg.Topo.LinkClass(l.up, l.out) == topology.D2D {
-				n.conns[i].SetD2D(lat, gap)
-				n.isLong[i] = n.conns[i].Long()
-				long = long || n.isLong[i]
-			}
-		}
-		if long {
-			n.longOn = make([]bool, len(n.conns))
-			// A serialized boundary link stretches the straggler horizon of
-			// every router a wormhole can span: flits of a broken packet
-			// trickle in spaced up to max(latency, gap) cycles apart, at the
-			// crossing and at every hop downstream of it. Orphan reaping
-			// must outwait that spacing or a straggler lands in a retired
-			// (possibly reclaimed) channel.
-			delay := int64(lat)
-			if int64(gap) > delay {
-				delay = int64(gap)
-			}
-			for _, r := range n.routers {
-				r.SetReapHorizon(delay)
-			}
-		} else {
-			n.isLong = nil
-		}
+	// Wire every link; each upstream router sizes its credit book from the
+	// downstream router's (possibly fault-degraded) VC depths.
+	for i, l := range n.links {
+		n.routers[l.up].AttachOutput(l.out, &n.conns[i])
+		n.routers[l.down].AttachInput(l.out.Opposite(), &n.conns[i])
 	}
 
 	// Shard partition and canonical color schedule. The reference kernel
@@ -588,12 +531,8 @@ func New(cfg Config) *Network {
 	n.nextTelemetry = math.MaxInt64
 	if cfg.TelemetryEvery > 0 {
 		links := make([]int, nodes)
-		for id := range links {
-			for _, d := range topology.CardinalDirections {
-				if _, ok := cfg.Topo.Neighbor(id, d); ok {
-					links[id]++
-				}
-			}
+		for _, l := range n.links {
+			links[l.up]++
 		}
 		n.tele = telemetry.New(telemetry.Config{
 			Every:   cfg.TelemetryEvery,
@@ -603,14 +542,7 @@ func New(cfg Config) *Network {
 		})
 		n.nextTelemetry = cfg.TelemetryEvery
 	}
-	if cfg.ReferenceKernel {
-		// Tick everything, fully: the reference baseline also forgoes the
-		// routers' dormant early return, so it executes (and benchmarks)
-		// the pre-gating tick-everything cost.
-		for _, r := range n.routers {
-			r.DisableTickFastPath()
-		}
-	} else {
+	if !cfg.ReferenceKernel {
 		n.initGated(nodes)
 	}
 	return n
@@ -1013,15 +945,14 @@ func (n *Network) installDueFaults() {
 			for _, id := range targets {
 				n.settleTo(id, n.cycle-1)
 				n.wakeNow(id)
-				for _, l := range n.links {
-					if l.down == id {
-						n.settleTo(l.up, n.cycle-1)
-						n.wakeNow(l.up)
+				for _, d := range topology.CardinalDirections {
+					if up, ok := n.topo.Neighbor(id, d); ok {
+						n.settleTo(up, n.cycle-1)
+						n.wakeNow(up)
 					}
 				}
 			}
 		}
-		n.broken.MarkFaulty()
 		n.strike(ev.Fault, targets)
 		for _, id := range targets {
 			n.propagateHandshake(id)
@@ -1036,20 +967,14 @@ func (n *Network) installDueFaults() {
 	}
 }
 
-// propagateHandshake pushes node's current input-VC depths into every
-// upstream credit book.
+// propagateHandshake has every upstream router of node — its grid
+// neighbours, each reaching node through the opposite side — re-read
+// node's current input-VC depths into its credit book.
 func (n *Network) propagateHandshake(node int) {
-	down := n.routers[node]
-	for _, l := range n.links {
-		if l.down != node {
-			continue
+	for _, d := range topology.CardinalDirections {
+		if up, ok := n.topo.Neighbor(node, d); ok {
+			n.routers[up].RefreshOutput(d.Opposite())
 		}
-		from := l.out.Opposite()
-		depths := make([]int, down.NumInputVCs(from))
-		for vc := range depths {
-			depths[vc] = down.InputVCDepth(from, vc)
-		}
-		n.routers[l.up].RefreshOutput(l.out, depths)
 	}
 }
 

@@ -9,24 +9,26 @@ import (
 	"github.com/rocosim/roco/internal/traffic"
 )
 
-// orderChecker wraps a router to intercept its sink and assert wormhole
-// integrity: every packet's flits arrive in sequence order with no
-// interleaving gaps, and the tail arrives exactly once.
-type orderChecker struct {
-	router.Router
-	t    *testing.T
-	seen map[uint64]int
-}
-
-func (o *orderChecker) SetSink(s router.Sink) {
-	o.Router.SetSink(func(f *flit.Flit, cycle int64) {
-		want := o.seen[f.PacketID]
-		if f.Seq != want {
-			o.t.Errorf("pkt %d: flit seq %d delivered, want %d (flit order violated)", f.PacketID, f.Seq, want)
+// checkOrder returns build with the delivery sink of the engine it
+// receives intercepted, before the first router is built, to assert
+// wormhole integrity: every packet's flits arrive in sequence order with
+// no interleaving gaps, and the tail arrives exactly once. seen counts
+// each packet's delivered flits.
+func checkOrder(t *testing.T, seen map[uint64]int, build func(int, *router.RouteEngine) router.Router) func(int, *router.RouteEngine) router.Router {
+	return func(id int, e *router.RouteEngine) router.Router {
+		if id == 0 {
+			deliver := e.Deliver
+			e.Deliver = func(node int, f *flit.Flit, cycle int64) {
+				want := seen[f.PacketID]
+				if f.Seq != want {
+					t.Errorf("pkt %d: flit seq %d delivered, want %d (flit order violated)", f.PacketID, f.Seq, want)
+				}
+				seen[f.PacketID] = want + 1
+				deliver(node, f, cycle)
+			}
 		}
-		o.seen[f.PacketID] = want + 1
-		s(f, cycle)
-	})
+		return build(id, e)
+	}
 }
 
 // TestWormholeFlitOrdering asserts per-packet flit order end to end for
@@ -39,9 +41,7 @@ func TestWormholeFlitOrdering(t *testing.T) {
 			seen := map[uint64]int{}
 			cfg := smokeConfig(routing.XY, traffic.Uniform, 0.30, 61)
 			cfg.MeasurePackets = 4000
-			cfg.Build = func(id int, e *router.RouteEngine) router.Router {
-				return &orderChecker{Router: build(id, e), t: t, seen: seen}
-			}
+			cfg.Build = checkOrder(t, seen, build)
 			res := New(cfg).Run()
 			if res.Summary.Completion != 1 {
 				t.Fatalf("completion %.3f", res.Summary.Completion)
@@ -62,9 +62,7 @@ func TestWormholeFlitOrderingPDR(t *testing.T) {
 	seen := map[uint64]int{}
 	cfg := smokeConfig(routing.XY, traffic.Uniform, 0.25, 62)
 	cfg.MeasurePackets = 3000
-	cfg.Build = func(id int, e *router.RouteEngine) router.Router {
-		return &orderChecker{Router: pdrBuilder(id, e), t: t, seen: seen}
-	}
+	cfg.Build = checkOrder(t, seen, pdrBuilder)
 	res := New(cfg).Run()
 	if res.Summary.Completion != 1 {
 		t.Fatalf("completion %.3f", res.Summary.Completion)

@@ -164,6 +164,31 @@ func (n *Network) tickShardColor(c, s int, t int64) {
 	}
 }
 
+// sink is every router's delivery sink (the engine's Deliver). During the
+// tick phases of a cycle it stages the event into the emitting node's
+// shard buffer, and the coordinator replays the buffers in canonical order
+// at each color barrier; outside the tick phases (injection loopback,
+// fault installation) it delivers directly.
+func (n *Network) sink(node int, f *flit.Flit, cycle int64) {
+	if n.staging {
+		s := n.shardOf[node]
+		n.sinkBufs[s] = append(n.sinkBufs[s], sinkEvent{f: f, node: int32(node), cycle: cycle})
+		return
+	}
+	n.deliver(node, f, cycle)
+}
+
+// dropSink is every router's drop sink (the engine's Drop), staged like
+// sink.
+func (n *Network) dropSink(node int, f *flit.Flit, cycle int64, reason trace.DropReason) {
+	if n.staging {
+		s := n.shardOf[node]
+		n.sinkBufs[s] = append(n.sinkBufs[s], sinkEvent{f: f, node: int32(node), drop: true, reason: reason, cycle: cycle})
+		return
+	}
+	n.noteDrop(f, cycle, reason)
+}
+
 // replayStaged applies the staged delivery/drop events accumulated during
 // the color phase that just finished, shard by shard. Event pointers are
 // cleared as they are consumed so the retained buffers never pin flits

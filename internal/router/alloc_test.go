@@ -4,12 +4,16 @@ import (
 	"testing"
 
 	"github.com/rocosim/roco/internal/flit"
+	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/snapshot"
 	"github.com/rocosim/roco/internal/topology"
 )
 
 // The dormancy tests keep their TestHotState* names from the struct-of-
 // arrays mirror the busy mask replaced.
+
+// testEngine is a standalone engine for bare chassis.
+func testEngine() *RouteEngine { return NewRouteEngine(topology.NewMesh(2, 2), routing.XY, nil) }
 
 // bindTestRouters wires two bare chassis of two channels each and returns
 // them alongside the channels, router-major.
@@ -19,7 +23,7 @@ func bindTestRouters(t *testing.T) ([2]*Chassis, []*VC) {
 	var cs [2]*Chassis
 	for id := range cs {
 		cs[id] = &Chassis{}
-		cs[id].InitChassis(id, nil, vcs[2*id:2*id+2], 4, 1)
+		cs[id].InitChassis(id, testEngine(), vcs[2*id:2*id+2], 4, 1)
 	}
 	return cs, vcs
 }
@@ -72,7 +76,12 @@ func TestHotStateActivityTransitions(t *testing.T) {
 			vcs[3].Claim(topology.North)
 			vcs[3].PushFrom(p2[0], topology.North)
 		}, [2]bool{false, false}},
-		{"doom leaves router 1 awake", func() { vcs[3].Doom() }, [2]bool{false, false}},
+		// Only a broken packet (or a fault) dooms a channel; quiet()
+		// relies on it.
+		{"doom leaves router 1 awake", func() {
+			cs[1].Engine.Broken.Add(p2[0].PacketID, 0)
+			vcs[3].Doom()
+		}, [2]bool{false, false}},
 		{"partial pop keeps router 0 awake", func() { vcs[0].Pop() }, [2]bool{false, false}},
 		{"tail pop drains router 0 dormant", func() { vcs[0].Pop() }, [2]bool{true, false}},
 		{"tail pop drains router 1 dormant", func() { vcs[3].Pop() }, [2]bool{true, true}},
@@ -148,7 +157,7 @@ func TestHotStateBindPanics(t *testing.T) {
 		for i := range vcs {
 			vcs[i] = NewVC(i, 2)
 		}
-		if !panics(func() { new(Chassis).InitChassis(0, nil, vcs, 2, 1) }) {
+		if !panics(func() { new(Chassis).InitChassis(0, testEngine(), vcs, 2, 1) }) {
 			t.Errorf("a chassis of %d channels should panic", len(vcs))
 		}
 	})
@@ -159,8 +168,8 @@ func TestHotStateBindPanics(t *testing.T) {
 	})
 	t.Run("double bind", func(t *testing.T) {
 		vc := NewVC(0, 2)
-		new(Chassis).InitChassis(0, nil, []*VC{vc}, 2, 1)
-		if !panics(func() { new(Chassis).InitChassis(1, nil, []*VC{vc}, 2, 1) }) {
+		new(Chassis).InitChassis(0, testEngine(), []*VC{vc}, 2, 1)
+		if !panics(func() { new(Chassis).InitChassis(1, testEngine(), []*VC{vc}, 2, 1) }) {
 			t.Error("binding one channel to two routers should panic")
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"github.com/rocosim/roco/internal/arbiter"
+	"github.com/rocosim/roco/internal/fault"
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/topology"
 	"github.com/rocosim/roco/internal/trace"
@@ -51,7 +52,8 @@ type Chassis struct {
 	// Books are the output links' credit books by direction, plus the
 	// internal transfer leg at TransferLeg.
 	Books [TransferLeg + 1]*OutVCBook
-	// Neighbors are the routers reached through each output.
+	// Neighbors are the routers reached through each output, recorded by
+	// AttachOutput from the engine.
 	Neighbors [5]Router
 	// VAArb holds one arbiter per (book, downstream channel) for the VA
 	// output stage, inline; the policy sizes the ones its books use.
@@ -83,10 +85,12 @@ type Chassis struct {
 	Act  Activity
 	Cont Contention
 
-	sink       Sink
-	in, out    [5]*Conn
-	depth      int // downstream buffer depth the credit books start from
-	noFastPath bool
+	// deliver and, below, drop are the engine's sinks; InitChassis copies
+	// them with the rest of its context (fullTick, broken, reapAge).
+	deliver  Sink
+	in, out  [5]*Conn
+	depth    int // downstream buffer depth the credit books start from
+	fullTick bool
 	// The switch's crossbar inputs each serve group consecutive channels;
 	// inputBit[i] is channel i's input as a one-hot byte.
 	group    int
@@ -104,7 +108,7 @@ type Chassis struct {
 	// leg unless routed in X; xferTo lists the channels the leg feeds.
 	xferFrom, xferTo uint64
 
-	dropSink   DropSink
+	drop       DropSink
 	broken     *BrokenSet
 	emptySince []int64
 	reapAge    int64
@@ -153,13 +157,19 @@ func (c *Chassis) TakeWrites() WriteMask {
 // InitChassis wires the chassis of node's router over its channels, listed
 // in grantee order; depth is the downstream buffer depth the credit books
 // start from, and group the number of consecutive channels each crossbar
-// input serves. Every link addresses the whole channel list until the
-// policy narrows it (PerPortNamespace, RestrictSide).
+// input serves. It copies the engine's network-wide context — the sinks,
+// the broken-packet registry, the reap horizon and the full-tick switch —
+// into the chassis, so the router is complete once built. Every link
+// addresses the whole channel list until the policy narrows it
+// (PerPortNamespace, RestrictSide).
 func (c *Chassis) InitChassis(node int, engine *RouteEngine, vcs []*VC, depth, group int) {
 	if len(vcs) > maxChannels {
 		panic(fmt.Sprintf("router: %d channels exceed the chassis's %d", len(vcs), maxChannels))
 	}
 	c.Node, c.Engine, c.depth, c.group = node, engine, depth, group
+	c.deliver, c.drop, c.broken = engine.Deliver, engine.Drop, engine.Broken
+	c.fullTick = engine.FullTick
+	c.reapAge = orphanAge + engine.MaxLinkDelay
 	c.VCs = c.vcs[:copy(c.vcs[:], vcs)]
 	for i := range vcs {
 		c.inputBit[i] = 1 << uint(i/group)
@@ -177,7 +187,6 @@ func (c *Chassis) InitChassis(node int, engine *RouteEngine, vcs []*VC, depth, g
 	for i := range c.emptySince {
 		c.emptySince[i] = -1
 	}
-	c.reapAge = orphanAge
 	for i, vc := range vcs {
 		vc.bindAlloc(&c.alloc, i)
 	}
@@ -228,35 +237,27 @@ func (c *Chassis) viaTransfer(i int, out topology.Direction) bool {
 // AttachInput wires the link arriving on side d.
 func (c *Chassis) AttachInput(d topology.Direction, conn *Conn) { c.in[d] = conn }
 
-// AttachOutput wires the link departing on side d and sizes its credit
-// book from the downstream per-VC depths.
-func (c *Chassis) AttachOutput(d topology.Direction, conn *Conn, depths []int) {
+// AttachOutput wires the link departing on side d: it records the
+// downstream router, found through the engine, as the neighbour across d,
+// and sizes the link's credit book from that router's input VCs and
+// their current depths.
+func (c *Chassis) AttachOutput(d topology.Direction, conn *Conn) {
+	down, _ := c.Engine.Topology().Neighbor(c.Node, d)
+	nbr := c.Engine.RouterAt(down)
 	c.out[d] = conn
-	c.Books[d] = NewOutVCBook(len(depths), c.depth)
-	for vc, depth := range depths {
-		if depth != c.depth {
-			c.Books[d].SetDepth(vc, depth)
-		}
-	}
+	c.Neighbors[d] = nbr
+	c.Books[d] = NewOutVCBook(nbr.NumInputVCs(d.Opposite()), c.depth)
+	c.RefreshOutput(d)
 }
 
-// RefreshOutput re-propagates the downstream input-VC depths into output
-// d's credit book after a runtime fault changed them.
-func (c *Chassis) RefreshOutput(d topology.Direction, depths []int) {
-	b := c.Books[d]
-	if b == nil {
-		return
-	}
-	for vc, depth := range depths {
-		b.SetDepth(vc, depth)
+// RefreshOutput re-reads the downstream router's input-VC depths into
+// output d's credit book after a runtime fault changed them.
+func (c *Chassis) RefreshOutput(d topology.Direction) {
+	b, from := c.Books[d], d.Opposite()
+	for vc := range b.Size() {
+		b.SetDepth(vc, c.Neighbors[d].InputVCDepth(from, vc))
 	}
 }
-
-// SetNeighbor records the router reached through output d.
-func (c *Chassis) SetNeighbor(d topology.Direction, n Router) { c.Neighbors[d] = n }
-
-// SetSink installs the PE delivery callback.
-func (c *Chassis) SetSink(s Sink) { c.sink = s }
 
 // Activity returns the per-component event counters.
 func (c *Chassis) Activity() *Activity { return &c.Act }
@@ -264,10 +265,9 @@ func (c *Chassis) Activity() *Activity { return &c.Act }
 // Contention returns the switch-conflict tallies.
 func (c *Chassis) Contention() *Contention { return &c.Cont }
 
-// DisableTickFastPath makes Tick run every phase even when the router is
-// Idle; the reference kernel sets it so the ungated baseline executes the
-// full tick-everything cost.
-func (c *Chassis) DisableTickFastPath() { c.noFastPath = true }
+// ApplyFault is the baselines' reaction to any fault: Kill. The RoCo
+// router overrides it with its per-component Hardware Recycling.
+func (c *Chassis) ApplyFault(fault.Fault) { c.Kill() }
 
 // Kill blocks the whole node, the baselines' reaction to any fault: their
 // operation is unified across components, so nothing survives to degrade
@@ -387,7 +387,7 @@ func (c *Chassis) Idle() bool { return c.alloc.busy == 0 }
 // FastIdle reports whether the rest of the tick may be skipped: the fast
 // path is enabled and every channel is dormant, so the remaining phases
 // reduce to what SkipCycles replays.
-func (c *Chassis) FastIdle() bool { return !c.noFastPath && c.Idle() }
+func (c *Chassis) FastIdle() bool { return !c.fullTick && c.Idle() }
 
 // TickFront runs the phases a baseline router's tick opens with and
 // reports whether allocation should follow: a dead node runs its drain
@@ -444,7 +444,7 @@ func (c *Chassis) Arrive(cycle int64) {
 		f.Hops++
 		if c.EarlyEject && f.OutPort == topology.Local {
 			c.Act.EarlyEjections++
-			c.sink(f, cycle)
+			c.deliver(c.Node, f, cycle)
 			continue
 		}
 		i := int(c.sideBase[d]) + f.VC
@@ -470,7 +470,7 @@ func (c *Chassis) Arrive(cycle int64) {
 // huntDeadGrants, grants whose downstream channel died), drain doomed
 // wormholes, reap orphaned states — unless the network is provably quiet.
 func (c *Chassis) Recover(cycle int64, huntDeadGrants bool) {
-	if c.noFastPath || !c.quiet() {
+	if c.fullTick || !c.quiet() {
 		c.sweepBroken(huntDeadGrants)
 		c.drainDoomed(cycle)
 		c.reapOrphans(cycle)
@@ -540,14 +540,14 @@ func (c *Chassis) freeSlot(vc *VC, feeder topology.Direction) {
 // never enters the fabric — and reports whether f belonged to one.
 func (c *Chassis) Loopback(f *flit.Flit, cycle int64) bool {
 	if f.Type.IsHead() && f.OutPort == topology.Local {
-		c.sink(f, cycle)
+		c.deliver(c.Node, f, cycle)
 		if !f.Type.IsTail() {
 			c.InjVC = loopbackVC
 		}
 		return true
 	}
 	if c.InjVC == loopbackVC {
-		c.sink(f, cycle)
+		c.deliver(c.Node, f, cycle)
 		if f.Type.IsTail() {
 			c.InjVC = -1
 		}
@@ -823,7 +823,7 @@ func (c *Chassis) Traverse(i int, cycle int64) (*flit.Flit, topology.Direction) 
 		return nil, out
 	case out == topology.Local:
 		c.Act.Ejections++
-		c.sink(f, cycle+1)
+		c.deliver(c.Node, f, cycle+1)
 		return nil, out
 	}
 	f.OutPort = nextOut
@@ -851,9 +851,23 @@ func (c *Chassis) Alloc() *AllocState { return &c.alloc }
 
 // AuditAlloc recomputes the allocation bitmaps from the channels and
 // reports an error when the incrementally maintained copies disagree: a
-// channel mutation skipped syncAlloc or syncClaim. It allocates nothing
-// unless it fails.
+// channel mutation skipped syncAlloc or syncClaim. It also checks the
+// neighbour handshake: every cardinal output's credit book must hold the
+// depths the downstream router reports. Depths change only when a fault
+// strikes, and every strike re-propagates, so a mismatch at a cycle
+// boundary is a missed refresh. It allocates nothing unless it fails.
 func (c *Chassis) AuditAlloc() error {
+	for _, d := range topology.CardinalDirections {
+		b := c.Books[d]
+		if b == nil {
+			continue
+		}
+		for vc := range b.Size() {
+			if want := c.Neighbors[d].InputVCDepth(d.Opposite(), vc); int(b.depths[vc]) != want {
+				return fmt.Errorf("router %d: output %v books downstream vc %d at depth %d, the neighbour reports %d", c.Node, d, vc, b.depths[vc], want)
+			}
+		}
+	}
 	var want AllocState
 	for i, vc := range c.VCs {
 		bit := uint64(1) << uint(i)

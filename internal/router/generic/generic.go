@@ -14,7 +14,6 @@ import (
 	"math/bits"
 
 	"github.com/rocosim/roco/internal/arbiter"
-	"github.com/rocosim/roco/internal/fault"
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/routing"
@@ -38,7 +37,9 @@ const (
 // Router is the generic 5-port baseline: the shared chassis plus the
 // separable speculative allocators of a monolithic 5x5 crossbar. Its
 // channels are port-major (grantee id port*VCsPerPort + vc), and each link
-// addresses only its own port's VCs.
+// addresses only its own port's VCs. Its operation is unified across its
+// components, so any permanent fault takes the whole router off-line
+// (paper Section 4): the chassis's ApplyFault.
 type Router struct {
 	router.Chassis
 
@@ -75,11 +76,6 @@ func New(id int, engine *router.RouteEngine) *Router {
 	r.Candidates = r.candidates
 	return r
 }
-
-// ApplyFault blocks the entire node: the generic router's operation is
-// unified across its components, so any permanent fault takes the whole
-// router off-line (paper Section 4).
-func (r *Router) ApplyFault(fault.Fault) { r.Kill() }
 
 // TryInject offers the next flit of the PE's current packet. A
 // self-addressed packet takes the crossbar to the PE port like any other.

@@ -6,6 +6,7 @@ import (
 	"github.com/rocosim/roco/internal/fault"
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/router"
+	"github.com/rocosim/roco/internal/router/routertest"
 	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/topology"
 )
@@ -85,7 +86,6 @@ func TestTorusDatelineClasses(t *testing.T) {
 
 func TestInjectionSerializesPackets(t *testing.T) {
 	r := newTestRouter(routing.XY)
-	r.SetSink(func(*flit.Flit, int64) {})
 	p1 := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 5, Dst: 6, Flits: 2}, nil)
 	p2 := flit.AppendSegment(nil, flit.Packet{ID: 2, Src: 5, Dst: 6, Flits: 2}, nil)
 	for _, f := range append(p1, p2...) {
@@ -121,8 +121,8 @@ func TestQuiescentTracksBufferedFlits(t *testing.T) {
 }
 
 func TestCongestionCostRange(t *testing.T) {
-	r := newTestRouter(routing.XY)
-	r.AttachOutput(topology.East, &router.Conn{}, []int{4, 4, 4})
+	// Node 0 of a 2x2 mesh: East reaches node 1, West leaves the mesh.
+	r := routertest.New(t, 2, 2, routing.XY, New).Routers[0]
 	if c := r.CongestionCost(topology.East); c != 0 {
 		t.Errorf("idle congestion = %v, want 0", c)
 	}

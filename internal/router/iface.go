@@ -9,18 +9,21 @@ import (
 	"github.com/rocosim/roco/internal/trace"
 )
 
-// Sink receives flits delivered to a node's processing element. Delivery of
+// Sink receives flits delivered to node's processing element. Delivery of
 // a tail flit completes a packet.
-type Sink func(f *flit.Flit, cycle int64)
+type Sink func(node int, f *flit.Flit, cycle int64)
 
-// DropSink receives flits a router discards, tagged with the distinct cause
-// (broken in flight vs drained by a dead node; the network adds
-// unroutable-at-source drops itself, before injection).
-type DropSink func(f *flit.Flit, cycle int64, reason trace.DropReason)
+// DropSink receives flits the router of node discards, tagged with the
+// distinct cause (broken in flight vs drained by a dead node; the network
+// adds unroutable-at-source drops itself, before injection).
+type DropSink func(node int, f *flit.Flit, cycle int64, reason trace.DropReason)
 
-// Router is the contract every router microarchitecture implements. The
-// network fabric wires routers together with Conn pipes, drives one Tick
-// per cycle, and injects/ejects traffic through the PE-facing methods.
+// Router is the contract every router microarchitecture implements. A
+// router is built with its whole network context — the route engine
+// carries the delivery and drop sinks, the broken-packet registry, the
+// reap horizon and the kernel's full-tick switch — so the network only
+// wires it to its links, drives one Tick per cycle, and injects/ejects
+// traffic through the PE-facing methods.
 //
 // Within Tick a router (1) drains its input and credit pipes, buffering or
 // early-ejecting arrivals, (2) runs its allocation stages (VA and SA, with
@@ -38,19 +41,14 @@ type Router interface {
 	// routers keep nil on the missing sides.
 	AttachInput(d topology.Direction, c *Conn)
 	// AttachOutput wires the link departing on side d (flits out, credits
-	// in). depths lists the usable buffer depth of each downstream input
-	// VC reachable through this link (indexed by the VC namespace the
-	// downstream router interprets flit.VC in); the router sizes its
-	// credit book from it. The network computes depths from the
-	// downstream router's NumInputVCs/InputVCDepth after faults are
-	// installed, so buffer-fault capacity reductions are reflected.
-	AttachOutput(d topology.Direction, c *Conn, depths []int)
-	// SetNeighbor records the router reached through output d. Routers use
-	// it for the neighbor handshake: fault capability (CanServe) and
-	// congestion (CongestionCost) checks during look-ahead routing and VA.
-	SetNeighbor(d topology.Direction, n Router)
-	// SetSink installs the PE-delivery callback.
-	SetSink(s Sink)
+	// in). The router finds the downstream router through its engine —
+	// the neighbour it consults for the handshake: fault capability
+	// (CanServe), congestion (CongestionCost) and claims — and sizes the
+	// link's credit book from that router's NumInputVCs/InputVCDepth. The
+	// network attaches outputs after every router is built and static
+	// faults are installed, so buffer-fault capacity reductions are
+	// reflected. Implemented by the embedded Chassis.
+	AttachOutput(d topology.Direction, c *Conn)
 
 	// Tick advances the router one cycle.
 	Tick(cycle int64)
@@ -65,13 +63,13 @@ type Router interface {
 	TryInject(f *flit.Flit, cycle int64) bool
 
 	// ApplyFault installs a permanent fault, either before the simulation
-	// starts or live mid-run (the network's fault schedule). Baseline
-	// routers respond to any fault by blocking the whole node; the RoCo
-	// router applies its hardware-recycling reaction per component. A live
-	// installation additionally condemns the traffic resident in the failed
-	// datapath so in-flight wormholes drain (as drops) instead of wedging;
-	// the network then re-propagates the neighbor handshake via
-	// RefreshOutput.
+	// starts or live mid-run (the network's fault schedule). The embedded
+	// Chassis supplies the baselines' reaction, blocking the whole node
+	// (Kill); the RoCo router overrides it with its hardware-recycling
+	// reaction per component. A live installation additionally condemns
+	// the traffic resident in the failed datapath so in-flight wormholes
+	// drain (as drops) instead of wedging; the network then re-propagates
+	// the neighbor handshake via RefreshOutput.
 	ApplyFault(flt fault.Fault)
 	// SeverPort permanently cuts port d in both directions (a die-to-die
 	// interface fault on a multi-chip topology). The router dooms resident
@@ -81,16 +79,11 @@ type Router interface {
 	// interface and then re-propagates the neighbor handshake. Implemented
 	// by the embedded Chassis.
 	SeverPort(d topology.Direction)
-	// SetReapHorizon stretches the orphan-reap age to cover links whose
-	// in-flight horizon exceeds the on-die single cycle (multi-cycle
-	// die-to-die pipes); maxLinkDelay is the slowest link's per-flit
-	// horizon. Implemented by the embedded Chassis.
-	SetReapHorizon(maxLinkDelay int64)
-	// RefreshOutput re-propagates the downstream input-VC depths into the
-	// credit book of output d after a runtime fault changed them (the
-	// credit half of the neighbor handshake). depths is indexed like
-	// AttachOutput's.
-	RefreshOutput(d topology.Direction, depths []int)
+	// RefreshOutput re-reads the downstream router's input-VC depths into
+	// the credit book of output d after a runtime fault changed them (the
+	// credit half of the neighbor handshake). Implemented by the embedded
+	// Chassis.
+	RefreshOutput(d topology.Direction)
 	// CanServe reports whether a flit entering on side from and leaving
 	// through out can currently be served, given installed faults. Local
 	// out means ejection. Upstream routers consult it (the paper's
@@ -102,8 +95,9 @@ type Router interface {
 	CongestionCost(out topology.Direction) float64
 	// NumInputVCs returns the size of the VC namespace a link arriving on
 	// side from addresses, and InputVCDepth the usable depth of each such
-	// VC (0 for a dead channel), letting the network propagate
-	// buffer-fault capacity reductions into the upstream credit book.
+	// VC (0 for a dead channel); the upstream router sizes and refreshes
+	// its credit book from them, so buffer-fault capacity reductions
+	// propagate.
 	NumInputVCs(from topology.Direction) int
 	InputVCDepth(from topology.Direction, vc int) int
 
@@ -121,19 +115,11 @@ type Router interface {
 	// upstream grant before any flit streamed.
 	ReleaseInputVC(from topology.Direction, vc int)
 
-	// SetDropSink installs the network's drop-accounting callback; every
-	// flit a router discards (doomed wormholes, dead-node drains) is
-	// reported exactly once, with its reason, so flit conservation stays
-	// auditable and loss is attributable.
-	SetDropSink(s DropSink)
-	// SetBroken shares the network-wide broken-packet registry: packets
-	// that lost at least one flit anywhere. Routers sweep it each Tick and
-	// doom their resident fragments of broken packets.
-	SetBroken(b *BrokenSet)
 	// BufferedFlits counts the flits currently buffered in the router's
 	// channels (the conservation auditor's in-router term).
 	BufferedFlits() int
-	// AuditAlloc recomputes the allocation bitmaps from the channels and
+	// AuditAlloc recomputes the allocation bitmaps from the channels, and
+	// each output's credit-book depths from the downstream router, and
 	// reports an error when the incrementally maintained copies disagree;
 	// the network's auditor panics on it, on its AuditEvery cadence. It
 	// allocates nothing unless it fails. Implemented by the embedded
@@ -172,12 +158,6 @@ type Router interface {
 	// kernel calls it when waking a slept router so gated and ungated
 	// executions stay bit-identical.
 	SkipCycles(n int64)
-	// DisableTickFastPath makes Tick run every phase even when the router
-	// is Idle. The reference kernel sets it on every router so the ungated
-	// baseline executes (and benchmarks) the full tick-everything cost;
-	// results are identical either way, since the fast path only skips
-	// phases that are no-ops on an Idle router.
-	DisableTickFastPath()
 
 	// State streams the router's complete mutable state (channels, credit
 	// books, arbiter pointers, fault flags, counters) in either direction:

@@ -4,6 +4,7 @@ import (
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/topology"
+	"github.com/rocosim/roco/internal/trace"
 )
 
 // RouteEngine computes look-ahead routes: the output port a flit will
@@ -12,6 +13,13 @@ import (
 // pipeline stage, which is timing-equivalent to look-ahead in this
 // simulator's 2-cycle hop model; RoCo and the Path-Sensitive router exploit
 // the look-ahead result for guided queuing and early ejection.
+//
+// The engine is also the one object every router builder receives, so it
+// carries the network-wide context a router is built with: the exported
+// fields below. The network sets them once, before the first builder
+// runs, and InitChassis copies them into the chassis; no tick phase reads
+// through the engine. A standalone engine (NewRouteEngine alone, as unit
+// tests use it) has sinks that do nothing and a fresh registry.
 type RouteEngine struct {
 	topo *topology.Grid
 	alg  routing.Algorithm
@@ -19,31 +27,53 @@ type RouteEngine struct {
 	// to the neighbor handshake state (fault capability and congestion)
 	// that adaptive routing consults.
 	routerAt func(id int) Router
-	// arena, when enabled, slab-allocates the channels of every router
-	// built against this engine (the gated kernel's memory diet). The
-	// engine carries it because it is the one object the network hands
-	// every router builder before construction.
-	arena *VCArena
+
+	// Deliver and Drop are the network's delivery and drop sinks, keyed by
+	// the emitting node. Every flit a router discards (doomed wormholes,
+	// dead-node drains) reaches Drop exactly once, with its reason, so
+	// flit conservation stays auditable and loss is attributable.
+	Deliver Sink
+	Drop    DropSink
+	// Broken is the network-wide broken-packet registry: packets that lost
+	// at least one flit anywhere. Routers sweep it each Tick and doom
+	// their resident fragments of broken packets.
+	Broken *BrokenSet
+	// MaxLinkDelay is the per-flit horizon of the slowest multi-cycle link
+	// (the larger of a die-to-die pipe's latency and serialization gap),
+	// 0 when every link is a one-cycle latch. Routers stretch their
+	// orphan-reap age by it (see orphanAge).
+	MaxLinkDelay int64
+	// FullTick selects the reference kernel's routers: Tick runs every
+	// phase even when the router is Idle, so the ungated baseline executes
+	// (and benchmarks) the full tick-everything cost, and NewVC builds
+	// eager standalone channels. Otherwise channels are lazy and
+	// slab-resident in one arena (the gated kernel's memory diet). Results
+	// are identical either way.
+	FullTick bool
+
+	arena VCArena
 }
 
-// NewRouteEngine builds an engine over the given topology and algorithm.
-// routerAt may be nil until the network finishes wiring; adaptive decisions
-// then fall back to dimension order.
+// NewRouteEngine builds a standalone engine over the given topology and
+// algorithm: sinks that do nothing and a fresh broken-packet registry,
+// which the network replaces with its own before building routers.
+// routerAt may be nil for a router that is never wired; adaptive
+// decisions then fall back to dimension order.
 func NewRouteEngine(topo *topology.Grid, alg routing.Algorithm, routerAt func(id int) Router) *RouteEngine {
-	return &RouteEngine{topo: topo, alg: alg, routerAt: routerAt}
+	return &RouteEngine{
+		topo: topo, alg: alg, routerAt: routerAt,
+		Deliver: func(int, *flit.Flit, int64) {},
+		Drop:    func(int, *flit.Flit, int64, trace.DropReason) {},
+		Broken:  NewBrokenSet(),
+	}
 }
 
-// EnableVCArena makes NewVC slab-allocate lazy channels; the network
-// enables it before running the router builders unless the reference
-// kernel is selected.
-func (e *RouteEngine) EnableVCArena() { e.arena = &VCArena{} }
-
-// NewVC builds one virtual channel for a router under construction:
-// an eager standalone channel normally, a lazy slab-resident one when
-// the arena is enabled. Routers must allocate their channels through
-// this so the kernel's layout choice reaches every router kind.
+// NewVC builds one virtual channel for a router under construction: a
+// lazy slab-resident one normally, an eager standalone one under
+// FullTick. Routers must allocate their channels through this so the
+// kernel's layout choice reaches every router kind.
 func (e *RouteEngine) NewVC(index, depth int) *VC {
-	if e.arena == nil {
+	if e.FullTick {
 		return NewVC(index, depth)
 	}
 	return e.arena.NewVC(index, depth)
@@ -55,9 +85,10 @@ func (e *RouteEngine) Algorithm() routing.Algorithm { return e.alg }
 // Topology returns the engine's topology.
 func (e *RouteEngine) Topology() *topology.Grid { return e.topo }
 
-// RouterAt resolves a node ID to its router (nil until the network finishes
-// wiring). The reliability protocol's reachability oracle uses it to consult
-// the same CanServe handshake state that look-ahead routing sees.
+// RouterAt resolves a node ID to its router (nil until the network has built
+// it). AttachOutput finds each link's downstream router through it, and the
+// reliability protocol's reachability oracle uses it to consult the same
+// CanServe handshake state that look-ahead routing sees.
 func (e *RouteEngine) RouterAt(id int) Router {
 	if e.routerAt == nil {
 		return nil

@@ -20,7 +20,6 @@ import (
 	"math/bits"
 
 	"github.com/rocosim/roco/internal/arbiter"
-	"github.com/rocosim/roco/internal/fault"
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/routing"
@@ -58,7 +57,9 @@ func groupFor(q routing.Quadrant, from topology.Direction) int {
 // Router is the Path-Sensitive baseline: the shared chassis plus the
 // chained two-stage allocation of the decomposed crossbar. Every link
 // addresses the router-wide channel namespace (any arriving link can feed
-// any quadrant set).
+// any quadrant set). Like the generic router it has no independent
+// modules to degrade into, so any fault blocks the whole node (paper
+// Section 5.4 treats both baselines this way): the chassis's ApplyFault.
 type Router struct {
 	router.Chassis
 
@@ -85,11 +86,6 @@ func New(id int, engine *router.RouteEngine) *Router {
 	r.Candidates = r.candidates
 	return r
 }
-
-// ApplyFault blocks the entire node: like the generic router, the
-// path-sensitive design has no independent modules to degrade into (paper
-// Section 5.4 treats both baselines this way).
-func (r *Router) ApplyFault(fault.Fault) { r.Kill() }
 
 // packetQuadrant returns the path set a packet travels in: the quadrant of
 // its destination relative to its source, fixed for the whole journey.

@@ -12,9 +12,13 @@ import (
 	"github.com/rocosim/roco/internal/topology"
 )
 
+// testEngine is a standalone engine over an 8x8 mesh.
+func testEngine(alg routing.Algorithm) *router.RouteEngine {
+	return router.NewRouteEngine(topology.NewMesh(8, 8), alg, nil)
+}
+
 func newTestRouter(alg routing.Algorithm) *Router {
-	engine := router.NewRouteEngine(topology.NewMesh(8, 8), alg, nil)
-	return New(9, engine) // (1,1)
+	return New(9, testEngine(alg)) // (1,1)
 }
 
 func TestGroupForCoversAllArrivals(t *testing.T) {
@@ -53,7 +57,6 @@ func TestAnyFaultBlocksNode(t *testing.T) {
 
 func TestInjectionUsesDedicatedGroup(t *testing.T) {
 	r := newTestRouter(routing.XY)
-	r.SetSink(func(*flit.Flit, int64) {})
 	head := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 9, Dst: 27, Flits: 1}, nil)[0] // 27=(3,3): NE of (1,1)
 	head.OutPort = topology.East
 	if !r.TryInject(head, 0) {
@@ -67,9 +70,10 @@ func TestInjectionUsesDedicatedGroup(t *testing.T) {
 }
 
 func TestLoopbackInjection(t *testing.T) {
-	r := newTestRouter(routing.XY)
 	n := 0
-	r.SetSink(func(*flit.Flit, int64) { n++ })
+	engine := testEngine(routing.XY)
+	engine.Deliver = func(int, *flit.Flit, int64) { n++ }
+	r := New(9, engine)
 	fl := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 9, Dst: 9, Flits: 4}, nil)
 	for _, f := range fl {
 		f.OutPort = topology.Local
@@ -87,7 +91,6 @@ func TestLoopbackInjection(t *testing.T) {
 // packet's remaining flits straight back to the PE.
 func TestLoopbackSnapshotResumes(t *testing.T) {
 	r := newTestRouter(routing.XY)
-	r.SetSink(func(*flit.Flit, int64) {})
 	fl := flit.AppendSegment(nil, flit.Packet{ID: 1, Src: 9, Dst: 9, Flits: 4}, nil)
 	fl[0].OutPort = topology.Local
 	if !r.TryInject(fl[0], 0) {
@@ -103,13 +106,14 @@ func TestLoopbackSnapshotResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := newTestRouter(routing.XY)
+	n := 0
+	engine := testEngine(routing.XY)
+	engine.Deliver = func(int, *flit.Flit, int64) { n++ }
+	resumed := New(9, engine)
 	resumed.State(d.Stream(), &flit.Codec{})
 	if d.Err() != nil {
 		t.Fatalf("mid-loopback snapshot refused: %v", d.Err())
 	}
-	n := 0
-	resumed.SetSink(func(*flit.Flit, int64) { n++ })
 	for _, f := range fl[1:] {
 		if !resumed.TryInject(f, 1) {
 			t.Fatal("resumed router rejected a loopback flit")

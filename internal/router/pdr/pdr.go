@@ -22,7 +22,6 @@ import (
 	"math/bits"
 
 	"github.com/rocosim/roco/internal/arbiter"
-	"github.com/rocosim/roco/internal/fault"
 	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/routing"
@@ -73,7 +72,9 @@ func arrivalPort(from topology.Direction) int {
 
 // Router is the PDR baseline-extension router: the shared chassis, with
 // the internal X-to-Y transfer as its chained second crossbar stage, plus
-// the two modules' separable allocators.
+// the two modules' separable allocators. The modules are intertwined (the
+// Y-module depends on the X-module for injection, transfer and ejection),
+// so any fault blocks the whole node: the chassis's ApplyFault.
 type Router struct {
 	router.Chassis
 
@@ -126,11 +127,6 @@ func New(id int, engine *router.RouteEngine) *Router {
 	r.Candidates = r.candidates
 	return r
 }
-
-// ApplyFault blocks the entire node: the PDR modules are intertwined (the
-// Y-module depends on the X-module for injection, transfer and ejection),
-// so there is no graceful degradation to fall back to.
-func (r *Router) ApplyFault(fault.Fault) { r.Kill() }
 
 // TryInject offers the next flit of the PE's current packet. All injection
 // enters through the X-module's PE port (dimension order starts in X).

@@ -83,42 +83,30 @@ type StallSource interface {
 // packet stop being forwarded anywhere the cycle after it enters the
 // broken set, so on 1-cycle links the last straggler arrives within two
 // cycles; four gives margin while keeping recovery prompt. Multi-cycle
-// die-to-die links stretch the straggler horizon — the network raises the
-// effective age through SetReapHorizon, and every drained straggler
-// restarts the clock (noteStragglerDrain), so a state is only reaped once
-// no flit of its packet can still be in transit.
+// die-to-die links stretch the straggler horizon — the engine's
+// MaxLinkDelay raises the effective age (a serialized boundary link spaces
+// a broken packet's stragglers up to that far apart, at the crossing and
+// at every hop downstream of it), and every drained straggler restarts the
+// clock (noteStragglerDrain), so a state is only reaped once no flit of
+// its packet can still be in transit. Reaping earlier would let a
+// straggler land in an idle — or worse, a reclaimed — channel.
 const orphanAge = 4
 
-// SetDropSink installs the network's drop-accounting callback.
-func (c *Chassis) SetDropSink(s DropSink) { c.dropSink = s }
-
-// SetBroken shares the network-wide broken-packet registry.
-func (c *Chassis) SetBroken(b *BrokenSet) { c.broken = b }
-
 // isBroken reports whether the packet is registered as broken.
-func (c *Chassis) isBroken(id uint64) bool {
-	return c.broken != nil && c.broken.Contains(id)
-}
+func (c *Chassis) isBroken(id uint64) bool { return c.broken.Contains(id) }
 
 // NoteFault latches the shared registry's faulty flag; every fault
-// reaction calls it so the recovery scans arm even when a test installs a
-// fault directly instead of through the network.
-func (c *Chassis) NoteFault() {
-	if c.broken != nil {
-		c.broken.MarkFaulty()
-	}
-}
+// reaction (ApplyFault, Kill, SeverPort) calls it, which arms the
+// recovery scans network-wide.
+func (c *Chassis) NoteFault() { c.broken.MarkFaulty() }
 
 // quiet reports that the recovery scans can be skipped this tick: no fault
 // was ever installed and no packet ever broke, so sweeping, the doomed
 // drain and reaping are all provably no-ops. Every path that dooms or
 // condemns a channel first either breaks a packet or installs a fault
 // (CanServe only denies service on a faulted node), so a quiet network
-// cannot hold recovery work. A router without the shared registry
-// (standalone unit tests) always runs the scans.
-func (c *Chassis) quiet() bool {
-	return c.broken != nil && c.broken.Quiet()
-}
+// cannot hold recovery work.
+func (c *Chassis) quiet() bool { return c.broken.Quiet() }
 
 // SeverPort cuts the router's port d permanently (a die-to-die interface
 // fault). Resident front packets already routed through d are doomed on
@@ -161,9 +149,7 @@ func (c *Chassis) dropFlit(f *flit.Flit, cycle int64, reason trace.DropReason) {
 	if f.Rec != nil && f.Type.IsHead() {
 		f.Rec.Drop(c.Node, cycle, reason)
 	}
-	if c.dropSink != nil {
-		c.dropSink(f, cycle, reason)
-	}
+	c.drop(c.Node, f, cycle, reason)
 }
 
 // BufferedFlits counts the flits buffered across all channels.
@@ -307,19 +293,6 @@ func (c *Chassis) reapOrphans(cycle int64) {
 // of a broken packet drain instead of forwarding), and the clock runs.
 func (c *Chassis) feederBusy(d topology.Direction, pkt uint64) bool {
 	return d.IsCardinal() && c.in[d] != nil && c.in[d].Flit.Carries(pkt)
-}
-
-// SetReapHorizon stretches the orphan-reap age for networks whose links can
-// hold flits in transit longer than the on-die single cycle: maxLinkDelay
-// is the slowest link's per-flit horizon (the larger of its latency and its
-// serialization gap). Reaping a front state while a flit of its packet can
-// still arrive would let a straggler land in an idle — or worse, a
-// reclaimed — channel, so the age must exceed the longest lawful quiet
-// interval between straggler deliveries.
-func (c *Chassis) SetReapHorizon(maxLinkDelay int64) {
-	if age := orphanAge + maxLinkDelay; age > c.reapAge {
-		c.reapAge = age
-	}
 }
 
 // noteStragglerDrain restarts vc's orphan clock: a flit of its doomed

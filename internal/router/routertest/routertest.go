@@ -11,6 +11,7 @@ import (
 	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/topology"
+	"github.com/rocosim/roco/internal/trace"
 )
 
 // Harness is a w x h mesh of routers of type R, ticked by hand.
@@ -18,8 +19,9 @@ type Harness[R router.Router] struct {
 	Topo    *topology.Grid
 	Engine  *router.RouteEngine
 	Routers []R
-	// Sunk collects every flit delivered to a PE, in delivery order.
-	Sunk []*flit.Flit
+	// Sunk collects every flit delivered to a PE, in delivery order, and
+	// Dropped every flit a router discarded.
+	Sunk, Dropped []*flit.Flit
 	// Cycle is the next cycle Step runs.
 	Cycle int64
 
@@ -27,13 +29,17 @@ type Harness[R router.Router] struct {
 }
 
 // New builds a w x h mesh of routers made by build, routed by alg, with
-// every link wired and every PE's deliveries collected in Sunk.
+// every link wired, every PE's deliveries collected in Sunk and every
+// drop in Dropped. The routers share the engine's fresh broken-packet
+// registry.
 func New[R router.Router](t testing.TB, w, h int, alg routing.Algorithm, build func(int, *router.RouteEngine) R) *Harness[R] {
 	t.Helper()
 	hn := &Harness[R]{Topo: topology.NewMesh(w, h)}
 	hn.Routers = make([]R, hn.Topo.Nodes())
 	hn.out = make([][4]*router.Conn, hn.Topo.Nodes())
 	hn.Engine = router.NewRouteEngine(hn.Topo, alg, func(id int) router.Router { return hn.Routers[id] })
+	hn.Engine.Deliver = func(_ int, f *flit.Flit, _ int64) { hn.Sunk = append(hn.Sunk, f) }
+	hn.Engine.Drop = func(_ int, f *flit.Flit, _ int64, _ trace.DropReason) { hn.Dropped = append(hn.Dropped, f) }
 	for id := range hn.Routers {
 		hn.Routers[id] = build(id, hn.Engine)
 	}
@@ -45,16 +51,9 @@ func New[R router.Router](t testing.TB, w, h int, alg routing.Algorithm, build f
 			}
 			conn := &router.Conn{}
 			hn.out[id][d] = conn
-			down := hn.Routers[nb]
-			depths := make([]int, down.NumInputVCs(d.Opposite()))
-			for vc := range depths {
-				depths[vc] = down.InputVCDepth(d.Opposite(), vc)
-			}
-			r.AttachOutput(d, conn, depths)
-			r.SetNeighbor(d, down)
-			down.AttachInput(d.Opposite(), conn)
+			r.AttachOutput(d, conn)
+			hn.Routers[nb].AttachInput(d.Opposite(), conn)
 		}
-		r.SetSink(func(f *flit.Flit, cycle int64) { hn.Sunk = append(hn.Sunk, f) })
 	}
 	return hn
 }

@@ -3,32 +3,23 @@ package router_test
 import (
 	"testing"
 
-	"github.com/rocosim/roco/internal/flit"
 	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/router/generic"
 	"github.com/rocosim/roco/internal/router/routertest"
 	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/topology"
-	"github.com/rocosim/roco/internal/trace"
 )
 
-// writeRig is a 3x2 mesh of generic routers sharing one broken-packet
-// registry, with every drop counted. The tests send their packets along
-// the row of nodes 0, 1 and 2.
+// writeRig is a 3x2 mesh of generic routers sharing the engine's
+// broken-packet registry, with every drop collected. The tests send their
+// packets along the row of nodes 0, 1 and 2.
 type writeRig struct {
 	*routertest.Harness[*generic.Router]
-	broken *router.BrokenSet
-	drops  int
 }
 
 func newWriteRig(t *testing.T) *writeRig {
 	t.Helper()
-	w := &writeRig{Harness: routertest.New(t, 3, 2, routing.XY, generic.New), broken: router.NewBrokenSet()}
-	for _, r := range w.Routers {
-		r.SetBroken(w.broken)
-		r.SetDropSink(func(*flit.Flit, int64, trace.DropReason) { w.drops++ })
-	}
-	return w
+	return &writeRig{Harness: routertest.New(t, 3, 2, routing.XY, generic.New)}
 }
 
 // inject offers a flits-long packet from node 0 to node 2 and fails unless
@@ -104,17 +95,17 @@ func TestWriteMaskDoomedDrain(t *testing.T) {
 		}
 		w.step(t)
 	}
-	w.broken.Add(id, w.Cycle)
+	w.Engine.Broken.Add(id, w.Cycle)
 	drained := false
-	for i := 0; i < 50 && w.drops < 4; i++ {
-		before := w.drops
+	for i := 0; i < 50 && len(w.Dropped) < 4; i++ {
+		before := len(w.Dropped)
 		m := w.step(t)
-		if w.drops > before && m[1] == westCredit && w.Routers[1].BufferedFlits() == 0 {
+		if len(w.Dropped) > before && m[1] == westCredit && w.Routers[1].BufferedFlits() == 0 {
 			drained = true
 		}
 	}
-	if w.drops != 4 || len(w.Sunk) != 0 {
-		t.Fatalf("%d drops and %d deliveries, want 4 and 0", w.drops, len(w.Sunk))
+	if len(w.Dropped) != 4 || len(w.Sunk) != 0 {
+		t.Fatalf("%d drops and %d deliveries, want 4 and 0", len(w.Dropped), len(w.Sunk))
 	}
 	if !drained {
 		t.Fatal("router 1 never drained its fragment with a credit west")
@@ -134,16 +125,16 @@ func TestWriteMaskDeadNodeDrain(t *testing.T) {
 		w.step(t)
 	}
 	w.Routers[1].Kill()
-	for i := 0; i < 50 && w.drops < 4; i++ {
-		before := w.drops
-		if m := w.step(t); w.drops != before+1 || m[1] != westCredit {
-			t.Fatalf("dead tick %d: %d drops, router 1 wrote %08b; want one drop and a credit west", i, w.drops-before, m[1])
+	for i := 0; i < 50 && len(w.Dropped) < 4; i++ {
+		before := len(w.Dropped)
+		if m := w.step(t); len(w.Dropped) != before+1 || m[1] != westCredit {
+			t.Fatalf("dead tick %d: %d drops, router 1 wrote %08b; want one drop and a credit west", i, len(w.Dropped)-before, m[1])
 		}
 		if !w.Out(0, topology.East).Flit.Readable() {
 			break
 		}
 	}
-	if w.drops != 4 || len(w.Sunk) != 0 {
-		t.Fatalf("%d drops and %d deliveries, want 4 and 0", w.drops, len(w.Sunk))
+	if len(w.Dropped) != 4 || len(w.Sunk) != 0 {
+		t.Fatalf("%d drops and %d deliveries, want 4 and 0", len(w.Dropped), len(w.Sunk))
 	}
 }

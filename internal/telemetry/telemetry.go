@@ -30,20 +30,17 @@ import (
 	"github.com/rocosim/roco/internal/routing"
 )
 
-// DefaultCapacity is the epoch-ring size when Config.Capacity is zero:
-// enough history for a long run at coarse epochs while bounding memory
-// (a 64-node epoch record is ~12 KB).
-const DefaultCapacity = 512
+// Capacity is the epoch-ring size: enough history for a long run at
+// coarse epochs while bounding memory (a 64-node epoch record is ~12 KB).
+// When the ring is full the oldest epoch is evicted; cumulative totals
+// survive eviction.
+const Capacity = 512
 
 // Config sizes a collector.
 type Config struct {
 	// Every is the epoch length in cycles (must be > 0; the network
 	// simply builds no collector when telemetry is off).
 	Every int64
-	// Capacity bounds the ring in epochs (0 selects DefaultCapacity).
-	// When the ring is full the oldest epoch is evicted; cumulative
-	// totals survive eviction.
-	Capacity int
 	// Nodes is the router count.
 	Nodes int
 	// Links[i] is node i's live outgoing link count, the denominator of
@@ -218,12 +215,9 @@ func New(cfg Config) *Collector {
 	if len(cfg.Links) != cfg.Nodes {
 		panic("telemetry: Links must have one entry per node")
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
 	c := &Collector{
 		cfg:     cfg,
-		ring:    make([]Epoch, cfg.Capacity),
+		ring:    make([]Epoch, Capacity),
 		prevAct: make([]router.Activity, cfg.Nodes),
 	}
 	for i := range c.ring {

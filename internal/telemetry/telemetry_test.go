@@ -35,17 +35,16 @@ func (f *fakeRouter) VCOccupancy(per *[routing.NumClasses]int32) int {
 }
 
 // testCollector builds a collector over n fake routers with 2 links each.
-func testCollector(n, capacity int) (*Collector, []*fakeRouter, []router.Router) {
+func testCollector(n int) (*Collector, []*fakeRouter, []router.Router) {
 	links := make([]int, n)
 	for i := range links {
 		links[i] = 2
 	}
 	c := New(Config{
-		Every:    100,
-		Capacity: capacity,
-		Nodes:    n,
-		Links:    links,
-		Profile:  power.NewProfile(power.RoCoStructure()),
+		Every:   100,
+		Nodes:   n,
+		Links:   links,
+		Profile: power.NewProfile(power.RoCoStructure()),
 	})
 	fakes := make([]*fakeRouter, n)
 	routers := make([]router.Router, n)
@@ -57,7 +56,7 @@ func testCollector(n, capacity int) (*Collector, []*fakeRouter, []router.Router)
 }
 
 func TestSampleDeltasAndTotals(t *testing.T) {
-	c, fakes, routers := testCollector(2, 8)
+	c, fakes, routers := testCollector(2)
 
 	fakes[0].act.LinkFlits = 10
 	fakes[0].act.SAGrants = 7
@@ -114,25 +113,26 @@ func TestSampleDeltasAndTotals(t *testing.T) {
 }
 
 func TestRingEvictionPreservesTotals(t *testing.T) {
-	c, fakes, routers := testCollector(1, 2)
-	for i := int64(1); i <= 5; i++ {
+	c, fakes, routers := testCollector(1)
+	const epochs = Capacity + 3
+	for i := int64(1); i <= epochs; i++ {
 		fakes[0].act.LinkFlits = 10 * i
 		c.Sample(100*i, routers, NetSample{GenFlits: i})
 	}
 	s := c.Snapshot()
-	if len(s.Epochs) != 2 || s.Evicted != 3 {
-		t.Fatalf("got %d retained, %d evicted, want 2, 3", len(s.Epochs), s.Evicted)
+	if len(s.Epochs) != Capacity || s.Evicted != 3 {
+		t.Fatalf("got %d retained, %d evicted, want %d, 3", len(s.Epochs), s.Evicted, Capacity)
 	}
-	if s.Epochs[0].Index != 3 || s.Epochs[1].Index != 4 {
-		t.Fatalf("retained wrong epochs: %d, %d", s.Epochs[0].Index, s.Epochs[1].Index)
+	if first, last := s.Epochs[0].Index, s.Epochs[Capacity-1].Index; first != 3 || last != epochs-1 {
+		t.Fatalf("retained wrong epochs: %d to %d", first, last)
 	}
-	if s.Totals.Epochs != 5 || s.Totals.Cycles != 500 || s.Totals.LinkFlits != 50 || s.Totals.Generated != 5 {
+	if s.Totals.Epochs != epochs || s.Totals.Cycles != 100*epochs || s.Totals.LinkFlits != 10*epochs || s.Totals.Generated != epochs {
 		t.Fatalf("totals must survive eviction: %+v", s.Totals)
 	}
 }
 
 func TestSampleIdempotentAtSameCycle(t *testing.T) {
-	c, _, routers := testCollector(1, 4)
+	c, _, routers := testCollector(1)
 	c.Sample(100, routers, NetSample{})
 	c.Sample(100, routers, NetSample{}) // no elapsed cycles: must be a no-op
 	c.Sample(90, routers, NetSample{})  // never goes backwards either
@@ -142,9 +142,10 @@ func TestSampleIdempotentAtSameCycle(t *testing.T) {
 }
 
 func TestSampleDoesNotAllocate(t *testing.T) {
-	c, fakes, routers := testCollector(16, 4)
+	c, fakes, routers := testCollector(16)
 	cycle := int64(0)
-	allocs := testing.AllocsPerRun(100, func() {
+	// Twice the ring's size: the later half of the samples evict.
+	allocs := testing.AllocsPerRun(2*Capacity, func() {
 		cycle += 100
 		fakes[3].act.LinkFlits += 17
 		c.Sample(cycle, routers, NetSample{GenFlits: cycle})
@@ -155,7 +156,7 @@ func TestSampleDoesNotAllocate(t *testing.T) {
 }
 
 func TestMetricsHandler(t *testing.T) {
-	c, fakes, routers := testCollector(2, 4)
+	c, fakes, routers := testCollector(2)
 	fakes[0].act.LinkFlits = 12
 	fakes[0].act.EarlyEjections = 2
 	fakes[0].act.Ejections = 2
@@ -223,7 +224,7 @@ func TestMetricsHandler(t *testing.T) {
 }
 
 func TestMetricsBeforeFirstEpoch(t *testing.T) {
-	c, _, _ := testCollector(1, 4)
+	c, _, _ := testCollector(1)
 	srv := httptest.NewServer(Metrics(c))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)

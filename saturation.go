@@ -57,16 +57,22 @@ type SaturationStudy struct {
 }
 
 // RunSaturationStudy runs FindSaturation for the paper's three routers
-// and lists the results in router order. The searches are independent,
-// so they share the Options worker budget: at most Workers run at a time
-// (fewer when Shards spreads each run over several workers), each probing
-// its rates one after another.
-func RunSaturationStudy(opts Options, alg Algorithm) SaturationStudy {
-	study := SaturationStudy{Algorithm: alg, Results: make([]SaturationResult, len(RouterKinds))}
-	forEach(len(RouterKinds), opts.effectiveWorkers()/max(opts.Shards, 1), func(i int) {
-		study.Results[i] = FindSaturation(opts, RouterKinds[i], alg)
+// under each algorithm in algs and returns one study per algorithm, in
+// algs' order, each listing its results in router order. The searches are
+// independent, so all of them share one pool within the Options worker
+// budget: at most Workers run at a time (fewer when Shards spreads each
+// run over several workers), each probing its rates one after another.
+func RunSaturationStudy(opts Options, algs ...Algorithm) []SaturationStudy {
+	studies := make([]SaturationStudy, len(algs))
+	for i, alg := range algs {
+		studies[i] = SaturationStudy{Algorithm: alg, Results: make([]SaturationResult, len(RouterKinds))}
+	}
+	kinds := len(RouterKinds)
+	forEach(len(algs)*kinds, opts.effectiveWorkers()/max(opts.Shards, 1), func(i int) {
+		s := &studies[i/kinds]
+		s.Results[i%kinds] = FindSaturation(opts, RouterKinds[i%kinds], s.Algorithm)
 	})
-	return study
+	return studies
 }
 
 // Render writes the study as a table.

@@ -22,7 +22,7 @@ func TestFindSaturation(t *testing.T) {
 func TestSaturationStudyRender(t *testing.T) {
 	opts := QuickOptions()
 	opts.Measure = 1500
-	study := RunSaturationStudy(opts, XY)
+	study := RunSaturationStudy(opts, XY)[0]
 	if len(study.Results) != 3 {
 		t.Fatalf("got %d results", len(study.Results))
 	}
@@ -33,22 +33,27 @@ func TestSaturationStudyRender(t *testing.T) {
 	}
 }
 
-// TestSaturationStudyWorkers: the three searches run in parallel within
-// the worker budget, and the study lists the same results, in router
-// order, as a serial run.
+// TestSaturationStudyWorkers: the searches of two algorithms run in one
+// pool within the worker budget, and the studies list the same results,
+// in algorithm and router order, as a serial run.
 func TestSaturationStudyWorkers(t *testing.T) {
 	opts := QuickOptions()
 	opts.Warmup, opts.Measure = 100, 600
 	opts.Workers = 1
-	serial := RunSaturationStudy(opts, XY)
+	serial := RunSaturationStudy(opts, XY, XYYX)
 	opts.Workers = 3
-	parallel := RunSaturationStudy(opts, XY)
+	parallel := RunSaturationStudy(opts, XY, XYYX)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("3 workers gave %+v, serial %+v", parallel, serial)
 	}
-	for i, r := range parallel.Results {
-		if r.Router != RouterKinds[i] {
-			t.Fatalf("result %d is %v, want %v", i, r.Router, RouterKinds[i])
+	for i, s := range parallel {
+		if want := []Algorithm{XY, XYYX}[i]; s.Algorithm != want {
+			t.Fatalf("study %d is %v, want %v", i, s.Algorithm, want)
+		}
+		for j, r := range s.Results {
+			if r.Router != RouterKinds[j] {
+				t.Fatalf("%v result %d is %v, want %v", s.Algorithm, j, r.Router, RouterKinds[j])
+			}
 		}
 	}
 }
