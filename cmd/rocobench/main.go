@@ -122,6 +122,10 @@ func main() {
 		d2dGap   = flag.Int("d2d-gap", 0, "cycles between flits entering a die-to-die link (0 = class default)")
 	)
 	flag.Parse()
+	if *mcSamples < 1 {
+		fmt.Fprintf(os.Stderr, "rocobench: -mc %d: need at least one Monte-Carlo sample\n", *mcSamples)
+		os.Exit(1)
+	}
 
 	reference := false
 	switch strings.ToLower(*kernel) {

@@ -96,6 +96,16 @@ func main() {
 	if *width < 1 || *height < 1 {
 		fatalf("mesh %dx%d: -width and -height must be positive", *width, *height)
 	}
+	// Values that would silently change the run: Config defaults zero
+	// -flits to 4, and the run loops skip a negative schedule or period.
+	switch {
+	case *flits < 1:
+		fatalf("-flits %d: must be positive", *flits)
+	case !(*faultRate >= 0) || *faultHor < 0:
+		fatalf("-fault-rate %v, -fault-horizon %d: must be non-negative", *faultRate, *faultHor)
+	case *ckptEvery < 0:
+		fatalf("-checkpoint-every %d: must be non-negative", *ckptEvery)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -39,8 +39,8 @@ type Options struct {
 	// is shared: with Shards=4 and Workers=8, two configurations run
 	// concurrently, each on four shard workers.
 	Shards int
-	// ReferenceKernel runs every simulation on the ungated cycle loop
-	// instead of the activity-gated kernel (see Config.ReferenceKernel).
+	// ReferenceKernel runs every simulation on the ungated oracle instead
+	// of the activity-gated kernel (see Config.ReferenceKernel).
 	ReferenceKernel bool
 	// Reliable arms the end-to-end reliable-delivery protocol in the
 	// experiments that inject faults into live traffic (currently the
@@ -179,10 +179,12 @@ func (o Options) baseConfig(k RouterKind, alg Algorithm, tp TrafficPattern, rate
 }
 
 // Validate checks the configuration every experiment point shares (grid,
-// run length, shards, chiplet knobs); the drivers panic on an invalid
-// one, like Run.
+// run length, shards, worker budget, chiplet knobs); the drivers panic on
+// an invalid one, like Run.
 func (o Options) Validate() error {
-	return o.baseConfig(RoCo, XY, Uniform, 0).Validate()
+	cfg := o.baseConfig(RoCo, XY, Uniform, 0)
+	cfg.Workers = o.Workers // the budget has Config.Workers' range
+	return cfg.Validate()
 }
 
 // sweep runs n points for each paper router, all through one runAll, and

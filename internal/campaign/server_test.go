@@ -226,6 +226,7 @@ func TestServerErrors(t *testing.T) {
 		{"{not json", http.StatusBadRequest},
 		{`{"config": {"Router": "warp-drive"}}`, http.StatusBadRequest},
 		{`{"config": {"Width": 4, "Height": 4, "InjectionRate": -2}}`, http.StatusBadRequest},
+		{`{"config": {"InactivityLimit": -1}}`, http.StatusBadRequest},
 		{`{"config": {}, "unknown_field": 1}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {

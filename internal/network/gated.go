@@ -1,10 +1,11 @@
 // Activity-gated kernel: the software analog of the paper's clock gating,
-// and the default cycle loop. Only routers in the active set tick; a
-// ticked router that ends the cycle idle falls out of the set, and
-// sleepers are woken by staged link/credit traffic, accepted injections,
-// retransmission launches and fault installation. Only pipes with staged
-// traffic advance, and per-cycle work follows the traffic: nothing scans
-// the idle routers, the idle links or the PEs without a backlog.
+// and the default kernel of Network.Step. Only routers in the active set
+// tick; a ticked router that ends the cycle idle falls out of the set,
+// and sleepers are woken by staged link/credit traffic, accepted
+// injections, retransmission launches and fault installation. Only pipes
+// with staged traffic advance, and per-cycle work follows the traffic:
+// nothing scans the idle routers, the idle links or the PEs without a
+// backlog.
 //
 // The active sets are uint64 bitsets and channels are slab-allocated with
 // lazy buffer backing. The per-color tick scan is a word-wise sweep of
@@ -16,13 +17,13 @@
 // only those notes: it keeps busy routers active, advances each written
 // link once, and wakes each written half's reader.
 //
-// Bit-identity with the reference kernel (stepReference) holds because a
-// skipped tick is a pure no-op except for the effects Router.SkipCycles
-// replays at wake-up:
+// The reference kernel runs the same Network.Step through the same sweep
+// with these mechanisms switched off (Step lists its switches), so it is
+// their oracle. Bit-identity with it holds because a skipped tick is a
+// pure no-op except for the effects Router.SkipCycles replays at wake-up:
 //
-//   - The tick order is canonical: within a color phase the bitset sweep
-//     visits ids ascending, which is precisely the order sched[c][s]
-//     lists them in.
+//   - The tick order is shared: both kernels sweep the same color
+//     bitsets in ascending id order; the reference's active set is full.
 //   - The sleep decision is exact: Idle() is "all channels dormant", and
 //     every channel queue/states mutation updates its busy bit inline
 //     (router.VC.syncAlloc); the auditor recomputes the mask from the
@@ -52,14 +53,18 @@ import (
 	"github.com/rocosim/roco/internal/router"
 )
 
-// initGated builds the gated kernel's state after the mesh is wired and
+// initKernel builds the cycle loop's state after the mesh is wired and
 // the schedule built: the per-shard flit pools and tick-note lists, the
-// settle clock, the activity and advance bitsets, the per-color schedule
-// masks, the shard id ranges, and the per-node table of written halves.
-func (n *Network) initGated(nodes int) {
-	n.pools = make([]*flit.Pool, n.shards)
-	for i := range n.pools {
-		n.pools[i] = &flit.Pool{}
+// settle clock, the activity and advance bitsets, the shard id ranges,
+// and the per-node table of written halves.
+func (n *Network) initKernel(nodes int) {
+	// Reference switch: no pools, so flits are freshly allocated and the
+	// graveyard stays empty (checks recycling).
+	if !n.cfg.ReferenceKernel {
+		n.pools = make([]*flit.Pool, n.shards)
+		for i := range n.pools {
+			n.pools[i] = &flit.Pool{}
+		}
 	}
 	n.shardNotes = make([][]tickNote, n.shards)
 	n.lastRun = make([]int64, nodes)
@@ -70,6 +75,11 @@ func (n *Network) initGated(nodes int) {
 	n.activeBits = router.NewBitset(nodes)
 	n.nextActiveBits = router.NewBitset(nodes)
 	n.advancing = router.NewBitset(len(n.conns))
+	// Reference switch: the active set is full from construction and never
+	// swapped, so every router ticks every cycle (checks sleep and wake).
+	if n.cfg.ReferenceKernel {
+		n.activeBits.SetFirst(nodes)
+	}
 
 	// halves[id*8+b] is the link behind bit b of router id's write mask
 	// and the router that reads the half: a flit half's downstream end, a
@@ -80,19 +90,8 @@ func (n *Network) initGated(nodes int) {
 		n.halves[l.down*8+router.CreditHalf+int(l.out.Opposite())] = half{conn: int32(i), reader: int32(l.up)}
 	}
 
-	// colorMask[c] holds every router of color c; shards are contiguous
-	// ascending-id ranges, so masking a color against [shardLo[s],
-	// shardLo[s+1]) reproduces sched[c][s] exactly.
-	n.colorMask = make([]router.Bitset, len(n.sched))
-	for c := range n.sched {
-		m := router.NewBitset(nodes)
-		for s := range n.sched[c] {
-			for _, id := range n.sched[c][s] {
-				m.Set(id)
-			}
-		}
-		n.colorMask[c] = m
-	}
+	// Shards are contiguous ascending-id ranges: shard s holds the ids in
+	// [shardLo[s], shardLo[s+1]).
 	n.shardLo = make([]int, n.shards+1)
 	n.shardLo[n.shards] = nodes
 	for v := nodes - 1; v >= 0; v-- {
@@ -100,44 +99,14 @@ func (n *Network) initGated(nodes int) {
 	}
 }
 
-// gatedKernel reports whether this network runs the activity-gated loop
-// rather than the reference loop.
-func (n *Network) gatedKernel() bool { return n.activeBits != nil }
-
-// wakeNext marks router id active for the next cycle. No-op under the
-// reference kernel.
-func (n *Network) wakeNext(id int) {
-	if n.nextActiveBits != nil {
-		n.nextActiveBits.Set(id)
-	}
-}
-
-// wakeNow marks router id active for the current cycle (fault
-// installation wakes routers mid-Step, before the tick phases).
-func (n *Network) wakeNow(id int) {
-	if n.activeBits != nil {
-		n.activeBits.Set(id)
-	}
-}
-
-// stepActive is the activity-gated cycle loop: faults, generation,
-// retransmission, color-phased ticks of the active routers, injection,
-// the conn wake scan, the active-set swap, graveyard recycling, and the
-// cycle close.
-func (n *Network) stepActive() {
-	n.installDueFaults()
-	n.generate()
-	n.retransmitDue()
-	n.tickColors(n.cycle)
-
-	n.inject()
-
-	// Wake scan over the notes the shard workers took after each tick: a
-	// busy router stays active, and each link half a router wrote wakes
-	// the half's reader for next cycle (a flit the downstream node,
-	// credits the upstream one) and lists its link, once, for the
-	// advance. The order is immaterial (bit sets, independent pipe
-	// advances) but deterministic: shard-major.
+// wakeScan is the gated kernel's link phase. It reads the notes the shard
+// workers took after each tick: a busy router stays active, and each link
+// half a router wrote wakes the half's reader for next cycle (a flit the
+// downstream node, credits the upstream one) and lists its link, once,
+// for the advance. The order is immaterial (bit sets, independent pipe
+// advances) but deterministic: shard-major. It then advances the listed
+// links and the multi-cycle D2D pipes, and swaps the active sets.
+func (n *Network) wakeScan() {
 	for s := range n.shardNotes {
 		notes := n.shardNotes[s]
 		for _, nt := range notes {
@@ -177,17 +146,6 @@ func (n *Network) stepActive() {
 	// Active-set swap: two word-wise array passes.
 	n.activeBits.CopyFrom(n.nextActiveBits)
 	n.nextActiveBits.ClearAll()
-
-	// Recycle the flits that died this cycle into their source shard's
-	// pool. Deferred to here because delivery and drop sinks run mid-cycle
-	// while callers still hold (and in places read) the pointers.
-	for i, f := range n.graveyard {
-		n.pools[n.shardOf[f.Src]].Put(f)
-		n.graveyard[i] = nil
-	}
-	n.graveyard = n.graveyard[:0]
-
-	n.finishCycle()
 }
 
 // advanceLongConns steps every multi-cycle D2D pipe with traffic in
@@ -219,17 +177,17 @@ func (n *Network) advanceLongConns() {
 	n.longActive = n.longActive[:w]
 }
 
-// tickShardActive ticks the active routers of one (color, shard) cell by
+// tickShard ticks the active routers of one (color, shard) cell by
 // sweeping the words of activeBits∧colorMask clipped to the shard's
 // contiguous id range, settling each router's skipped cycles first. Right
 // after each tick, while the router is still in cache, it notes for the
 // wake scan whether the router stays busy and which link halves it wrote;
 // a router that is idle and wrote nothing leaves no note. Set bits come
-// out in ascending id order — exactly the order sched[c][s] lists — so
-// the tick sequence matches the reference kernel's bit for bit. activeBits is read-only during the tick
-// phases (wakes for the next cycle go to nextActiveBits on the
-// coordinator), so concurrent shard sweeps of one color never race.
-func (n *Network) tickShardActive(c, s int, t int64) {
+// out in ascending id order, the canonical schedule's order. activeBits
+// is read-only during the tick phases (wakes for the next cycle go to
+// nextActiveBits on the coordinator), so concurrent shard sweeps of one
+// color never race.
+func (n *Network) tickShard(c, s int, t int64) {
 	lo, hi := n.shardLo[s], n.shardLo[s+1]
 	if lo >= hi {
 		return

@@ -159,6 +159,50 @@ func TestSoAKernelMatchesReferenceAlgorithms(t *testing.T)    { runEquivalence(t
 func TestSoAKernelMatchesReferenceReliable(t *testing.T)      { runEquivalence(t) }
 func TestSoAKernelSharded(t *testing.T)                       { runEquivalence(t) }
 
+// tickCounter wraps a router and counts its Ticks.
+type tickCounter struct {
+	router.Router
+	ticks *int64
+}
+
+func (r tickCounter) Tick(cycle int64) {
+	*r.ticks++
+	r.Router.Tick(cycle)
+}
+
+// TestReferenceKernelTicksEveryRouter pins the oracle's independence.
+// The reference kernel runs the gated kernel's Step, so one misplaced
+// switch would let it sleep and recycle like the gated kernel, and the
+// equivalence suites would then compare the gated kernel with itself.
+// Under ReferenceKernel every router must tick every cycle and no flit
+// pool may exist. The gated run of the same light load must tick fewer
+// times, or the count would check nothing.
+func TestReferenceKernelTicksEveryRouter(t *testing.T) {
+	const cycles = 500
+	run := func(reference bool) (ticks int64, n *Network) {
+		cfg := smokeConfig(routing.XY, traffic.Uniform, 0.02, 1)
+		cfg.ReferenceKernel = reference
+		cfg.Build = func(id int, e *router.RouteEngine) router.Router {
+			return tickCounter{Router: genericBuilder(id, e), ticks: &ticks}
+		}
+		n = New(cfg)
+		for i := 0; i < cycles; i++ {
+			n.Step()
+		}
+		return ticks, n
+	}
+	ref, n := run(true)
+	if want := int64(len(n.routers)) * cycles; ref != want {
+		t.Errorf("reference kernel ticked %d times in %d cycles, want %d: every router every cycle", ref, cycles, want)
+	}
+	if n.pools != nil {
+		t.Error("reference kernel keeps flit pools; its flits must be freshly allocated")
+	}
+	if gated, _ := run(false); gated >= ref {
+		t.Errorf("gated kernel ticked %d times, the reference %d: the light load let no router sleep", gated, ref)
+	}
+}
+
 // TestSoAHotStateMirrorsRouters is the transition-invariant probe behind
 // the gated kernel's sleep decision (the name is kept from the
 // struct-of-arrays mirror the busy masks replaced): at every cycle

@@ -66,10 +66,10 @@ type Config struct {
 	InactivityLimit int64
 	// Seed drives all randomness in the run.
 	Seed uint64
-	// ReferenceKernel selects the ungated cycle loop: every router ticked
-	// and every pipe advanced every cycle, flits freshly allocated. It is
-	// the determinism oracle and benchmark baseline for the activity-gated
-	// kernel (the default, see gated.go); results are bit-identical either
+	// ReferenceKernel selects the ungated oracle of the activity-gated
+	// kernel (the default, see gated.go): the same Step, with the gating
+	// switched off at the switches Step's doc comment lists. It exists
+	// only to check the gated kernel; results are bit-identical either
 	// way.
 	ReferenceKernel bool
 	// Shards partitions the mesh into spatially contiguous shards (by
@@ -332,13 +332,12 @@ type Network struct {
 	nextTelemetry int64
 	tele          *telemetry.Collector
 
-	// Activity-gated kernel state (see gated.go and DESIGN.md "Simulation
-	// kernel"). Unused in ReferenceKernel mode; pools stays nil there so
-	// flits are freshly allocated exactly as the pre-gating kernel did.
-	// activeBits/nextActiveBits are the routers ticking this cycle and the
-	// wakes accumulated for the next; colorMask and shardLo turn the
-	// canonical schedule into word-wise bitset sweeps; halves maps each
-	// bit of a router's write mask to its link and the half's reader.
+	// Cycle-loop state (see gated.go and DESIGN.md "Simulation kernel").
+	// pools stays nil under the reference kernel, so flits are freshly
+	// allocated. activeBits/nextActiveBits are the routers ticking this
+	// cycle and the wakes accumulated for the next; shardLo clips the
+	// color sweeps to each shard; halves maps each bit of a router's write
+	// mask to its link and the half's reader.
 	pools          []*flit.Pool  // per-shard flit free lists
 	graveyard      []*flit.Flit  // flits that died this cycle, recycled at end of Step
 	lastRun        []int64       // last cycle each router ticked; -1 = never
@@ -347,7 +346,6 @@ type Network struct {
 	advancing      router.Bitset // the conns on advance, to list each once
 	activeBits     router.Bitset
 	nextActiveBits router.Bitset
-	colorMask      []router.Bitset
 	shardLo        []int
 	halves         []half // [node*8 + write-mask bit]
 
@@ -356,25 +354,24 @@ type Network struct {
 	// one-shot advance above — its in-transit flits need an Advance every
 	// cycle until delivery — so staged traffic moves it onto longActive,
 	// where it advances each cycle (waking the reader the cycle traffic
-	// lands) until quiescent. The reference kernel advances every conn
-	// anyway.
+	// lands) until quiescent.
 	isLong     []bool
 	longOn     []bool
 	longActive []int
 
 	// Canonical tick schedule and sharding state (see DESIGN.md "Parallel
-	// kernel"). Both kernels tick through sched — colors ascending, router
-	// ids ascending within a color — and both stage delivery/drop events
+	// kernel"). Every kernel sweeps colorMask — colors ascending, router
+	// ids ascending within a color — and stages delivery/drop events
 	// during the tick phases, replaying them at each color barrier in
 	// shard-major (= ascending id) order, so sequential, sharded, and
 	// reference executions are bit-identical.
-	shards   int
-	workers  int
-	sched    [][][]int // [color][shard] -> router ids, ascending
-	shardOf  []int     // node id -> shard
-	sinkBufs [][]sinkEvent
-	staging  bool // tick phases in progress: sinks buffer instead of applying
-	wp       *workerPool
+	shards    int
+	workers   int
+	colorMask []router.Bitset // [color] -> its routers
+	shardOf   []int           // node id -> shard
+	sinkBufs  [][]sinkEvent
+	staging   bool // tick phases in progress: sinks buffer instead of applying
+	wp        *workerPool
 }
 
 // New wires a network per cfg.
@@ -512,7 +509,7 @@ func New(cfg Config) *Network {
 		workers = shards
 	}
 	n.workers = workers
-	n.sched, n.shardOf = buildSchedule(cfg.Topo, shards)
+	n.colorMask, n.shardOf = buildSchedule(cfg.Topo, shards)
 	n.sinkBufs = make([][]sinkEvent, shards)
 
 	// Traffic generators, one independent stream per node.
@@ -542,9 +539,7 @@ func New(cfg Config) *Network {
 		})
 		n.nextTelemetry = cfg.TelemetryEvery
 	}
-	if !cfg.ReferenceKernel {
-		n.initGated(nodes)
-	}
+	n.initKernel(nodes)
 	return n
 }
 
@@ -762,7 +757,7 @@ func (n *Network) inject() {
 			}
 			n.consumeFront(p)
 			// The accepted flit needs the router's allocators next cycle.
-			n.wakeNext(p.id)
+			n.nextActiveBits.Set(p.id)
 		}
 	})
 }
@@ -770,10 +765,9 @@ func (n *Network) inject() {
 // retransmitDue runs the reliability protocol's timers for this cycle:
 // copies a fault provably destroyed are relaunched (with backoff and
 // fault-region rerouting) or terminally given up. It runs at the same
-// point of Step in both kernels — after generation, before router ticks —
-// so gated and reference executions stay bit-identical. Relaunched copies
-// enter the source PE's ordinary backlog: injection itself wakes the
-// source router in the gated kernel, exactly as fresh traffic does.
+// point of Step — after generation, before router ticks. Relaunched
+// copies enter the source PE's ordinary backlog: injection itself wakes
+// the source router, exactly as fresh traffic does.
 func (n *Network) retransmitDue() {
 	if n.rel == nil {
 		return
@@ -806,7 +800,7 @@ func (n *Network) retransmitDue() {
 			n.backlogFlits += int64(fpp)
 			// Wake the source router so the backlogged copy injects
 			// promptly even if the node was asleep.
-			n.wakeNext(e.Src)
+			n.nextActiveBits.Set(e.Src)
 			return id
 		},
 	})
@@ -818,27 +812,53 @@ func (n *Network) retransmitDue() {
 	}
 }
 
-// Step advances the simulation one cycle.
+// Step advances the simulation one cycle. Every kernel runs the same
+// phases in the same order: fault install, generation, retransmission,
+// the color-phased ticks of the active routers (settled first, sinks
+// staged, tick notes taken), injection, the link phase, flit recycling
+// and the cycle close.
+//
+// The reference kernel is the gated kernel's oracle. It differs only at
+// these switches, each keeping it an independent check of one gated
+// mechanism:
+//   - its active set is full from construction and never swapped, so
+//     every router ticks every cycle (checks sleep and wake);
+//   - every link advances every cycle, in place of the wake scan and the
+//     long-pipe list (checks the write masks and the D2D advance list);
+//   - it keeps no flit pools, so flits are freshly allocated and the
+//     graveyard stays empty (checks recycling);
+//   - its routers tick in full through router.RouteEngine.FullTick: no
+//     idle fast path, recovery scans even when quiet, eager channels
+//     (checks the in-tick gates and the lazy channel buffers);
+//   - it always runs on one shard (it is the sequential oracle).
+//
+// Settling is a no-op there, since every router ticked last cycle.
 func (n *Network) Step() {
-	if n.cfg.ReferenceKernel {
-		n.stepReference()
-	} else {
-		n.stepActive()
-	}
-}
-
-// stepReference is the ungated cycle loop: tick every router in canonical
-// color order, advance every pipe. It is the oracle the gated kernel (at
-// any shard count) must match bit for bit.
-func (n *Network) stepReference() {
 	n.installDueFaults()
 	n.generate()
 	n.retransmitDue()
 	n.tickColors(n.cycle)
 	n.inject()
-	for i := range n.conns {
-		n.conns[i].Advance()
+	if n.cfg.ReferenceKernel {
+		// Reference switch: every link advances and the tick notes go
+		// unread (checks the write masks and the D2D advance list).
+		for s := range n.shardNotes {
+			n.shardNotes[s] = n.shardNotes[s][:0]
+		}
+		for i := range n.conns {
+			n.conns[i].Advance()
+		}
+	} else {
+		n.wakeScan()
 	}
+	// Recycle the flits that died this cycle into their source shard's
+	// pool. Deferred to here because delivery and drop sinks run mid-cycle
+	// while callers still hold (and in places read) the pointers.
+	for i, f := range n.graveyard {
+		n.pools[n.shardOf[f.Src]].Put(f)
+		n.graveyard[i] = nil
+	}
+	n.graveyard = n.graveyard[:0]
 	n.finishCycle()
 }
 
@@ -936,20 +956,18 @@ func (n *Network) strike(flt fault.Fault, targets []int) {
 func (n *Network) installDueFaults() {
 	for _, ev := range n.schedule.Due(n.cycle) {
 		targets := n.faultTargets(ev.Fault)
-		if n.gatedKernel() {
-			// Replay the sleep of each struck router, and of each upstream
-			// neighbor whose credit book propagateHandshake is about to
-			// mutate, under pre-fault rules; then wake them for this very
-			// cycle so reactions are not delayed. Both calls are
-			// idempotent, so a router reached twice settles once.
-			for _, id := range targets {
-				n.settleTo(id, n.cycle-1)
-				n.wakeNow(id)
-				for _, d := range topology.CardinalDirections {
-					if up, ok := n.topo.Neighbor(id, d); ok {
-						n.settleTo(up, n.cycle-1)
-						n.wakeNow(up)
-					}
+		// Replay the sleep of each struck router, and of each upstream
+		// neighbor whose credit book propagateHandshake is about to
+		// mutate, under pre-fault rules; then wake them for this very
+		// cycle so reactions are not delayed. Both calls are idempotent,
+		// so a router reached twice settles once.
+		for _, id := range targets {
+			n.settleTo(id, n.cycle-1)
+			n.activeBits.Set(id)
+			for _, d := range topology.CardinalDirections {
+				if up, ok := n.topo.Neighbor(id, d); ok {
+					n.settleTo(up, n.cycle-1)
+					n.activeBits.Set(up)
 				}
 			}
 		}

@@ -17,15 +17,15 @@
 //
 // The schedule makes that executable: a deterministic greedy coloring of
 // the distance-<=2 conflict graph partitions the routers into color
-// classes of pairwise distance >= 3, and both kernels (reference, and gated
-// at any shard count) tick colors in ascending order with router
-// ids ascending within a color. Delivery and drop sinks are the one piece
-// of genuinely global state a tick touches (latency accumulators, delivery
-// buckets, the broken-packet registry, the reliability tracker), so during
-// tick phases they stage events into the emitting node's shard buffer and
-// the coordinator replays them at each color barrier in shard-major order
-// — which, because shards are contiguous id ranges, is exactly ascending
-// id within the color. Shards=N is therefore bit-identical to Shards=1,
+// classes of pairwise distance >= 3, one bitset per color, and every
+// kernel (reference, and gated at any shard count) sweeps the colors in
+// ascending order with router ids ascending within a color. Delivery and
+// drop sinks are the one piece of genuinely global state a tick touches
+// (latency accumulators, delivery buckets, the broken-packet registry,
+// the reliability tracker), so during tick phases they stage events into
+// the emitting node's shard buffer and the coordinator replays them at
+// each color barrier in shard-major order — which, because shards are
+// contiguous id ranges, is exactly ascending id within the color. Shards=N is therefore bit-identical to Shards=1,
 // and Workers only decides how many goroutines claim shards inside one
 // color phase.
 package network
@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"github.com/rocosim/roco/internal/flit"
+	"github.com/rocosim/roco/internal/router"
 	"github.com/rocosim/roco/internal/topology"
 	"github.com/rocosim/roco/internal/trace"
 )
@@ -49,11 +50,11 @@ type sinkEvent struct {
 }
 
 // buildSchedule computes the canonical tick schedule for a topology: a
-// greedy coloring (ascending id) of the distance-<=2 conflict graph,
-// bucketed by color and then by shard, plus the node->shard map. Shards
-// are contiguous id ranges of near-equal size, so within a color the
+// greedy coloring (ascending id) of the distance-<=2 conflict graph, as
+// one bitset of routers per color, plus the node->shard map. Shards are
+// contiguous id ranges of near-equal size, so within a color the
 // shard-major traversal visits ids in ascending order.
-func buildSchedule(topo *topology.Grid, shards int) (sched [][][]int, shardOf []int) {
+func buildSchedule(topo *topology.Grid, shards int) (colorMask []router.Bitset, shardOf []int) {
 	nodes := topo.Nodes()
 	colorOf := make([]int, nodes)
 	mark := make([]int, nodes)
@@ -103,19 +104,16 @@ func buildSchedule(topo *topology.Grid, shards int) (sched [][][]int, shardOf []
 		}
 	}
 
+	colorMask = make([]router.Bitset, colors)
+	for c := range colorMask {
+		colorMask[c] = router.NewBitset(nodes)
+	}
 	shardOf = make([]int, nodes)
 	for v := range shardOf {
+		colorMask[colorOf[v]].Set(v)
 		shardOf[v] = v * shards / nodes
 	}
-	sched = make([][][]int, colors)
-	for c := range sched {
-		sched[c] = make([][]int, shards)
-	}
-	for v := 0; v < nodes; v++ {
-		c, s := colorOf[v], shardOf[v]
-		sched[c][s] = append(sched[c][s], v)
-	}
-	return sched, shardOf
+	return colorMask, shardOf
 }
 
 // poolFor returns the shard-local flit pool for packets sourced at node id
@@ -138,30 +136,17 @@ func (n *Network) tickColors(t int64) {
 	if parallel && n.wp == nil {
 		n.startWorkers()
 	}
-	for c := range n.sched {
+	for c := range n.colorMask {
 		if parallel {
 			n.runColorParallel(c, t)
 		} else {
-			for s := range n.sched[c] {
-				n.tickShardColor(c, s, t)
+			for s := 0; s < n.shards; s++ {
+				n.tickShard(c, s, t)
 			}
 		}
 		n.replayStaged()
 	}
 	n.staging = false
-}
-
-// tickShardColor ticks one shard's routers of one color, in ascending id
-// order. The gated kernel ticks only the active ones (tickShardActive);
-// the reference kernel ticks everything.
-func (n *Network) tickShardColor(c, s int, t int64) {
-	if !n.cfg.ReferenceKernel {
-		n.tickShardActive(c, s, t)
-		return
-	}
-	for _, id := range n.sched[c][s] {
-		n.routers[id].Tick(t)
-	}
 }
 
 // sink is every router's delivery sink (the engine's Deliver). During the
@@ -260,13 +245,12 @@ func (n *Network) stopWorkers() {
 // goroutine) into a value the coordinator re-raises.
 func (wp *workerPool) runPhase() (panicked any) {
 	defer func() { panicked = recover() }()
-	shardsOfColor := wp.n.sched[wp.color]
 	for {
 		s := int(wp.next.Add(1)) - 1
-		if s >= len(shardsOfColor) {
+		if s >= wp.n.shards {
 			return nil
 		}
-		wp.n.tickShardColor(wp.color, s, wp.cycle)
+		wp.n.tickShard(wp.color, s, wp.cycle)
 	}
 }
 

@@ -12,11 +12,11 @@
 // every router is settled to cycle-1 (replaying any skipped idle cycles —
 // a behavior-invariant operation, the same one beginMeasurement and
 // collect already perform), so the byte stream never encodes which
-// routers happened to be asleep under which kernel. On load the gated
-// kernel wakes everything for one cycle; ticking an idle router is
-// equivalent to skipping it (the same theorem that makes the gated kernel
-// match the reference), so the resumed run re-converges to the original
-// active set within a cycle while producing identical results.
+// routers happened to be asleep under which kernel. On load the kernel
+// wakes everything for one cycle; ticking an idle router is equivalent to
+// skipping it (the same theorem that makes the gated kernel match the
+// reference), so the resumed run re-converges to the original active set
+// within a cycle while producing identical results.
 package network
 
 import (
@@ -32,12 +32,10 @@ import (
 // the next Step), so the traversal reads quiescent state.
 func (n *Network) SaveState(e *snapshot.Encoder) {
 	n.stopWorkers()
-	if n.lastRun != nil {
-		// Replay outstanding sleep so router state is canonical: identical
-		// bytes regardless of kernel or of which routers were dormant.
-		for id := range n.lastRun {
-			n.settleTo(id, n.cycle-1)
-		}
+	// Replay outstanding sleep so router state is canonical: identical
+	// bytes regardless of kernel or of which routers were dormant.
+	for id := range n.lastRun {
+		n.settleTo(id, n.cycle-1)
 	}
 	if len(n.graveyard) != 0 || len(n.advance) != 0 {
 		panic("network: snapshot taken mid-cycle")
@@ -87,17 +85,15 @@ func (n *Network) LoadState(d *snapshot.Decoder) {
 		return
 	}
 
-	// Wake the gated kernel whole. The snapshot settled every router to
+	// Wake the network whole. The snapshot settled every router to
 	// cycle-1, so lastRun picks up there and the first resumed cycle ticks
 	// everything once; idle routers fall back out of the active set
 	// immediately, re-converging to the original run's set with identical
 	// state (an idle tick and a skipped-then-settled cycle are equivalent).
-	if n.gatedKernel() {
-		n.activeBits.SetFirst(len(n.routers))
-		n.nextActiveBits.ClearAll()
-		for id := range n.lastRun {
-			n.lastRun[id] = n.cycle - 1
-		}
+	n.activeBits.SetFirst(len(n.routers))
+	n.nextActiveBits.ClearAll()
+	for id := range n.lastRun {
+		n.lastRun[id] = n.cycle - 1
 	}
 }
 

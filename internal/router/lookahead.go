@@ -44,11 +44,11 @@ type RouteEngine struct {
 	// orphan-reap age by it (see orphanAge).
 	MaxLinkDelay int64
 	// FullTick selects the reference kernel's routers: Tick runs every
-	// phase even when the router is Idle, so the ungated baseline executes
-	// (and benchmarks) the full tick-everything cost, and NewVC builds
-	// eager standalone channels. Otherwise channels are lazy and
-	// slab-resident in one arena (the gated kernel's memory diet). Results
-	// are identical either way.
+	// phase even when the router is Idle, so the oracle checks the
+	// in-tick gates, and NewVC builds eager standalone channels, so it
+	// checks the lazy ones. Otherwise channels are lazy and slab-resident
+	// in one arena (the gated kernel's memory diet). Results are identical
+	// either way.
 	FullTick bool
 
 	arena VCArena

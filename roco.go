@@ -386,11 +386,11 @@ type Config struct {
 	// allocator with a plain separable output stage — the ablation that
 	// quantifies what the mirror buys. Ignored by the baselines.
 	DisableMirrorSA bool
-	// ReferenceKernel selects the ungated simulation loop (every router
-	// ticked and every pipe advanced every cycle, flits freshly
-	// allocated) instead of the default activity-gated kernel. Results
-	// are bit-identical either way; the reference exists as the
-	// determinism oracle and benchmark baseline.
+	// ReferenceKernel selects the ungated oracle (every router ticked and
+	// every pipe advanced every cycle, flits freshly allocated) instead of
+	// the default activity-gated kernel. Results are bit-identical either
+	// way; the reference exists only to check the gated kernel (DESIGN.md
+	// §4b).
 	ReferenceKernel bool
 	// Shards splits the single run across CPU cores: the mesh is
 	// partitioned into Shards contiguous node ranges that tick in

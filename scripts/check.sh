@@ -179,6 +179,14 @@ rejects 'too small' "$TMP/rocotrace" -telemetry -width 1
 rejects '-node 64' "$TMP/rocotrace" -node 64
 rejects 'unknown format' "$TMP/rocotrace" -telemetry -format xml
 rejects 'too small' "$TMP/rocobench" -exp fig8 -width 1
+# Values that parse but would silently change the run: a negative period
+# or schedule, or a zero that a default would replace.
+rejects 'telemetry interval -1' "$ROCOSIM" -telemetry-every -1
+rejects '-checkpoint-every -5' "$ROCOSIM" -checkpoint-every -5 -checkpoint-dir "$TMP/negckpt"
+rejects '-flits 0' "$ROCOSIM" -flits 0
+rejects '-fault-rate -300' "$ROCOSIM" -fault-rate -300
+rejects '-mc 0' "$TMP/rocobench" -exp table2 -mc 0
+rejects 'worker count -1' "$TMP/rocobench" -workers -1
 # Every rocobench experiment runs at smoke scale: -exp all covers the
 # paper's tables and figures, and each extension runs by name. Each run
 # must exit 0 without a goroutine dump, and the -json files must record

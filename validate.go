@@ -103,8 +103,17 @@ func (c Config) Validate() error {
 		}
 		checkFault("scheduled fault", i, tf.Fault)
 	}
-	if c.AuditEvery < 0 {
-		errs = append(errs, fmt.Errorf("audit interval %d negative", c.AuditEvery))
+	// A negative cycle count is never a default: MaxCycles ends the run at
+	// once, InactivityLimit stops a healthy one, and TelemetryEvery records
+	// nothing yet moves the fingerprint.
+	for _, k := range []struct {
+		what string
+		v    int64
+	}{{"audit interval", c.AuditEvery}, {"max cycles", c.MaxCycles},
+		{"inactivity limit", c.InactivityLimit}, {"telemetry interval", c.TelemetryEvery}} {
+		if k.v < 0 {
+			errs = append(errs, fmt.Errorf("%s %d negative", k.what, k.v))
+		}
 	}
 	if c.Shards < 0 {
 		errs = append(errs, fmt.Errorf("shard count %d negative", c.Shards))

@@ -26,6 +26,9 @@ func TestValidateCatchesMistakes(t *testing.T) {
 		{"bad fault node", Config{InjectionRate: 0.1, Faults: []Fault{{Node: 999}}}, "nonexistent node"},
 		{"bad hotspot", Config{InjectionRate: 0.1, Traffic: Hotspot, HotspotNode: -3}, "hotspot node"},
 		{"NaN hotspot fraction", Config{InjectionRate: 0.1, Traffic: Hotspot, HotspotFraction: math.NaN()}, "hotspot fraction"},
+		{"negative max cycles", Config{InjectionRate: 0.1, MaxCycles: -5}, "max cycles -5"},
+		{"negative inactivity limit", Config{InjectionRate: 0.1, InactivityLimit: -5}, "inactivity limit -5"},
+		{"negative telemetry interval", Config{InjectionRate: 0.1, TelemetryEvery: -5}, "telemetry interval -5"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -56,5 +59,10 @@ func TestOptionsValidate(t *testing.T) {
 	o.Width = 1
 	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "too small") {
 		t.Errorf("1-wide mesh: got %v, want a too-small error", err)
+	}
+	o = DefaultOptions()
+	o.Workers = -2
+	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "worker count -2") {
+		t.Errorf("negative worker budget: got %v, want a worker-count error", err)
 	}
 }
