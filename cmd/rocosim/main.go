@@ -97,10 +97,13 @@ func main() {
 		fatalf("mesh %dx%d: -width and -height must be positive", *width, *height)
 	}
 	// Values that would silently change the run: Config defaults zero
-	// -flits to 4, and the run loops skip a negative schedule or period.
+	// -flits to 4, the run loops skip a negative schedule or period, and a
+	// negative fault count draws no faults at all.
 	switch {
 	case *flits < 1:
 		fatalf("-flits %d: must be positive", *flits)
+	case *faults < 0:
+		fatalf("-faults %d: must be non-negative", *faults)
 	case !(*faultRate >= 0) || *faultHor < 0:
 		fatalf("-fault-rate %v, -fault-horizon %d: must be non-negative", *faultRate, *faultHor)
 	case *ckptEvery < 0:

@@ -112,6 +112,10 @@ func main() {
 	if *window < 1 || *cycles < 1 {
 		fatalf("-window and -cycles must be positive")
 	}
+	// A negated range check, as in Config.Validate, so that NaN fails too.
+	if !(*rate >= 0 && *rate <= 1) {
+		fatalf("-rate %v outside [0,1] flits/node/cycle", *rate)
+	}
 
 	gens := traffic.New(traffic.Config{
 		Pattern:         pattern,

@@ -1,6 +1,7 @@
 package roco
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -179,12 +180,16 @@ func (o Options) baseConfig(k RouterKind, alg Algorithm, tp TrafficPattern, rate
 }
 
 // Validate checks the configuration every experiment point shares (grid,
-// run length, shards, worker budget, chiplet knobs); the drivers panic on
-// an invalid one, like Run.
+// run length, shards, worker budget, chiplet knobs) and the fault trial
+// count; each experiment panics on an invalid point, like Run.
 func (o Options) Validate() error {
 	cfg := o.baseConfig(RoCo, XY, Uniform, 0)
 	cfg.Workers = o.Workers // the budget has Config.Workers' range
-	return cfg.Validate()
+	err := cfg.Validate()
+	if o.FaultTrials < 1 {
+		err = errors.Join(err, fmt.Errorf("fault trials %d below 1", o.FaultTrials))
+	}
+	return err
 }
 
 // sweep runs n points for each paper router, all through one runAll, and

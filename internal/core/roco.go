@@ -78,6 +78,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerSet)
 	r.EarlyEject = true
 	r.Candidates = r.candidates
+	r.Injection = r.injection
 	// Guided flit queuing: a flit lands in the module of its output.
 	for _, d := range topology.CardinalDirections {
 		r.GuideQueue(d, moduleVCMask(ModuleOf(d)))
@@ -176,29 +177,21 @@ func (r *Router) idleRounds(n int64) {
 	}
 }
 
-// TryInject offers the next flit of the PE's current packet. Self-addressed
-// packets are delivered straight back to the PE; a new packet starts in
-// the first free injection channel of its first dimension's class.
-func (r *Router) TryInject(f *flit.Flit, cycle int64) bool {
-	if r.Loopback(f, cycle) {
-		return true
-	}
-	if !f.Type.IsHead() {
-		return r.InjectBody(f, cycle)
-	}
-	if r.InjVC >= 0 {
-		return false
-	}
+// injection is the RoCo injection rule: the in-service channels of the
+// injection class of the packet's first dimension (Injxy, or Injyx when
+// it leaves in Y).
+func (r *Router) injection(head *flit.Flit) uint64 {
 	class := routing.InjectX
-	if f.OutPort.IsY() {
+	if head.OutPort.IsY() {
 		class = routing.InjectY
 	}
+	var m uint64
 	for id, cl := range r.cfg.Class {
-		if cl == class && r.Offline&(1<<uint(id)) == 0 && r.InjectInto(f, id, cycle) {
-			return true
+		if cl == class {
+			m |= 1 << uint(id)
 		}
 	}
-	return false
+	return m &^ r.Offline
 }
 
 // Tick advances the router one cycle. Unlike the baselines it always

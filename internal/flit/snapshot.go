@@ -16,16 +16,12 @@ type Codec struct {
 	// Flit.Rec on load. The trace collector must therefore be loaded
 	// before any flit.
 	Records map[uint64]*trace.Record
-	// Pool supplies structs on load (nil allocates fresh). Freshly
-	// allocated and recycled flits behave identically — every live field
-	// is written below — so the choice never affects results.
-	Pool *Pool
 }
 
-// Flit streams one live flit; loading draws the flit from Pool into *pf.
+// Flit streams one live flit; loading allocates the flit into *pf.
 func (c *Codec) Flit(s *snapshot.Stream, pf **Flit) {
 	if s.Loading() {
-		*pf = c.Pool.Get()
+		*pf = &Flit{}
 	}
 	f := *pf
 	snapshot.Enum(s, &f.Type)

@@ -116,9 +116,8 @@ func (n *Network) state(s *snapshot.Stream) {
 
 	// The trace collector goes first: flits reference its records by
 	// pointer, and the codec relinks them by packet ID on load. Loaded
-	// flits draw from the pool of their owning container's shard; pools
-	// are empty on a fresh network, so Get falls through to plain
-	// allocation either way — the pool choice never affects behavior.
+	// flits are freshly allocated; once they die they recycle into their
+	// source shard's pool, like any other flit.
 	c := &flit.Codec{Records: n.tracer.State(s)}
 	if s.Err() != nil {
 		return

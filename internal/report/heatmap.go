@@ -8,7 +8,7 @@ import (
 
 // Heatmap renders a W x H grid of values as ASCII shades, used for
 // per-node link-utilization maps. Values are normalized to the grid
-// maximum.
+// maximum; negative and NaN values render as the coldest shade.
 type Heatmap struct {
 	Title  string
 	Width  int
@@ -51,13 +51,15 @@ func (h *Heatmap) Render(w io.Writer) {
 			if h.ChipW > 0 && x != 0 && x%h.ChipW == 0 {
 				sb.WriteByte('|')
 			}
-			v := h.Value[y*h.Width+x]
-			idx := 0
-			if max > 0 {
-				idx = int(v / max * float64(len(shades)-1))
-			}
-			if idx >= len(shades) {
+			// Render is total over its input: a cell at or above the
+			// maximum takes the hottest shade, and one at or below zero,
+			// or NaN, the coldest.
+			v, idx := h.Value[y*h.Width+x], 0
+			switch {
+			case max > 0 && v >= max:
 				idx = len(shades) - 1
+			case v > 0:
+				idx = int(v / max * float64(len(shades)-1))
 			}
 			sb.WriteByte(shades[idx])
 			sb.WriteByte(shades[idx]) // double width for square-ish cells

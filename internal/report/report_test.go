@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -84,5 +85,19 @@ func TestTableRenderCSV(t *testing.T) {
 	want := "a,b\n1,\"x,y\"\n"
 	if sb.String() != want {
 		t.Errorf("CSV = %q, want %q", sb.String(), want)
+	}
+}
+
+// TestHeatmapRenderIsTotal: a cell below zero or NaN takes the coldest
+// shade instead of indexing before the shade table, the way a cell at the
+// maximum takes the hottest. Telemetry epochs that span the warm-up
+// boundary can hold negative link-flit deltas next to a positive maximum.
+func TestHeatmapRenderIsTotal(t *testing.T) {
+	h := Heatmap{Width: 4, Height: 1, Value: []float64{-12, math.NaN(), 0.5, 1}}
+	var sb strings.Builder
+	h.Render(&sb)
+	row := strings.SplitN(sb.String(), "\n", 2)[0]
+	if want := "      ==@@"; row != want { // two-space indent, two characters a cell
+		t.Errorf("row = %q, want %q", row, want)
 	}
 }

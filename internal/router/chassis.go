@@ -7,6 +7,7 @@ import (
 	"github.com/rocosim/roco/internal/arbiter"
 	"github.com/rocosim/roco/internal/fault"
 	"github.com/rocosim/roco/internal/flit"
+	"github.com/rocosim/roco/internal/routing"
 	"github.com/rocosim/roco/internal/topology"
 	"github.com/rocosim/roco/internal/trace"
 )
@@ -31,14 +32,15 @@ const loopbackVC = -2
 // Chassis is the wormhole/credit/VC substrate every router kind shares.
 // It owns the channels and their claims, the links, the credit books and
 // the neighbour handshake, fault recovery, the counters, the wait graph,
-// and the tick phases that are the same for every allocation policy:
-// credit return, arrivals, the idle fast path, the recovery scans, the VA
-// prologue and output stage, the SA credit pre-pass and switch traversal.
+// injection from the PE, and the tick phases that are the same for every
+// allocation policy: credit return, arrivals, the idle fast path, the
+// recovery scans, the VA prologue and output stage, the SA credit
+// pre-pass, the separable input and output stages and switch traversal.
 // A router embeds it and keeps only its policy — how links map onto
 // channels, its injection and VC candidate rules, and its switch
-// allocation — calling the phases from its own Tick in a fixed order. The
-// calls are plain method calls on the embedded struct, so the hot loop
-// keeps static dispatch.
+// allocation structure — calling the phases from its own Tick in a fixed
+// order. The calls are plain method calls on the embedded struct, so the
+// hot loop keeps static dispatch.
 type Chassis struct {
 	// Node is the node the router serves; Engine routes its packets.
 	Node   int
@@ -80,6 +82,10 @@ type Chassis struct {
 	// availability check. VA calls the rule directly; WaitEdges reads it
 	// through this field.
 	Candidates func(head *flit.Flit, out, nextOut topology.Direction) uint64
+	// Injection is the policy's injection rule, set by its constructor
+	// beside Candidates: the channels a new packet from the PE may start
+	// in, tried lowest first by TryInject.
+	Injection func(head *flit.Flit) uint64
 	// Act and Cont are the energy model's activity counters and Figure 3's
 	// contention tallies.
 	Act  Activity
@@ -91,6 +97,9 @@ type Chassis struct {
 	in, out  [5]*Conn
 	depth    int // downstream buffer depth the credit books start from
 	fullTick bool
+	// dateline is a bitmask over the cardinal directions whose hop from
+	// this node crosses its dimension's torus dateline (0 on a mesh).
+	dateline uint8
 	// The switch's crossbar inputs each serve group consecutive channels;
 	// inputBit[i] is channel i's input as a one-hot byte.
 	group    int
@@ -158,10 +167,10 @@ func (c *Chassis) TakeWrites() WriteMask {
 // in grantee order; depth is the downstream buffer depth the credit books
 // start from, and group the number of consecutive channels each crossbar
 // input serves. It copies the engine's network-wide context — the sinks,
-// the broken-packet registry, the reap horizon and the full-tick switch —
-// into the chassis, so the router is complete once built. Every link
-// addresses the whole channel list until the policy narrows it
-// (PerPortNamespace, RestrictSide).
+// the broken-packet registry, the reap horizon, the full-tick switch and
+// the node's torus datelines — into the chassis, so the router is complete
+// once built. Every link addresses the whole channel list until the policy
+// narrows it (PerPortNamespace, RestrictSide).
 func (c *Chassis) InitChassis(node int, engine *RouteEngine, vcs []*VC, depth, group int) {
 	if len(vcs) > maxChannels {
 		panic(fmt.Sprintf("router: %d channels exceed the chassis's %d", len(vcs), maxChannels))
@@ -170,6 +179,14 @@ func (c *Chassis) InitChassis(node int, engine *RouteEngine, vcs []*VC, depth, g
 	c.deliver, c.drop, c.broken = engine.Deliver, engine.Drop, engine.Broken
 	c.fullTick = engine.FullTick
 	c.reapAge = orphanAge + engine.MaxLinkDelay
+	if topo := engine.Topology(); topo.Wraps() {
+		at := topo.Coord(node)
+		for _, d := range topology.CardinalDirections {
+			if routing.TorusHopWraps(topo.Width(), topo.Height(), at, d) {
+				c.dateline |= 1 << d
+			}
+		}
+	}
 	c.VCs = c.vcs[:copy(c.vcs[:], vcs)]
 	for i := range vcs {
 		c.inputBit[i] = 1 << uint(i/group)
@@ -536,61 +553,67 @@ func (c *Chassis) freeSlot(vc *VC, feeder topology.Direction) {
 	}
 }
 
-// Loopback delivers a self-addressed packet straight back to the PE — it
-// never enters the fabric — and reports whether f belonged to one.
-func (c *Chassis) Loopback(f *flit.Flit, cycle int64) bool {
-	if f.Type.IsHead() && f.OutPort == topology.Local {
-		c.deliver(c.Node, f, cycle)
-		if !f.Type.IsTail() {
-			c.InjVC = loopbackVC
-		}
+// TryInject offers the next flit of the PE's current packet (see
+// Router.TryInject) for every router kind. A dead node takes nothing; a
+// self-addressed packet is delivered straight back to the PE; a body or
+// tail flit streams into the channel its head started; and a head, once
+// the previous packet's tail is in, starts in the lowest channel of the
+// policy's Injection rule that is claimable from the PE and has room.
+func (c *Chassis) TryInject(f *flit.Flit, cycle int64) bool {
+	switch {
+	case c.Dead:
+		return false
+	case c.loopback(f, cycle):
 		return true
+	case !f.Type.IsHead():
+		if c.InjVC < 0 || !c.VCs[c.InjVC].HasRoom() {
+			return false
+		}
+		c.push(f, c.InjVC, cycle)
+		return true
+	case c.InjVC >= 0:
+		return false // the previous packet's tail is not yet accepted
 	}
-	if c.InjVC == loopbackVC {
-		c.deliver(c.Node, f, cycle)
-		if f.Type.IsTail() {
-			c.InjVC = -1
+	for m := c.Injection(f); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if vc := c.VCs[i]; vc.Claimable(topology.Local) && vc.HasRoom() {
+			vc.Claim(topology.Local)
+			c.push(f, i, cycle)
+			return true
 		}
-		return true
 	}
 	return false
 }
 
-// InjectInto admits head f into channel i if the channel is claimable from
-// the PE and has room; the packet then owns the channel until its tail is
-// injected.
-func (c *Chassis) InjectInto(f *flit.Flit, i int, cycle int64) bool {
-	vc := c.VCs[i]
-	if !vc.Claimable(topology.Local) || !vc.HasRoom() {
+// loopback delivers a self-addressed packet straight back to the PE — it
+// never enters the fabric — and reports whether f belonged to one.
+func (c *Chassis) loopback(f *flit.Flit, cycle int64) bool {
+	switch {
+	case f.Type.IsHead() && f.OutPort == topology.Local:
+		if !f.Type.IsTail() {
+			c.InjVC = loopbackVC
+		}
+	case c.InjVC == loopbackVC:
+		if f.Type.IsTail() {
+			c.InjVC = -1
+		}
+	default:
 		return false
 	}
-	f.ReadyAt = cycle + 1
-	vc.Claim(topology.Local)
-	vc.PushFrom(f, topology.Local)
-	c.Act.BufferWrites++
-	if !f.Type.IsTail() {
-		c.InjVC = i
-	}
+	c.deliver(c.Node, f, cycle)
 	return true
 }
 
-// InjectBody streams the next body or tail flit of the packet being
-// injected into its channel.
-func (c *Chassis) InjectBody(f *flit.Flit, cycle int64) bool {
-	if c.InjVC < 0 {
-		return false
-	}
-	vc := c.VCs[c.InjVC]
-	if !vc.HasRoom() {
-		return false
-	}
+// push writes the PE's flit f into channel i, ready next cycle. The packet
+// owns the channel until its tail is in.
+func (c *Chassis) push(f *flit.Flit, i int, cycle int64) {
 	f.ReadyAt = cycle + 1
-	vc.PushFrom(f, topology.Local)
+	c.VCs[i].PushFrom(f, topology.Local)
 	c.Act.BufferWrites++
+	c.InjVC = i
 	if f.Type.IsTail() {
 		c.InjVC = -1
 	}
-	return true
 }
 
 // BeginVA opens a cycle's VC allocation: it clears VAFailed and the
@@ -795,6 +818,34 @@ func (c *Chassis) Nominate(ready uint64, arbs []arbiter.RoundRobin, nom []Nomine
 	}
 }
 
+// GrantOutputs runs a separable switch allocator's output stage: arbs[o]
+// picks one of the nominees bidding for crossbar output legs[o] (nominee g
+// is request line g), and each winner traverses and, when it leaves on a
+// link, is driven.
+func (c *Chassis) GrantOutputs(nom []Nominee, arbs []arbiter.RoundRobin, legs []int, cycle int64) {
+	var reqs [TransferLeg + 1]uint64
+	for g, n := range nom {
+		if n.Leg >= 0 {
+			reqs[n.Leg] |= 1 << uint(g)
+		}
+	}
+	for o, leg := range legs {
+		w := arbs[o].GrantMask(reqs[leg])
+		if w < 0 {
+			continue
+		}
+		c.Act.SAGrants++
+		if f, out := c.Traverse(nom[w].ID, cycle); f != nil {
+			c.Drive(f, out)
+		}
+	}
+}
+
+// DirectionLegs names the crossbar outputs North, East, South, West and
+// Local as GrantOutputs legs, for allocators with one output arbiter per
+// port in direction order.
+var DirectionLegs = [...]int{int(topology.North), int(topology.East), int(topology.South), int(topology.West), int(topology.Local)}
+
 // Traverse moves channel i's front flit, a switch winner, through the
 // crossbar and returns it with its output port when it leaves on a link:
 // addressed to its next hop and charged to the credit book, but not yet
@@ -836,8 +887,20 @@ func (c *Chassis) Traverse(i int, cycle int64) (*flit.Flit, topology.Direction) 
 	return f, out
 }
 
-// Drive puts a flit returned by Traverse onto output link out.
+// CrossesDateline reports whether a hop from this node through out crosses
+// its dimension's torus dateline.
+func (c *Chassis) CrossesDateline(out topology.Direction) bool { return c.dateline&(1<<out) != 0 }
+
+// Drive puts a flit returned by Traverse onto output link out, recording a
+// torus dateline crossing in the flit.
 func (c *Chassis) Drive(f *flit.Flit, out topology.Direction) {
+	if c.CrossesDateline(out) {
+		if out.IsX() {
+			f.CrossedX = true
+		} else {
+			f.CrossedY = true
+		}
+	}
 	f.ReadyAt = 0
 	c.Act.LinkFlits++
 	c.Act.LinkFlitsByDir[out]++

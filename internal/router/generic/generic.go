@@ -43,7 +43,7 @@ const (
 type Router struct {
 	router.Chassis
 
-	torus *topology.Grid // non-nil when running a torus (flat or multi-chip)
+	torus bool // running a torus (flat or multi-chip)
 
 	inArb  [numPorts]arbiter.RoundRobin
 	outArb [numPorts]arbiter.RoundRobin
@@ -56,11 +56,11 @@ type Router struct {
 // New returns a generic router for the given node.
 func New(id int, engine *router.RouteEngine) *Router {
 	r := &Router{}
-	if topo := engine.Topology(); topo.Wraps() {
+	if engine.Topology().Wraps() {
 		if engine.Algorithm() != routing.XY {
 			panic("generic: the torus extension supports XY routing only")
 		}
-		r.torus = topo
+		r.torus = true
 	}
 	vcs := make([]*router.VC, 0, numReqs)
 	for p := 0; p < numPorts; p++ {
@@ -74,62 +74,16 @@ func New(id int, engine *router.RouteEngine) *Router {
 	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerPort)
 	r.PerPortNamespace(VCsPerPort)
 	r.Candidates = r.candidates
+	r.Injection = r.injection
 	return r
 }
 
-// TryInject offers the next flit of the PE's current packet. A
-// self-addressed packet takes the crossbar to the PE port like any other.
-func (r *Router) TryInject(f *flit.Flit, cycle int64) bool {
-	if r.Dead {
-		return false
-	}
-	if !f.Type.IsHead() {
-		return r.InjectBody(f, cycle)
-	}
-	if r.InjVC >= 0 {
-		return false // previous packet's tail not yet accepted
-	}
-	for _, v := range r.injectionVCs(f) {
-		if r.InjectInto(f, int(topology.Local)*VCsPerPort+v, cycle) {
-			return true
-		}
-	}
-	return false
-}
-
-// injectionVCs returns the Local-port VC indexes a new packet may start in,
-// respecting the deadlock class discipline of the routing algorithm.
-func (r *Router) injectionVCs(f *flit.Flit) []int {
-	if r.Engine.Algorithm() == routing.XYYX {
-		if f.Mode == flit.YFirst {
-			return []int{yFirstVC}
-		}
-		return []int{xFirstVC, xFirstVC2}
-	}
-	// XY is acyclic on any channel; adaptive routing is deadlock-free via
-	// the odd-even turn model, so all channels are freely usable.
-	return []int{0, 1, 2}
-}
-
-// candidates is the generic VC candidate rule: the downstream port's VCs
-// a head leaving through out may be allocated, respecting the class
-// discipline: mode classes under XY-YX, dateline classes on a torus.
-func (r *Router) candidates(f *flit.Flit, out, _ topology.Direction) uint64 {
-	if r.torus != nil {
-		// Dateline discipline: VCs 0 and 2 carry packets that have not
-		// crossed their current dimension's dateline; VC 1 carries packets
-		// that have (including this very hop). The class switch breaks the
-		// ring's channel-dependency cycle.
-		crossed := f.CrossedY
-		if out.IsX() {
-			crossed = f.CrossedX
-		}
-		crossed = crossed || routing.TorusHopWraps(r.torus.Width(), r.torus.Height(), r.torus.Coord(r.Node), out)
-		if crossed {
-			return 1 << 1
-		}
-		return 1<<0 | 1<<2
-	}
+// modeClasses returns the VCs of a port a packet may occupy under the
+// routing algorithm's class discipline: under XY-YX, VCs 0 and 2 carry
+// X-first packets and VC 1 Y-first ones. XY is acyclic on any channel,
+// and adaptive routing is deadlock-free via the odd-even turn model, so
+// otherwise all three are freely usable.
+func (r *Router) modeClasses(f *flit.Flit) uint64 {
 	if r.Engine.Algorithm() == routing.XYYX {
 		if f.Mode == flit.YFirst {
 			return 1 << yFirstVC
@@ -137,6 +91,33 @@ func (r *Router) candidates(f *flit.Flit, out, _ topology.Direction) uint64 {
 		return 1<<xFirstVC | 1<<xFirstVC2
 	}
 	return 1<<VCsPerPort - 1
+}
+
+// injection is the generic injection rule: the PE port's VCs of the
+// packet's mode class.
+func (r *Router) injection(f *flit.Flit) uint64 {
+	return r.modeClasses(f) << (topology.Local * VCsPerPort)
+}
+
+// candidates is the generic VC candidate rule: the downstream port's VCs
+// a head leaving through out may be allocated, respecting the class
+// discipline: mode classes under XY-YX, dateline classes on a torus.
+func (r *Router) candidates(f *flit.Flit, out, _ topology.Direction) uint64 {
+	if !r.torus {
+		return r.modeClasses(f)
+	}
+	// Dateline discipline: VCs 0 and 2 carry packets that have not crossed
+	// their current dimension's dateline; VC 1 carries packets that have
+	// (including this very hop). The class switch breaks the ring's
+	// channel-dependency cycle.
+	crossed := f.CrossedY
+	if out.IsX() {
+		crossed = f.CrossedX
+	}
+	if crossed || r.CrossesDateline(out) {
+		return 1 << 1
+	}
+	return 1<<0 | 1<<2
 }
 
 // Tick advances the router one cycle: the chassis's opening phases, then
@@ -211,27 +192,5 @@ func (r *Router) allocateSwitch(cycle int64) {
 	ready, _ := r.SwitchRequests(saReady, cycle, false)
 	var nom [numPorts]router.Nominee
 	r.Nominate(ready, r.inArb[:], nom[:])
-	for out := 0; out < numPorts; out++ {
-		var portReq uint64
-		for p := range nom {
-			if nom[p].Leg == out {
-				portReq |= 1 << uint(p)
-			}
-		}
-		w := r.outArb[out].GrantMask(portReq)
-		if w < 0 {
-			continue
-		}
-		r.Act.SAGrants++
-		if f, o := r.Traverse(nom[w].ID, cycle); f != nil {
-			if r.torus != nil && routing.TorusHopWraps(r.torus.Width(), r.torus.Height(), r.torus.Coord(r.Node), o) {
-				if o.IsX() {
-					f.CrossedX = true
-				} else {
-					f.CrossedY = true
-				}
-			}
-			r.Drive(f, o)
-		}
-	}
+	r.GrantOutputs(nom[:], r.outArb[:], router.DirectionLegs[:], cycle)
 }

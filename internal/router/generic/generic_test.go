@@ -38,15 +38,16 @@ func TestInjectionVCClasses(t *testing.T) {
 	r := newTestRouter(routing.XYYX)
 	x := &flit.Flit{Mode: flit.XFirst}
 	y := &flit.Flit{Mode: flit.YFirst}
-	if got := r.injectionVCs(x); len(got) != 2 || got[0] != xFirstVC || got[1] != xFirstVC2 {
-		t.Errorf("XFirst injection VCs = %v", got)
+	const pe = int(topology.Local) * VCsPerPort // the PE port's first channel
+	if got := r.Injection(x); got != (1<<xFirstVC|1<<xFirstVC2)<<pe {
+		t.Errorf("XFirst injection channels = %015b", got)
 	}
-	if got := r.injectionVCs(y); len(got) != 1 || got[0] != yFirstVC {
-		t.Errorf("YFirst injection VCs = %v", got)
+	if got := r.Injection(y); got != 1<<yFirstVC<<pe {
+		t.Errorf("YFirst injection channels = %015b", got)
 	}
 	rXY := newTestRouter(routing.XY)
-	if got := rXY.injectionVCs(x); len(got) != 3 {
-		t.Errorf("XY should use all injection VCs, got %v", got)
+	if got := rXY.Injection(x); got != (1<<VCsPerPort-1)<<pe {
+		t.Errorf("XY should use all injection VCs, got %015b", got)
 	}
 }
 

@@ -55,11 +55,13 @@ type Router interface {
 
 	// TryInject offers the next flit of the PE's current packet. The head
 	// flit carries OutPort (this router's output for it, or Local for a
-	// self-addressed packet) already computed by the PE. The router accepts
-	// it only if injection buffering and VC allocation permit; acceptance
-	// of a head implies the router owns the packet's injection VC until its
-	// tail is accepted. Returns false when the flit must be retried next
-	// cycle.
+	// self-addressed packet, which is delivered straight back) already
+	// computed by the PE. The router accepts it only if injection buffering
+	// and VC allocation permit; acceptance of a head implies the router owns
+	// the packet's injection VC until its tail is accepted. Returns false
+	// when the flit must be retried next cycle. Implemented by the embedded
+	// Chassis, which starts a head in a channel of the policy's injection
+	// rule (Chassis.Injection).
 	TryInject(f *flit.Flit, cycle int64) bool
 
 	// ApplyFault installs a permanent fault, either before the simulation

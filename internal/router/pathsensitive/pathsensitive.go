@@ -64,7 +64,7 @@ type Router struct {
 	router.Chassis
 
 	setArb [numSets]arbiter.RoundRobin // SA stage 1: one 3:1 arbiter per set
-	outArb [5]arbiter.RoundRobin       // SA stage 2: 2:1 per output
+	outArb [4]arbiter.RoundRobin       // SA stage 2: 2:1 per link
 }
 
 // New returns a Path-Sensitive router for the given node.
@@ -84,6 +84,7 @@ func New(id int, engine *router.RouteEngine) *Router {
 	r.InitChassis(id, engine, vcs, BufferDepth, VCsPerSet)
 	r.EarlyEject = true
 	r.Candidates = r.candidates
+	r.Injection = r.injection
 	return r
 }
 
@@ -94,23 +95,11 @@ func (r *Router) packetQuadrant(f *flit.Flit) routing.Quadrant {
 	return routing.PacketQuadrant(topo.Coord(f.Src), topo.Coord(f.Dst))
 }
 
-// TryInject offers the next flit of the PE's current packet; a new packet
-// starts in its quadrant set's dedicated injection group.
-func (r *Router) TryInject(f *flit.Flit, cycle int64) bool {
-	if r.Dead {
-		return false
-	}
-	if r.Loopback(f, cycle) {
-		return true
-	}
-	if !f.Type.IsHead() {
-		return r.InjectBody(f, cycle)
-	}
-	if r.InjVC >= 0 {
-		return false
-	}
-	q := r.packetQuadrant(f)
-	return r.InjectInto(f, int(q)*VCsPerSet+groupFor(q, topology.Local), cycle)
+// injection is the path-sensitive injection rule: a new packet starts in
+// its quadrant set's dedicated injection group.
+func (r *Router) injection(head *flit.Flit) uint64 {
+	q := r.packetQuadrant(head)
+	return 1 << uint(int(q)*VCsPerSet+groupFor(q, topology.Local))
 }
 
 // candidates is the path-sensitive VC candidate rule: the one channel of
@@ -172,20 +161,5 @@ func (r *Router) allocateSwitch(cycle int64) {
 	ready, _ := r.SwitchRequests(saReady, cycle, false)
 	var nom [numSets]router.Nominee
 	r.Nominate(ready, r.setArb[:], nom[:])
-	for _, out := range topology.CardinalDirections {
-		var reqs uint64
-		for s := range nom {
-			if nom[s].Leg == int(out) {
-				reqs |= 1 << uint(s)
-			}
-		}
-		w := r.outArb[out].GrantMask(reqs)
-		if w < 0 {
-			continue
-		}
-		r.Act.SAGrants++
-		if f, o := r.Traverse(nom[w].ID, cycle); f != nil {
-			r.Drive(f, o)
-		}
-	}
+	r.GrantOutputs(nom[:], r.outArb[:], router.DirectionLegs[:len(r.outArb)], cycle)
 }

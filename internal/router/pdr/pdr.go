@@ -125,30 +125,10 @@ func New(id int, engine *router.RouteEngine) *Router {
 	}
 	r.AddTransferLeg(transfer, xModuleMask, portMask(portFromX))
 	r.Candidates = r.candidates
+	// All injection enters through the X-module's PE port (dimension order
+	// starts in X).
+	r.Injection = func(*flit.Flit) uint64 { return portMask(portFromPE) }
 	return r
-}
-
-// TryInject offers the next flit of the PE's current packet. All injection
-// enters through the X-module's PE port (dimension order starts in X).
-func (r *Router) TryInject(f *flit.Flit, cycle int64) bool {
-	if r.Dead {
-		return false
-	}
-	if r.Loopback(f, cycle) {
-		return true
-	}
-	if !f.Type.IsHead() {
-		return r.InjectBody(f, cycle)
-	}
-	if r.InjVC >= 0 {
-		return false
-	}
-	for v := portFromPE * VCsPerPort; v < (portFromPE+1)*VCsPerPort; v++ {
-		if r.InjectInto(f, v, cycle) {
-			return true
-		}
-	}
-	return false
 }
 
 // moduleOutOf returns (module, output slot) for a packet in port with the
@@ -259,22 +239,7 @@ func (r *Router) allocateSwitch(cycle int64) {
 	var nom [numPorts]router.Nominee
 	r.Nominate(ready, r.inArb[:], nom[:])
 	// Stage 2: per module output, arbitrate among the module's three ports.
-	for m := 0; m < 2; m++ {
-		for o, leg := range moduleLegs[m] {
-			var reqs uint64
-			for i := 0; i < 3; i++ {
-				if nom[m*3+i].Leg == leg {
-					reqs |= 1 << uint(i)
-				}
-			}
-			w := r.outArb[m][o].GrantMask(reqs)
-			if w < 0 {
-				continue
-			}
-			r.Act.SAGrants++
-			if f, out := r.Traverse(nom[m*3+w].ID, cycle); f != nil {
-				r.Drive(f, out)
-			}
-		}
+	for m := range moduleLegs {
+		r.GrantOutputs(nom[m*3:m*3+3], r.outArb[m][:], moduleLegs[m][:], cycle)
 	}
 }

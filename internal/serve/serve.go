@@ -1,7 +1,7 @@
 // Package serve is the graceful-HTTP-shutdown plumbing shared by
-// rocosim -serve and rocoserve: serve a handler until SIGINT/SIGTERM
-// (or an explicit stop), then drain in-flight requests under a timeout
-// before forcing the remaining connections closed. It exists so both
+// rocosim -serve and rocoserve: serve a handler until SIGINT/SIGTERM,
+// then drain in-flight requests under a timeout before forcing the
+// remaining connections closed. It exists so both
 // binaries shut down the same way — previously rocosim -serve lingered
 // forever after a run and had to be killed.
 package serve
@@ -25,9 +25,6 @@ type Options struct {
 	// Drain caps how long Wait lets in-flight requests finish after the
 	// stop signal before forcing connections closed (0 = DefaultDrain).
 	Drain time.Duration
-	// Stop, when it becomes receivable (or is closed), triggers shutdown
-	// like a signal would. Optional.
-	Stop <-chan struct{}
 	// BeforeDrain runs after the stop signal and before the drain begins
 	// — the place to end long-lived streams (SSE subscribers, campaign
 	// workers) that would otherwise hold the drain open to its timeout.
@@ -61,12 +58,11 @@ func Start(ln net.Listener, h http.Handler, opts Options) *Server {
 	return s
 }
 
-// Wait blocks until SIGINT/SIGTERM arrives or Options.Stop fires, runs
-// BeforeDrain, then shuts the server down gracefully: no new
-// connections, in-flight requests drained for at most Options.Drain,
-// stragglers force-closed. It returns nil after a clean shutdown, the
-// serve error if the listener failed first, or the shutdown error when
-// the drain timed out.
+// Wait blocks until SIGINT/SIGTERM arrives, runs BeforeDrain, then shuts
+// the server down gracefully: no new connections, in-flight requests
+// drained for at most Options.Drain, stragglers force-closed. It returns
+// nil after a clean shutdown, the serve error if the listener failed
+// first, or the shutdown error when the drain timed out.
 func (s *Server) Wait() error {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -81,8 +77,6 @@ func (s *Server) Wait() error {
 		return err
 	case sig := <-sigc:
 		logf("caught %v; draining for up to %v", sig, s.opts.Drain)
-	case <-s.opts.Stop:
-		logf("stop requested; draining for up to %v", s.opts.Drain)
 	}
 	if s.opts.BeforeDrain != nil {
 		s.opts.BeforeDrain()

@@ -47,6 +47,28 @@ func TestUniformNeverSelf(t *testing.T) {
 	}
 }
 
+// TestNoPatternAddressesItsSource pins, for every pattern and every node,
+// that a generator never addresses its own node nor one outside the grid:
+// on 8x8, on 5x5 (whose centre node bit-complements to itself) and on a
+// non-square 4x6 (where some transposes fall outside the grid). The
+// hotspot's hot node is a source too, and must draw elsewhere.
+func TestNoPatternAddressesItsSource(t *testing.T) {
+	for _, grid := range []struct{ w, h int }{{8, 8}, {5, 5}, {4, 6}} {
+		topo := topology.NewMesh(grid.w, grid.h)
+		nodes := topo.Nodes()
+		for p := Pattern(0); p.String() != "?"; p++ {
+			cfg := Config{Pattern: p, Rate: 1, FlitsPerPacket: 1, HotspotNode: nodes / 2, HotspotFraction: 0.5}
+			for src, g := range New(cfg, topo, stats.NewRNG(7)) {
+				for c := int64(0); c < 3000; c++ {
+					if dst, ok := g.NextPacket(c); ok && (dst == src || dst < 0 || dst >= nodes) {
+						t.Fatalf("%dx%d %s: node %d addressed node %d at cycle %d", grid.w, grid.h, p, src, dst, c)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestUniformCoversAllDestinations(t *testing.T) {
 	g := gens(t, Uniform, 1.0)[0]
 	seen := map[int]bool{}

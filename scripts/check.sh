@@ -70,6 +70,14 @@ JSONCHECK="$TMP/jsoncheck"
 	| "$JSONCHECK" Telemetry AvgLatency Completion
 "$TMP/rocotrace" -telemetry -width 4 -height 4 -warmup 100 -measure 800 -every 64 -format csv >"$TMP/tele.csv"
 test "$(wc -l <"$TMP/tele.csv")" -gt 2
+# The heatmap export renders every epoch, including the one that spans
+# the warm-up boundary, whose negative link-flit deltas must still map to
+# a shade: exit 0 and no goroutine dump.
+"$TMP/rocotrace" -telemetry -width 4 -height 4 -warmup 100 -measure 800 -every 64 -format heatmap >"$TMP/heat.txt" 2>&1
+if grep -q goroutine "$TMP/heat.txt"; then
+	echo "check.sh: rocotrace -format heatmap panicked" >&2
+	exit 1
+fi
 # Kernel equivalence: `equivalent NAME FLAGS...` runs one configuration
 # under the reference kernel, the default activity-gated kernel and three
 # shards on two workers, and all three must emit byte-identical JSON —
@@ -185,8 +193,12 @@ rejects 'telemetry interval -1' "$ROCOSIM" -telemetry-every -1
 rejects '-checkpoint-every -5' "$ROCOSIM" -checkpoint-every -5 -checkpoint-dir "$TMP/negckpt"
 rejects '-flits 0' "$ROCOSIM" -flits 0
 rejects '-fault-rate -300' "$ROCOSIM" -fault-rate -300
+rejects '-faults -1' "$ROCOSIM" -faults -1 -width 4 -height 4 -warmup 10 -measure 100
 rejects '-mc 0' "$TMP/rocobench" -exp table2 -mc 0
 rejects 'worker count -1' "$TMP/rocobench" -workers -1
+rejects 'fault trials 0' "$TMP/rocobench" -exp fig11 -trials 0
+rejects '-rate -1' "$TMP/rocotrace" -rate -1 -cycles 100
+rejects '-rate NaN' "$TMP/rocotrace" -rate NaN -cycles 100
 # Every rocobench experiment runs at smoke scale: -exp all covers the
 # paper's tables and figures, and each extension runs by name. Each run
 # must exit 0 without a goroutine dump, and the -json files must record

@@ -1,6 +1,7 @@
 package roco
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -64,5 +65,15 @@ func TestOptionsValidate(t *testing.T) {
 	o.Workers = -2
 	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "worker count -2") {
 		t.Errorf("negative worker budget: got %v, want a worker-count error", err)
+	}
+	// Figures 11, 12 and 14 would otherwise clamp the count to one
+	// placement and print as if the requested trials had run.
+	for _, trials := range []int{0, -3} {
+		o = DefaultOptions()
+		o.FaultTrials = trials
+		want := fmt.Sprintf("fault trials %d", trials)
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d fault trials: got %v, want an error naming %q", trials, err, want)
+		}
 	}
 }
